@@ -2,10 +2,10 @@
 //! vectorized `O(k)`. The gap is what makes the large-n sweeps (E1–E3)
 //! feasible.
 //!
-//! The agent engine is benchmarked in both sampling modes: the seed's
+//! The agent engine is benchmarked in both sampling modes: the literal
 //! per-node path (`gen_range` + random-access opinion reads) and the
-//! alias-table path (one `O(k)` sampler per round, `O(1)` per draw,
-//! with run-length/constant fast forms on concentrated rounds).
+//! native dispatch (multiset window splits for 3-Majority, over the
+//! alias-table sampler with run-length/constant fast forms).
 //!
 //! Two measurement styles, reported separately because they answer
 //! different questions:
@@ -17,15 +17,14 @@
 //!   The ≥3× acceptance bar for this PR is on this workload.
 //! * `…_round/<state>` — a single round from a *fixed* configuration
 //!   (fresh engine clone per iteration; the clone overhead is identical
-//!   across modes). `uniform` is the alias form's worst case — it
-//!   roughly ties per-node there; `concentrated` (90% plurality) shows
-//!   the live run-length win.
+//!   across modes). `uniform` is the diverse worst case;
+//!   `concentrated` (90% plurality) shows the live window-walk win.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::RngCore;
 use symbreak_core::rules::{ThreeMajority, Voter};
 use symbreak_core::{AgentEngine, Configuration, Engine, SamplingMode, VectorEngine, VectorStep};
-use symbreak_runtime::{Cluster, ClusterConfig, ConsumeMode, ReportMode, WireMode};
+use symbreak_runtime::{Cluster, ClusterConfig, ReportMode};
 
 /// The PR-1 per-round path, preserved for comparison: only `vector_step`
 /// is implemented, so the engine steps through the default shim — a fresh
@@ -68,13 +67,8 @@ fn bench_engines(c: &mut Criterion) {
     let start = Configuration::uniform(n, k);
     group.bench_with_input(BenchmarkId::new("agent_3M_native/trajectory", n), &n, |b, _| {
         // SamplingMode::Native: the multiset window-split dispatch (the
-        // default); pairs against the ordered alias path below.
+        // default); pairs against the per-node oracle below.
         let mut engine = AgentEngine::new(ThreeMajority, &start, 1);
-        b.iter(|| engine.step());
-    });
-    group.bench_with_input(BenchmarkId::new("agent_3M_alias/trajectory", n), &n, |b, _| {
-        let mut engine =
-            AgentEngine::with_sampling(ThreeMajority, &start, 1, SamplingMode::AliasTable);
         b.iter(|| engine.step());
     });
     group.bench_with_input(BenchmarkId::new("agent_3M_per_node/trajectory", n), &n, |b, _| {
@@ -95,11 +89,9 @@ fn bench_engines(c: &mut Criterion) {
         ("concentrated", Configuration::from_counts(concentrated_counts)),
     ];
     for (state, config) in &states {
-        for (mode_name, mode) in [
-            ("native", SamplingMode::Native),
-            ("alias", SamplingMode::AliasTable),
-            ("per_node", SamplingMode::PerNode),
-        ] {
+        for (mode_name, mode) in
+            [("native", SamplingMode::Native), ("per_node", SamplingMode::PerNode)]
+        {
             let id = BenchmarkId::new(&format!("agent_3M_{mode_name}_round"), state);
             group.bench_with_input(id, &n, |b, _| {
                 let engine = AgentEngine::with_sampling(ThreeMajority, config, 1, mode);
@@ -172,54 +164,40 @@ fn bench_engines(c: &mut Criterion) {
     }
     group.finish();
 
-    // The sharded runtime on the k = n = 1e5 singleton start, paired
-    // across wire and report modes from the same seed.
+    // The sharded runtime on the k = n = 1e5 singleton start (bench ids
+    // keep their historical `batched_` names so older runs compare).
     //
-    // * Wire-mode pairs (`per_entry_*` vs `batched_*`) isolate the data
-    //   plane: per-entry mode moves `2·n·h` request/reply entries
-    //   through the channels every round (~7 ns/entry dominates cluster
-    //   wall-clock), batched mode moves one pull batch + one opinion
-    //   palette per shard pair (`O(#pairs · #distinct)` entries) and
-    //   reconstitutes samples locally (expand + Fisher–Yates). The two
-    //   modes consume randomness differently, so they realize different
-    //   (equally lawful — pinned by `batched_wire_matches_per_entry_
-    //   wire`) trajectories; the Voter workload therefore runs a FIXED
-    //   2000-round horizon so both time an identical amount of work.
-    // * Report-mode pairs within a wire mode (`*_sparse` vs `*_dense`
-    //   vs `*_delta`) run the *identical* realized trajectory for a
-    //   given seed (the report format never touches the protocol RNG
-    //   streams; pinned by `report_modes_run_the_same_trajectory_*`)
-    //   and isolate the control plane: dense pays a fresh `vec![0; k]`
-    //   per shard plus an O(k) rebuild at the coordinator every round,
-    //   sparse pays O(#occupied), delta pays O(#changed) once the
+    // * Voter runs a FIXED horizon so every run times an identical
+    //   amount of work: 2000 rounds (3/4 diverse, pull gear), and 6000
+    //   rounds, by which the occupancy is under n·h/shards² and the push
+    //   gear (no pulls, alias sampling, per-round traffic independent of
+    //   n) takes over.
+    // * Report-mode pairs (`*_sparse` vs `*_delta`) run the *identical*
+    //   realized trajectory for a given seed (the report format never
+    //   touches the protocol RNG streams; pinned by
+    //   `report_modes_run_the_same_trajectory`) and isolate the control
+    //   plane: sparse pays O(#occupied), delta pays O(#changed) once the
     //   changed-slot set collapses.
+    // * 3-Majority runs a FIXED 300-round horizon — just under the
+    //   ~310-round consensus time of its concentrated regime.
     let mut group = c.benchmark_group("cluster_singleton_run");
     group.sample_size(10);
     let n = 100_000u64;
-    let wire_modes = [("per_entry", WireMode::PerEntry), ("batched", WireMode::Batched)];
-    for shards in [4usize, 16] {
-        for (wire_name, wire) in wire_modes {
-            let id = BenchmarkId::new(
-                &format!("{wire_name}_sparse_voter/rounds_2000/shards_{shards}"),
-                n,
-            );
-            group.bench_with_input(id, &n, |b, &n| {
-                b.iter(|| {
-                    let cluster = Cluster::new(
-                        Voter,
-                        &Configuration::singletons(n),
-                        ClusterConfig::new(shards, 23).with_wire_mode(wire),
-                    );
-                    cluster.run_horizon(2_000).rounds_run
-                });
+    for (shards, horizon) in [(4usize, 2_000u64), (16, 2_000), (16, 6_000)] {
+        let id =
+            BenchmarkId::new(&format!("batched_sparse_voter/rounds_{horizon}/shards_{shards}"), n);
+        group.bench_with_input(id, &n, |b, &n| {
+            b.iter(|| {
+                let cluster = Cluster::new(
+                    Voter,
+                    &Configuration::singletons(n),
+                    ClusterConfig::new(shards, 23),
+                );
+                cluster.run_horizon(horizon).rounds_run
             });
-        }
+        });
     }
-    // Control-plane pairs on the batched data plane: dense vs sparse vs
-    // delta, identical trajectory per pair.
-    for (report_name, report) in
-        [("dense", ReportMode::Dense), ("sparse", ReportMode::Sparse), ("delta", ReportMode::Delta)]
-    {
+    for (report_name, report) in [("sparse", ReportMode::Sparse), ("delta", ReportMode::Delta)] {
         let id = BenchmarkId::new(
             &format!("batched_voter_report_{report_name}/rounds_2000/shards_16"),
             n,
@@ -235,66 +213,17 @@ fn bench_engines(c: &mut Criterion) {
             });
         });
     }
-    // Voter's concentrated tail: by round ~500 the occupancy is under
-    // n·h/shards² and the batched wire's push gear takes over (no
-    // pulls, alias sampling, per-round traffic independent of n), so a
-    // longer fixed horizon isolates the concentrated-regime win that
-    // the 2000-round horizon (3/4 diverse) dilutes.
-    for (wire_name, wire) in wire_modes {
-        let id = BenchmarkId::new(&format!("{wire_name}_sparse_voter/rounds_6000/shards_16"), n);
-        group.bench_with_input(id, &n, |b, &n| {
-            b.iter(|| {
-                let cluster = Cluster::new(
-                    Voter,
-                    &Configuration::singletons(n),
-                    ClusterConfig::new(16, 23).with_wire_mode(wire),
-                );
-                cluster.run_horizon(6_000).rounds_run
-            });
+    let id = BenchmarkId::new("batched_sparse_3M/rounds_300/shards_16", n);
+    group.bench_with_input(id, &n, |b, &n| {
+        b.iter(|| {
+            let cluster = Cluster::new(
+                ThreeMajority,
+                &Configuration::singletons(n),
+                ClusterConfig::new(16, 29),
+            );
+            cluster.run_horizon(300).rounds_run
         });
-    }
-    // 3-Majority's concentrated regime (h = 3, opinions collapse within
-    // ~50 rounds of the singleton start): a FIXED 300-round horizon —
-    // just under the ~310-round consensus time — so the wire modes time
-    // identical work here too, rather than their (seed-dependent,
-    // per-mode) consensus round.
-    for (wire_name, wire) in wire_modes {
-        let id = BenchmarkId::new(&format!("{wire_name}_sparse_3M/rounds_300/shards_16"), n);
-        group.bench_with_input(id, &n, |b, &n| {
-            b.iter(|| {
-                let cluster = Cluster::new(
-                    ThreeMajority,
-                    &Configuration::singletons(n),
-                    ClusterConfig::new(16, 29).with_wire_mode(wire),
-                );
-                cluster.run_horizon(300).rounds_run
-            });
-        });
-    }
-    // Sample-consumption pairs on the batched wire (PR 5): the batched_*
-    // workloads above run ConsumeMode::Native (the default); these
-    // `_ordered` twins force the PR 4 ordered-window dealing on the
-    // same seeds and horizons. Voter/rounds_2000/shards_16 is the
-    // documented diverse-regime floor (batched ≈ per-entry there): the
-    // native single-peer path deletes the Fisher–Yates dealing, the
-    // sample buffer, and the per-node rule calls, which is the only
-    // lever left on that floor. The 3M pair exercises the multiset
-    // window splits (diverse fallback → hypergeometric/push-walk).
-    for (rule_name, horizon, seed) in [("voter", 2_000u64, 23u64), ("3M", 300, 29)] {
-        let id =
-            BenchmarkId::new(&format!("batched_ordered_{rule_name}/rounds_{horizon}/shards_16"), n);
-        group.bench_with_input(id, &n, |b, &n| {
-            b.iter(|| {
-                let cfg = ClusterConfig::new(16, seed).with_consume_mode(ConsumeMode::Ordered);
-                let start = Configuration::singletons(n);
-                if rule_name == "voter" {
-                    Cluster::new(Voter, &start, cfg).run_horizon(horizon).rounds_run
-                } else {
-                    Cluster::new(ThreeMajority, &start, cfg).run_horizon(horizon).rounds_run
-                }
-            });
-        });
-    }
+    });
     group.finish();
 }
 

@@ -9,11 +9,10 @@
 //! reports would stay `O(local_n)` forever) while only `O(1)` nodes
 //! switch opinion per round, so the coordinator flips the fleet to
 //! signed-delta reports and the per-round report size collapses to
-//! `O(#changed)`. The data plane defaults to `WireMode::Batched`: one
-//! pull batch + one opinion palette per shard pair per round
-//! (`O(#pairs · #distinct)` channel entries) instead of the per-entry
-//! `2·n·h`; set `SYMBREAK_WIRE=per-entry` for the PR 3 baseline, whose
-//! message count the Uniform Pull cost model pins exactly.
+//! `O(#changed)`. The data plane sends one pull batch + one opinion
+//! palette per shard pair per round (`O(#pairs · #distinct)` channel
+//! entries), under the `2·n·h` entries of one request and one reply per
+//! pull.
 //!
 //! Regenerates the Theorem-5 claim at scale: from maximal support 1, no
 //! color exceeds `ℓ' = max(2, γ·ln n)` within the `n / (γ·ℓ')` horizon
@@ -27,16 +26,12 @@ use symbreak_bench::{scale, section, verdict};
 use symbreak_core::rules::TwoChoices;
 use symbreak_core::theory::{theorem5_horizon, theorem5_support_cap};
 use symbreak_core::Configuration;
-use symbreak_runtime::{Cluster, ClusterConfig, ReportMode, WireMode};
+use symbreak_runtime::{Cluster, ClusterConfig, ReportMode};
 use symbreak_stats::table::fmt_f64;
 use symbreak_stats::Table;
 
 fn main() {
-    let wire = match std::env::var("SYMBREAK_WIRE").as_deref() {
-        Ok("per-entry") => WireMode::PerEntry,
-        _ => WireMode::Batched,
-    };
-    println!("# E20: Theorem-5 horizon sweep on the cluster (wire: {wire:?}, reports: Delta)");
+    println!("# E20: Theorem-5 horizon sweep on the cluster (reports: Delta)");
     let gamma = 3.0;
     let shards = 8;
     let n_max = ((1_000_000.0 * scale()).round() as u64).max(4096);
@@ -52,9 +47,8 @@ fn main() {
         ));
 
         let start = Configuration::singletons(n);
-        let config = ClusterConfig::new(shards, 2017 + i as u64)
-            .with_report_mode(ReportMode::Delta)
-            .with_wire_mode(wire);
+        let config =
+            ClusterConfig::new(shards, 2017 + i as u64).with_report_mode(ReportMode::Delta);
         let cluster = Cluster::new(TwoChoices, &start, config);
         let out = cluster.run_horizon(horizon);
 
@@ -92,37 +86,23 @@ fn main() {
             out.consensus_round
         );
 
-        // Message accounting, parameterized by wire mode: per-entry mode
-        // pays exactly the Uniform Pull cost model; batched mode must
-        // come in under it (each pair's palette carries at most as many
-        // entries as the pulls it answers).
-        let per_entry_total = out.rounds_run * 2 * n * 2;
-        match wire {
-            WireMode::PerEntry => {
-                assert_eq!(
-                    out.total_messages, per_entry_total,
-                    "Uniform Pull cost model: 2·n·h messages per round"
-                );
-                println!(
-                    "messages: {} total = {} rounds x 2·n·h (h = 2)",
-                    out.total_messages, out.rounds_run
-                );
-            }
-            WireMode::Batched => {
-                assert!(
-                    out.total_messages < per_entry_total,
-                    "batched wire must move fewer entries than the per-entry 2·n·h model \
-                     ({} vs {per_entry_total})",
-                    out.total_messages
-                );
-                println!(
-                    "messages: {} total vs {} per-entry model = {:.1}x compression",
-                    out.total_messages,
-                    per_entry_total,
-                    per_entry_total as f64 / out.total_messages as f64
-                );
-            }
-        }
+        // Message accounting: the wire must come in under the Uniform
+        // Pull cost model of one request and one reply per pull (each
+        // pair's palette carries at most as many entries as the pulls
+        // it answers).
+        let per_pull_total = out.rounds_run * 2 * n * 2;
+        assert!(
+            out.total_messages < per_pull_total,
+            "the wire must move fewer entries than the 2·n·h model \
+             ({} vs {per_pull_total})",
+            out.total_messages
+        );
+        println!(
+            "messages: {} total vs {} per-pull model = {:.1}x compression",
+            out.total_messages,
+            per_pull_total,
+            per_pull_total as f64 / out.total_messages as f64
+        );
 
         // The transport layer's byte accounting (PR 8): every entry
         // above rides the versioned frame codec, and the channel

@@ -1,124 +1,102 @@
 //! E21 — the sample-consumption taxonomy on the wire: multiset- and
-//! single-peer-native palette consumption versus the ordered-window
-//! dealing, paired on the workloads where PR 4 documented the
-//! diverse-regime data-plane floor.
+//! single-peer-native palette consumption, checked against the exact
+//! `VectorEngine` law on the workloads where the diverse-regime
+//! data-plane floor lives.
 //!
 //! Background: with every color alive in every shard (the E20-style
 //! diverse regime), no wire *format* beats the `O(n·h)` per-round draw
-//! floor — batched ≈ per-entry on wall-clock. But the floor's constant
-//! is not fixed: rules that consume only the **multiset** of each
-//! node's window (3-Majority here) can take received palettes directly
-//! as histogram splits (per-node multivariate-hypergeometric windows,
-//! no inside-out Fisher–Yates dealing pass), and single-peer rules
-//! (Voter) can skip sample materialization entirely — the dealt
-//! multiset *is* the next opinion vector. `ConsumeMode::Native` versus
-//! `ConsumeMode::Ordered` isolates exactly that change on identical
-//! fixed-horizon workloads.
+//! floor. But the floor's constant is not fixed: rules that consume
+//! only the **multiset** of each node's window (3-Majority here) take
+//! received palettes directly as histogram splits (per-node
+//! multivariate-hypergeometric windows, no inside-out Fisher–Yates
+//! dealing pass), and single-peer rules (Voter) skip sample
+//! materialization entirely — the dealt multiset *is* the next opinion
+//! vector. These are the cluster's default consume paths.
 //!
-//! Both consumptions realize exactly the Uniform Pull law (they consume
-//! randomness differently, so trajectories are compared
-//! distributionally): the verdict requires a Welch 5σ agreement of the
-//! end-of-horizon observables over independent trials, plus — at full
-//! scale, where timing is meaningful on this box — the native path not
-//! losing to the ordered one on wall-clock. The realized floor drop is
-//! printed either way.
+//! The verdict requires a Welch 5σ agreement of the end-of-horizon
+//! observables between the cluster and the `VectorEngine` oracle (one
+//! exact `Mult(n, α(c))` draw per round) over independent trials.
 //!
 //! `SYMBREAK_SCALE` scales `n` (default 10⁵, floor 4096) and the
 //! horizons; the CI smoke runs `SYMBREAK_SCALE=0.04096`.
 
-use std::time::Instant;
-
 use symbreak_bench::{scale, scaled_trials, section, verdict};
+use symbreak_core::process::VectorStep;
 use symbreak_core::rules::{ThreeMajority, Voter};
-use symbreak_core::{Configuration, UpdateRule};
-use symbreak_runtime::{Cluster, ClusterConfig, ConsumeMode, HorizonOutcome};
+use symbreak_core::{Configuration, Engine, UpdateRule, VectorEngine};
+use symbreak_runtime::{Cluster, ClusterConfig};
 use symbreak_stats::table::fmt_f64;
 use symbreak_stats::{Summary, Table};
-
-/// Minimum `n` at which wall-clock enters the verdict (below it the
-/// rounds are too short for the timing to mean anything).
-const TIMED_FLOOR_N: u64 = 50_000;
 
 /// Shard count for both workloads.
 const SHARDS: usize = 8;
 
-struct Paired {
-    name: &'static str,
-    horizon: u64,
-    ordered_secs: f64,
-    native_secs: f64,
-    welch_ok: bool,
-}
-
-fn run_paired<R: UpdateRule + Clone + Send>(
-    name: &'static str,
+/// Runs `trials` cluster horizons and as many `VectorEngine` horizons
+/// from the singleton start and Welch-compares `observe` on the final
+/// configurations; returns whether the laws agree.
+fn run_against_oracle<R: UpdateRule + VectorStep + Clone + Send>(
     rule: R,
     n: u64,
     horizon: u64,
     trials: u64,
     seed: u64,
-    observe: impl Fn(&HorizonOutcome) -> u64,
-) -> Paired {
-    let mut secs = [0.0f64; 2];
-    let mut observed: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
-    for (slot, consume) in [(0, ConsumeMode::Ordered), (1, ConsumeMode::Native)] {
-        let start = Instant::now();
-        for t in 0..trials {
-            let cfg = ClusterConfig::new(SHARDS, seed + t).with_consume_mode(consume);
-            let cluster = Cluster::new(rule.clone(), &Configuration::singletons(n), cfg);
-            let out = cluster.run_horizon(horizon);
-            observed[slot].push(observe(&out));
-        }
-        secs[slot] = start.elapsed().as_secs_f64();
-    }
+    observe: impl Fn(&Configuration) -> u64,
+) -> bool {
+    let start = Configuration::singletons(n);
+    let cluster: Vec<u64> = (0..trials)
+        .map(|t| {
+            let cfg = ClusterConfig::new(SHARDS, seed + t);
+            let out = Cluster::new(rule.clone(), &start, cfg).run_horizon(horizon);
+            observe(&out.final_config)
+        })
+        .collect();
+    let oracle: Vec<u64> = (0..trials)
+        .map(|t| {
+            let mut engine = VectorEngine::new(rule.clone(), start.clone(), seed + 50_000 + t);
+            for _ in 0..horizon {
+                if engine.is_consensus() {
+                    break;
+                }
+                engine.step();
+            }
+            observe(engine.config_ref())
+        })
+        .collect();
 
-    let ordered = Summary::of_counts(&observed[0]);
-    let native = Summary::of_counts(&observed[1]);
-    let tol = 5.0 * (ordered.std_err().powi(2) + native.std_err().powi(2)).sqrt() + 0.5;
-    let welch_ok = (ordered.mean() - native.mean()).abs() < tol;
+    let c = Summary::of_counts(&cluster);
+    let v = Summary::of_counts(&oracle);
+    let tol = 5.0 * (c.std_err().powi(2) + v.std_err().powi(2)).sqrt() + 0.5;
+    let ok = (c.mean() - v.mean()).abs() < tol;
 
-    let mut table =
-        Table::new(vec!["consumption", "total s", "ms/round", "observable mean", "observable sd"]);
-    for (slot, label) in [(0usize, "ordered"), (1, "native")] {
-        let s = Summary::of_counts(&observed[slot]);
-        table.row(vec![
-            label.to_string(),
-            fmt_f64(secs[slot]),
-            fmt_f64(secs[slot] * 1e3 / (horizon * trials) as f64),
-            fmt_f64(s.mean()),
-            fmt_f64(s.std_dev()),
-        ]);
+    let mut table = Table::new(vec!["path", "observable mean", "observable sd"]);
+    for (label, s) in [("cluster (native consume)", &c), ("VectorEngine oracle", &v)] {
+        table.row(vec![label.to_string(), fmt_f64(s.mean()), fmt_f64(s.std_dev())]);
     }
     println!("{table}");
     println!(
-        "floor: native {:.2}x vs ordered on identical work; law agreement |Δmean| {} < {} ({})",
-        secs[0] / secs[1],
-        fmt_f64((ordered.mean() - native.mean()).abs()),
+        "law agreement |Δmean| {} < {} ({})",
+        fmt_f64((c.mean() - v.mean()).abs()),
         fmt_f64(tol),
-        if welch_ok { "ok" } else { "DIVERGED" }
+        if ok { "ok" } else { "DIVERGED" }
     );
-
-    Paired { name, horizon, ordered_secs: secs[0], native_secs: secs[1], welch_ok }
+    ok
 }
 
 fn main() {
     let n = ((100_000.0 * scale()).round() as u64).max(4096);
     let trials = scaled_trials(6);
-    println!(
-        "# E21: multiset-native wire consumption (n = k = {n}, {SHARDS} shards, batched wire)"
-    );
+    println!("# E21: multiset-native wire consumption vs the VectorEngine law (n = k = {n}, {SHARDS} shards)");
 
-    // Voter on its fixed diverse horizon: the documented floor-parity
-    // workload. Single-peer consumption deletes the Fisher–Yates pass,
-    // the sample buffer, and the per-node rule calls; the colors-alive
-    // count at the horizon (~2n/t decay) pins the law.
+    // Voter on its fixed diverse horizon: single-peer consumption
+    // deletes the Fisher–Yates pass, the sample buffer, and the
+    // per-node rule calls; the colors-alive count at the horizon (~2n/t
+    // decay) pins the law.
     let voter_horizon = ((2_000.0 * scale()).round() as u64).clamp(64, 4_000);
     section(&format!(
         "Voter (single peer), fixed {voter_horizon}-round diverse horizon x {trials} trials"
     ));
-    let voter = run_paired("Voter", Voter, n, voter_horizon, trials, 210_000, |out| {
-        out.final_config.num_colors() as u64
-    });
+    let voter_ok =
+        run_against_oracle(Voter, n, voter_horizon, trials, 210_000, |c| c.num_colors() as u64);
 
     // 3-Majority from singletons: diverse fallback for the first rounds,
     // then hypergeometric/window-walk splits (and the push gear) once
@@ -127,37 +105,13 @@ fn main() {
     section(&format!(
         "3-Majority (multiset), fixed {tm_horizon}-round singleton horizon x {trials} trials"
     ));
-    let three_majority =
-        run_paired("3-Majority", ThreeMajority, n, tm_horizon, trials, 220_000, |out| {
-            out.final_config.max_support()
-        });
-
-    let mut laws_ok = true;
-    let mut floor_ok = true;
-    for p in [&voter, &three_majority] {
-        laws_ok &= p.welch_ok;
-        if n >= TIMED_FLOOR_N {
-            // Native must at least not lose (generous 5% band for this
-            // box's ambient drift); the printed ratio is the real story.
-            floor_ok &= p.native_secs <= p.ordered_secs * 1.05;
-        }
-        println!(
-            "{}: {} rounds, ordered {:.2}s vs native {:.2}s ({:.2}x)",
-            p.name,
-            p.horizon,
-            p.ordered_secs,
-            p.native_secs,
-            p.ordered_secs / p.native_secs
-        );
-    }
-    if n < TIMED_FLOOR_N {
-        println!("(n < {TIMED_FLOOR_N}: wall-clock excluded from the verdict at smoke scale)");
-    }
+    let tm_ok =
+        run_against_oracle(ThreeMajority, n, tm_horizon, trials, 220_000, |c| c.max_support());
 
     verdict(
         "E21",
-        "multiset/single-peer native consumption matches the Uniform Pull law and does not \
-         lose wall-clock to the ordered dealing on the floor-bound workloads",
-        laws_ok && floor_ok,
+        "multiset/single-peer native consumption on the cluster matches the VectorEngine \
+         Uniform Pull law",
+        voter_ok && tm_ok,
     );
 }

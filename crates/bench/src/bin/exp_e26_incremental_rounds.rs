@@ -1,18 +1,16 @@
 //! E26 — incremental round state: delta-updatable samplers make
 //! stalled-regime rounds `O(#changed)` instead of `O(#occupied)`.
 //!
-//! Every per-round sampler in the stack used to be rebuilt from scratch
-//! each round — `O(#occupied)` (engine round samplers, the push-gear
-//! union alias) or `O(k)` (dense cache recounts) — even in the stalled
-//! Theorem-5 regime where only `O(1)` opinions actually change per
-//! round. [`RoundStateMode::Incremental`] keeps the samplers alive and
-//! patches them from the touched-slot change set:
-//! [`symbreak_sim::dist::DynamicCategorical`] takes an `O(log k)` point
-//! update and draws in `O(log k)`, and the
-//! [`UpdatableSampler`](symbreak_sim::dist::UpdatableSampler)
-//! arbitration re-aliases only when enough mass moved to make the Vose
-//! table worth rebuilding — so an unchanged round reuses last round's
-//! table outright.
+//! The cluster's per-round samplers are rebuilt from scratch each round
+//! by default — `O(#occupied)` (the push-gear union alias, the serving
+//! mirror) — even in the stalled Theorem-5 regime where only `O(1)`
+//! opinions actually change per round. The cluster's
+//! [`RoundStateMode::Incremental`] keeps the samplers alive and patches
+//! them from the touched-slot change set: a
+//! [`symbreak_sim::dist::FenwickPool`] takes an `O(log k)` point update
+//! and draws in `O(log k)`, push rounds broadcast histogram deltas, and
+//! an unchanged round reuses last round's consume-side alias table
+//! outright.
 //!
 //! **Part A** pins the complexity claim at the sampler layer, the same
 //! isolation the E25 gear bands used: a fixed tree of `k = 2¹⁸` slots,
@@ -37,13 +35,9 @@
 //! ≥ 1.3x faster — and the delta wire ≥ 10x smaller — at full scale.
 //!
 //! **Part C** (informational) runs the mode pairing where the win is
-//! *not*: the single-process [`AgentEngine`] on the same stalled
-//! workload (no wire and no union to skip — measures the
-//! [`UpdatableSampler`](symbreak_sim::dist::UpdatableSampler)
-//! arbitration against the engine's already-lean rebuild), and the
-//! condensed cluster on a uniform `k = 256` start (every slot live and
-//! wholesale-resampled per round, so deltas are as wide as full
-//! broadcasts — measures the delta path's overhead ceiling).
+//! *not*: the condensed cluster on a uniform `k = 256` start (every
+//! slot live and wholesale-resampled per round, so deltas are as wide
+//! as full broadcasts — measures the delta path's overhead ceiling).
 //!
 //! `SYMBREAK_SCALE` scales the Part B/C populations (never upscaled:
 //! the claim is pinned at n = 10⁵). Part A ignores it — the sampler
@@ -56,9 +50,9 @@ use std::time::Instant;
 use rand::{Rng, SeedableRng};
 use symbreak_bench::{scale, section, verdict};
 use symbreak_core::rules::{ThreeMajority, TwoChoices};
-use symbreak_core::{AgentEngine, Configuration, Engine, RoundStateMode};
-use symbreak_runtime::{Cluster, ClusterConfig, GearMode, ReportMode};
-use symbreak_sim::dist::{Categorical, DynamicCategorical};
+use symbreak_core::Configuration;
+use symbreak_runtime::{Cluster, ClusterConfig, GearMode, ReportMode, RoundStateMode};
+use symbreak_sim::dist::{Categorical, FenwickPool};
 use symbreak_sim::rng::Pcg64;
 use symbreak_stats::table::fmt_f64;
 use symbreak_stats::Table;
@@ -79,7 +73,7 @@ const REPS: usize = 3;
 
 /// One Part A arm: `rounds` rounds of 64 patches + 64 draws over a
 /// fixed occupied set. The incremental arm patches a persistent
-/// [`DynamicCategorical`]; the rebuild arm applies the same patches to
+/// [`FenwickPool`]; the rebuild arm applies the same patches to
 /// its dense counts and rebuilds a Vose [`Categorical`] from the
 /// occupied weights every round (the pre-incremental idiom,
 /// `O(#occupied)` per round). `patch_slots` is the *same* set at every
@@ -108,7 +102,7 @@ fn part_a_arm(occ_slots: &[usize], patch_slots: &[usize], rounds: u64, increment
         counts[s] = 2;
     }
     let mut draw_rng = Pcg64::seed_from_u64(if incremental { 2601 } else { 2602 });
-    let mut fen = DynamicCategorical::new(&counts);
+    let mut fen = FenwickPool::new(&counts);
     let mut alias: Option<Categorical> = None;
     let mut weights: Vec<f64> = Vec::with_capacity(occ_slots.len());
     let t = Instant::now();
@@ -251,28 +245,10 @@ fn main() {
     );
 
     // ---------------- Part C: overhead checks (informational) ----------------
-    section(&format!(
-        "Part C (informational): where the win is not — the single-process engine on the \
-         stalled workload (n = {n_b}) and the condensed cluster on a uniform k = 256 start"
-    ));
-    let mut best_eng = [f64::INFINITY; 2];
-    let horizon_eng = 300u64;
-    for _ in 0..REPS {
-        for (i, rs) in [(0usize, RoundStateMode::Incremental), (1, RoundStateMode::Rebuild)] {
-            let mut engine = AgentEngine::new(TwoChoices, &start_b, 4242).with_round_state(rs);
-            let t = Instant::now();
-            for _ in 0..horizon_eng {
-                engine.step();
-            }
-            let secs = t.elapsed().as_secs_f64();
-            assert_eq!(
-                engine.config_ref().n() + engine.undecided(),
-                n_b,
-                "mass conserved ({rs:?})"
-            );
-            best_eng[i] = best_eng[i].min(secs / horizon_eng as f64);
-        }
-    }
+    section(
+        "Part C (informational): where the win is not — the condensed cluster on a uniform \
+         k = 256 start",
+    );
     let n_c = ((1_000_000.0 * scale().min(1.0)).round() as u64).max(65_536);
     let start_c = Configuration::uniform(n_c, 256);
     let horizon_c = 48u64;
@@ -292,12 +268,6 @@ fn main() {
     }
     let mut table = Table::new(vec!["venue", "incremental ms/r", "rebuild ms/r", "ratio"]);
     table.row(vec![
-        format!("engine, 2-Choices singletons n = {n_b}"),
-        fmt_f64(best_eng[0] * 1e3),
-        fmt_f64(best_eng[1] * 1e3),
-        format!("{:.2}x", best_eng[1] / best_eng[0]),
-    ]);
-    table.row(vec![
         format!("cluster condensed, 3-Majority uniform k = 256, n = {n_c}"),
         fmt_f64(best_c[0] * 1e3),
         fmt_f64(best_c[1] * 1e3),
@@ -305,8 +275,8 @@ fn main() {
     ]);
     println!("{table}");
     println!(
-        "overhead checks: no wire or union to skip (engine) and deltas as wide as fulls \
-         (condensed uniform) — ratios near 1.0x are the expected ceiling, not the claim"
+        "overhead check: deltas as wide as fulls (condensed uniform) — a ratio near 1.0x is the \
+         expected ceiling, not the claim"
     );
 
     let enforce = scale() >= 0.999;

@@ -506,150 +506,6 @@ impl Configuration {
         self.refresh_scalars_from_occupied();
     }
 
-    /// Re-derives every cached observable from a round's [`ChangeLog`]
-    /// in `O(#changed)` (amortized), then clears the log for the next
-    /// round — the incremental sibling of the dense
-    /// [`Configuration::rebuild_caches`] scan.
-    ///
-    /// The caller has already applied the count mutations themselves
-    /// (the engine's `shift_unit` batch keeps `counts` and `n` exact)
-    /// and noted each touched slot's round-start count into the log.
-    /// This pass then:
-    ///
-    /// * shifts `Σ cᵢ²` by the per-slot `new² − old²` deltas;
-    /// * binary-search inserts/removes born and dead slots in the
-    ///   ascending occupied list (births and deaths are the only
-    ///   `O(#occupied)`-worst-case edits, and they are rare in the
-    ///   stalled regime this path exists for);
-    /// * maintains the top-two supports *with slot identities* kept in
-    ///   the log: while neither current leader slot shrank, every
-    ///   unchanged slot is still bounded by the old second support, so
-    ///   streaming the changed slots over the two leaders is exact.
-    ///   When a leader shrank (or the leaders are unknown), it falls
-    ///   back to one `O(#occupied)` rescan.
-    ///
-    /// Debug builds recount everything densely afterwards and assert
-    /// the caches match.
-    pub fn apply_change_log(&mut self, log: &mut ChangeLog) {
-        let mut add = 0u128;
-        let mut sub = 0u128;
-        let mut leader_shrank = !log.synced;
-        for j in 0..log.touched.len() {
-            let slot = log.touched[j];
-            let old = log.old[j];
-            let new = self.counts[slot as usize];
-            log.marked[slot as usize] = false;
-            if new == old {
-                continue;
-            }
-            sub += (old as u128) * (old as u128);
-            add += (new as u128) * (new as u128);
-            if old == 0 {
-                let pos = self.occupied.binary_search(&slot).expect_err("dead slot not listed");
-                self.occupied.insert(pos, slot);
-            } else if new == 0 {
-                let pos = self.occupied.binary_search(&slot).expect("occupied slot listed");
-                self.occupied.remove(pos);
-            }
-            if new < old && (slot == log.max_slot || slot == log.second_slot) {
-                leader_shrank = true;
-            }
-        }
-        self.sum_sq = self.sum_sq + add - sub;
-        if leader_shrank || self.occupied.len() < 2 {
-            // A leader lost support (or is unknown): anything may have
-            // overtaken it — re-derive the top two from the occupied
-            // slots and re-seed the log's leader identities.
-            let mut first = 0u64;
-            let mut first_slot = ChangeLog::NO_SLOT;
-            let mut second = 0u64;
-            let mut second_slot = ChangeLog::NO_SLOT;
-            for &i in &self.occupied {
-                let c = self.counts[i as usize];
-                if c >= first {
-                    second = first;
-                    second_slot = first_slot;
-                    first = c;
-                    first_slot = i;
-                } else if c > second {
-                    second = c;
-                    second_slot = i;
-                }
-            }
-            self.max_support = first;
-            self.second_support = second;
-            log.max_slot = first_slot;
-            log.second_slot = second_slot;
-            log.synced = first_slot != ChangeLog::NO_SLOT && second_slot != ChangeLog::NO_SLOT;
-        } else {
-            // Both leaders held or grew: their final counts still
-            // dominate every unchanged slot, so streaming the changed
-            // slots over them reproduces the dense top-two exactly.
-            let mut max_slot = log.max_slot;
-            let mut max = self.counts[max_slot as usize];
-            let mut second_slot = log.second_slot;
-            let mut second = self.counts[second_slot as usize];
-            if second > max {
-                std::mem::swap(&mut max, &mut second);
-                std::mem::swap(&mut max_slot, &mut second_slot);
-            }
-            for &slot in &log.touched {
-                if slot == log.max_slot || slot == log.second_slot {
-                    continue;
-                }
-                let v = self.counts[slot as usize];
-                if v > max {
-                    second = max;
-                    second_slot = max_slot;
-                    max = v;
-                    max_slot = slot;
-                } else if v > second {
-                    second = v;
-                    second_slot = slot;
-                }
-            }
-            self.max_support = max;
-            self.second_support = second;
-            log.max_slot = max_slot;
-            log.second_slot = second_slot;
-        }
-        log.touched.clear();
-        log.old.clear();
-        #[cfg(debug_assertions)]
-        self.debug_assert_caches_exact();
-    }
-
-    /// Dense recount of every cached observable, asserted against the
-    /// incremental state. Debug builds only — this is the paired check
-    /// the `O(#changed)` path keeps honest.
-    #[cfg(debug_assertions)]
-    fn debug_assert_caches_exact(&self) {
-        let mut occupied = Vec::new();
-        let mut sum_sq = 0u128;
-        let mut first = 0u64;
-        let mut second = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            occupied.push(i as u32);
-            sum_sq += (c as u128) * (c as u128);
-            if c >= first {
-                second = first;
-                first = c;
-            } else if c > second {
-                second = c;
-            }
-        }
-        assert_eq!(self.occupied, occupied, "incremental occupied list diverged");
-        assert_eq!(self.sum_sq, sum_sq, "incremental sum of squares diverged");
-        assert_eq!(
-            (self.max_support, self.second_support),
-            (first, second),
-            "incremental top-two supports diverged"
-        );
-    }
-
     /// Re-derives `Σ cᵢ²` and the top-two supports from the occupied
     /// list in `O(#occupied)`. The list itself must already be exact.
     fn refresh_scalars_from_occupied(&mut self) {
@@ -803,109 +659,6 @@ impl Configuration {
             }
         }
         Self::from_counts(counts)
-    }
-}
-
-/// A round's worth of touched-slot bookkeeping for
-/// [`Configuration::apply_change_log`]: which slots an engine's unit
-/// shifts touched, and what each held when the round began.
-///
-/// The engine's `record` path calls [`note`](Self::note) *before* every
-/// shift — `O(1)` per call, first touch wins — and the end-of-round
-/// [`Configuration::apply_change_log`] re-derives every cached
-/// observable from exactly those entries, in `O(#changed)` instead of
-/// the dense `O(k)` rebuild. The log also carries the identities of the
-/// two leading slots between rounds (that is what makes the top-two
-/// maintenance streaming); they belong to the round-state bookkeeping,
-/// not to the configuration, so forced-rebuild engines pay nothing for
-/// them.
-///
-/// Every count mutation between two `apply_change_log` calls must be
-/// noted; a caller that mutates the configuration through any other
-/// path must call [`desync`](Self::desync) (the next apply then rescans
-/// the leaders instead of trusting stale identities).
-///
-/// # Example
-/// ```
-/// use symbreak_core::ChangeLog;
-///
-/// let mut log = ChangeLog::new();
-/// log.ensure_slots(8);
-/// log.note(3, 5);
-/// log.note(0, 1);
-/// log.note(3, 99); // repeat: first-touch old count wins
-/// assert_eq!(log.touched(), &[3, 0]);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ChangeLog {
-    /// Slots touched this round, in first-touch order.
-    touched: Vec<u32>,
-    /// `old[j]` = count slot `touched[j]` held when the round began.
-    old: Vec<u64>,
-    /// Dense membership mirror of `touched`.
-    marked: Vec<bool>,
-    /// Slot attaining `max_support` (`NO_SLOT` = unknown).
-    max_slot: u32,
-    /// A *different* slot attaining `second_support`.
-    second_slot: u32,
-    /// Whether the leader identities reflect the configuration.
-    synced: bool,
-}
-
-impl Default for ChangeLog {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ChangeLog {
-    const NO_SLOT: u32 = u32::MAX;
-
-    /// An empty log with unknown leaders (the first apply rescans).
-    pub fn new() -> Self {
-        Self {
-            touched: Vec::new(),
-            old: Vec::new(),
-            marked: Vec::new(),
-            max_slot: Self::NO_SLOT,
-            second_slot: Self::NO_SLOT,
-            synced: false,
-        }
-    }
-
-    /// Grows the dense membership mirror to cover `k` slots.
-    pub fn ensure_slots(&mut self, k: usize) {
-        if self.marked.len() < k {
-            self.marked.resize(k, false);
-        }
-    }
-
-    /// Records that `slot` is about to change, with the count it
-    /// currently holds. First touch wins; repeats are `O(1)` no-ops.
-    #[inline]
-    pub fn note(&mut self, slot: usize, current_count: u64) {
-        if !self.marked[slot] {
-            self.marked[slot] = true;
-            self.touched.push(slot as u32);
-            self.old.push(current_count);
-        }
-    }
-
-    /// The slots touched since the last apply, in first-touch order.
-    pub fn touched(&self) -> &[u32] {
-        &self.touched
-    }
-
-    /// Whether no slot has been touched since the last apply.
-    pub fn is_empty(&self) -> bool {
-        self.touched.is_empty()
-    }
-
-    /// Forgets the cached leader identities; the next
-    /// [`Configuration::apply_change_log`] re-derives them with an
-    /// `O(#occupied)` rescan. Call after any un-noted mutation.
-    pub fn desync(&mut self) {
-        self.synced = false;
     }
 }
 
@@ -1351,107 +1104,6 @@ mod tests {
         c.shift_support(Some(1), Some(0), 0);
         assert_caches_match_recount(&c);
         c.validate();
-    }
-
-    #[test]
-    fn change_log_apply_matches_dense_rebuild() {
-        // Pseudo-random unit-shift storms across many rounds: births,
-        // deaths, leader growth and leader kills must all leave the
-        // incrementally-maintained caches identical to a dense recount.
-        let mut c = Configuration::from_counts(vec![0, 7, 1, 1, 0, 3]);
-        let mut log = ChangeLog::new();
-        log.ensure_slots(c.num_slots());
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = |m: u64| {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            (state >> 33) % m
-        };
-        for round in 0..300 {
-            let shifts = next(5);
-            for _ in 0..shifts {
-                let occ = c.occupied().to_vec();
-                if occ.is_empty() {
-                    break;
-                }
-                let from = occ[next(occ.len() as u64) as usize] as usize;
-                if c.support(from) == 0 {
-                    // Drained earlier in this same round (the occupied
-                    // list is intentionally stale between applies).
-                    continue;
-                }
-                match next(10) {
-                    // Occasionally trade mass against the outside
-                    // (the undecided pool): n changes, counts stay exact.
-                    0 => {
-                        log.note(from, c.support(from));
-                        c.shift_unit(Some(from), None);
-                    }
-                    1 => {
-                        let to = next(c.num_slots() as u64) as usize;
-                        log.note(to, c.support(to));
-                        c.shift_unit(None, Some(to));
-                    }
-                    _ => {
-                        let to = next(c.num_slots() as u64) as usize;
-                        if to == from {
-                            continue;
-                        }
-                        log.note(from, c.support(from));
-                        log.note(to, c.support(to));
-                        c.shift_unit(Some(from), Some(to));
-                    }
-                }
-            }
-            c.apply_change_log(&mut log);
-            assert!(log.is_empty(), "apply must clear the log");
-            assert_caches_match_recount(&c);
-            // Every few rounds, exercise the empty-log fast path too.
-            if round % 7 == 0 {
-                c.apply_change_log(&mut log);
-                assert_caches_match_recount(&c);
-            }
-        }
-    }
-
-    #[test]
-    fn change_log_handles_leader_kill_and_overtake() {
-        let mut c = Configuration::from_counts(vec![9, 6, 2]);
-        let mut log = ChangeLog::new();
-        log.ensure_slots(3);
-        // Sync the leader identities with a no-op apply.
-        c.apply_change_log(&mut log);
-        // Kill the leader outright: the rescan path must find (6, 2).
-        for _ in 0..9 {
-            log.note(0, c.support(0));
-            log.note(2, c.support(2));
-            c.shift_unit(Some(0), Some(2));
-        }
-        c.apply_change_log(&mut log);
-        assert_eq!((c.max_support(), c.bias()), (11, 5));
-        assert_caches_match_recount(&c);
-        // Shrink the leader (slot 2) while growing the runner-up past
-        // it: a shrinking leader forces the rescan path again.
-        for _ in 0..6 {
-            log.note(2, c.support(2));
-            log.note(1, c.support(1));
-            c.shift_unit(Some(2), Some(1));
-        }
-        c.apply_change_log(&mut log);
-        assert_eq!(c.counts(), &[0, 12, 5]);
-        assert_eq!((c.max_support(), c.bias()), (12, 7));
-        assert_caches_match_recount(&c);
-        // Pure growth of a non-leader from outside mass: streaming
-        // overtake with no leader shrink.
-        for _ in 0..8 {
-            log.note(0, c.support(0));
-            c.shift_unit(None, Some(0));
-        }
-        c.apply_change_log(&mut log);
-        assert_eq!(c.counts(), &[8, 12, 5]);
-        assert_eq!((c.max_support(), c.bias()), (12, 4));
-        assert_caches_match_recount(&c);
     }
 
     #[test]

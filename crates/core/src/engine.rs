@@ -17,12 +17,11 @@
 
 use rand::{Rng, SeedableRng};
 
-use crate::config::{ChangeLog, Configuration};
+use crate::config::Configuration;
 use crate::opinion::Opinion;
 use crate::process::{SampleAccess, UpdateRule, VectorStep};
 use symbreak_sim::dist::{
-    expected_window_visits, Categorical, Geometric, UpdatableSampler, WindowMultinomial,
-    WALK_CANDIDATE_CAP,
+    expected_window_visits, Categorical, Geometric, WindowMultinomial, WALK_CANDIDATE_CAP,
 };
 use symbreak_sim::rng::{Pcg64, SplitMix64};
 
@@ -77,19 +76,20 @@ pub trait Engine {
 
 /// How [`AgentEngine`] draws the Uniform-Pull samples of a round.
 ///
-/// Every mode realizes the same law: a pulled sample is the opinion of a
+/// Both modes realize the same law: a pulled sample is the opinion of a
 /// uniformly random node, i.i.d. with replacement. Since only opinions
 /// are observable, drawing `opinions[uniform node]` is distributionally
 /// identical to drawing the opinion *category* from the current count
-/// distribution (undecided included) — which one alias table per round
-/// answers in `O(1)` per sample, cache-resident, instead of `n·h`
-/// random-access reads of `opinions[]`. The default mode additionally
+/// distribution (undecided included). The default mode exploits that and
 /// dispatches on what the rule *consumes*
-/// ([`crate::process::SampleAccess`]): rules reading only their window's
-/// multiset get per-node count vectors from a window-splitting sampler
-/// (no window buffer at all), and single-peer rules get exactly one
-/// categorical draw per node. The modes consume randomness differently,
-/// so they realize different (equally lawful) trajectories — pinned
+/// ([`crate::process::SampleAccess`]): ordered-window rules get `h` draws
+/// per node from one alias table per round (`O(1)` per sample,
+/// cache-resident, instead of `n·h` random-access reads of
+/// `opinions[]`), rules reading only their window's multiset get
+/// per-node count vectors from a window-splitting sampler (no window
+/// buffer at all), and single-peer rules get exactly one categorical
+/// draw per node. The modes consume randomness differently, so they
+/// realize different (equally lawful) trajectories — pinned
 /// distributionally by the E7-style crossval tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SamplingMode {
@@ -98,36 +98,10 @@ pub enum SamplingMode {
     /// node, ordered-window rules the alias path. The default.
     #[default]
     Native,
-    /// One alias table per round over the opinion counts; `O(k)` build,
-    /// `O(1)` per draw, every rule fed an ordered window. The paired
-    /// baseline for the native dispatch (and the pre-taxonomy default).
-    AliasTable,
     /// The literal model: `gen_range(0..n)` plus a random-access read per
-    /// sample. Kept for cross-validation (E7) and as the bench baseline.
+    /// sample. The oracle for cross-validation (E7) and the bench
+    /// baseline.
     PerNode,
-}
-
-/// How [`AgentEngine`] maintains its per-round state (the opinion
-/// sampler and the configuration's derived caches) between rounds.
-///
-/// Both modes realize the identical process law. They consume the
-/// generator differently — the incremental sampler arbitrates its draw
-/// backend per round where the rebuild path always builds one
-/// [`RoundSampler`] form — so trajectories diverge per seed, exactly
-/// like the [`SamplingMode`]s; crossval tests pin the laws against each
-/// other, and the default keeps every historical trajectory byte-exact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RoundStateMode {
-    /// From-scratch per round: dense `O(k)` weight snapshot, fresh
-    /// sampler build, dense `O(k)` cache rebuild. The byte-exact
-    /// paired baseline (and the pre-incremental default).
-    #[default]
-    Rebuild,
-    /// Persistent round state: a [`UpdatableSampler`] patched from the
-    /// round's touched-slot [`ChangeLog`] (`O(#changed·log k)`), cached
-    /// observables re-derived by [`Configuration::apply_change_log`]
-    /// (`O(#changed)` amortized) — no dense per-round pass at all.
-    Incremental,
 }
 
 /// Agent-level engine: simulates each node explicitly.
@@ -161,24 +135,15 @@ pub struct AgentEngine<R> {
     /// Native-mode scratch: `(weight, category)` pairs for the
     /// decreasing-weight qualifying sort.
     native_order: Vec<(f64, u32)>,
-    /// How round state is maintained between rounds.
-    round_state: RoundStateMode,
-    /// Rebuild-mode persistent sampler: taken out for the round, put
-    /// back after — the table buffers survive even though the form is
+    /// Persistent per-round sampler: taken out for the round, put back
+    /// after — the table buffers survive even though the form is
     /// re-derived per round.
     round_sampler: Option<RoundSampler>,
-    /// Incremental-mode persistent sampler over `k + 1` slots (the last
-    /// one the undecided pseudo-opinion); patched per round from the
-    /// change log. Lazily seeded on first use.
-    usampler: Option<UpdatableSampler>,
-    /// Incremental-mode touched-slot log feeding
-    /// [`Configuration::apply_change_log`] and the sampler patch.
-    change_log: ChangeLog,
 }
 
 impl<R: UpdateRule> AgentEngine<R> {
     /// Creates an engine with all nodes decided per `config`, using the
-    /// default alias-table sampling.
+    /// default [`SamplingMode::Native`] dispatch.
     pub fn new(rule: R, config: &Configuration, seed: u64) -> Self {
         Self::with_sampling(rule, config, seed, SamplingMode::default())
     }
@@ -202,28 +167,8 @@ impl<R: UpdateRule> AgentEngine<R> {
             native_ops: Vec::new(),
             native_weights: Vec::new(),
             native_order: Vec::new(),
-            round_state: RoundStateMode::default(),
             round_sampler: None,
-            usampler: None,
-            change_log: ChangeLog::new(),
         }
-    }
-
-    /// Selects how round state is maintained between rounds (builder
-    /// style). The default [`RoundStateMode::Rebuild`] is the byte-exact
-    /// baseline; [`RoundStateMode::Incremental`] patches persistent
-    /// state in `O(#changed·log k)` per round.
-    pub fn with_round_state(mut self, mode: RoundStateMode) -> Self {
-        self.round_state = mode;
-        if mode == RoundStateMode::Incremental {
-            self.change_log.ensure_slots(self.config.num_slots());
-        }
-        self
-    }
-
-    /// The round-state mode in use.
-    pub fn round_state(&self) -> RoundStateMode {
-        self.round_state
     }
 
     /// The per-node opinions of the current round.
@@ -248,17 +193,6 @@ impl<R: UpdateRule> AgentEngine<R> {
     fn record(&mut self, u: usize, own: Opinion, new: Opinion) {
         self.next_opinions[u] = new;
         if new != own {
-            if self.round_state == RoundStateMode::Incremental {
-                // Note round-start counts before the shift (first touch
-                // wins inside the log); the undecided pool is not a
-                // configuration slot and is tracked separately.
-                if !own.is_undecided() {
-                    self.change_log.note(own.index(), self.config.support(own.index()));
-                }
-                if !new.is_undecided() {
-                    self.change_log.note(new.index(), self.config.support(new.index()));
-                }
-            }
             match (own.is_undecided(), new.is_undecided()) {
                 (false, false) => {
                     self.config.shift_unit(Some(own.index()), Some(new.index()));
@@ -470,125 +404,6 @@ impl<R: UpdateRule> AgentEngine<R> {
             self.record(u, own, new);
         }
     }
-
-    /// The incremental ordered/single-peer path: draws every sample from
-    /// the persistent [`UpdatableSampler`], which was patched to the
-    /// round-start counts at the end of the previous round — no dense
-    /// weight snapshot, no sampler build. [`UpdatableSampler::prepare`]
-    /// arbitrates the draw backend for the round's `n·h` draws.
-    fn step_updatable(&mut self) {
-        let n = self.opinions.len();
-        let h = self.rule.sample_count();
-        let k = self.config.num_slots();
-        let mut sampler = match self.usampler.take() {
-            Some(s) => s,
-            None => {
-                // First use: seed from the occupied slots, O(#occupied·log k).
-                let mut s = UpdatableSampler::with_slots(k + 1);
-                for &slot in self.config.occupied() {
-                    s.set(slot as usize, self.config.support(slot as usize));
-                }
-                s.set(k, self.undecided);
-                s
-            }
-        };
-        sampler.prepare((n as u64).saturating_mul(h as u64));
-        let decode =
-            |idx: usize| if idx == k { Opinion::UNDECIDED } else { Opinion::new(idx as u32) };
-        if let Some(top) = sampler.constant() {
-            // Absorbed (or all-undecided) rounds: pure rule evaluation.
-            let samples = vec![decode(top); h];
-            for u in 0..n {
-                let own = self.opinions[u];
-                let new = self.rule.update(own, &samples, &mut self.fast_rng);
-                self.record(u, own, new);
-            }
-        } else {
-            let mut samples = vec![Opinion::new(0); h];
-            for u in 0..n {
-                for s in samples.iter_mut() {
-                    *s = decode(sampler.sample(&mut self.fast_rng));
-                }
-                let own = self.opinions[u];
-                let new = self.rule.update(own, &samples, &mut self.fast_rng);
-                self.record(u, own, new);
-            }
-        }
-        self.usampler = Some(sampler);
-    }
-
-    /// The incremental multiset path: identical window-walk dispatch to
-    /// [`AgentEngine::step_multiset`], but the occupancy `d` comes from
-    /// the configuration's exact occupied list (`O(1)`) instead of a
-    /// dense weight scan, the qualifying sort runs over the occupied
-    /// slots only, and the diverse/one-draw fallbacks go through the
-    /// persistent sampler instead of a fresh alias build.
-    fn step_multiset_incremental(&mut self) {
-        let n = self.opinions.len();
-        let h = self.rule.sample_count();
-        let k = self.config.num_slots();
-        let d = self.config.num_colors() + usize::from(self.undecided > 0);
-        if h <= 1 || d > WALK_CANDIDATE_CAP {
-            // One-draw windows can't beat one draw, and past the cap the
-            // qualifying sort costs more than a walk round saves.
-            return self.step_updatable();
-        }
-        // Positive categories by decreasing weight, from the occupied
-        // list: same enumeration order as the dense scan (ascending
-        // slots, undecided last), so the stable sort ties break alike.
-        self.native_ops.clear();
-        self.native_weights.clear();
-        self.native_order.clear();
-        self.native_order.extend(
-            self.config.occupied().iter().map(|&i| (self.config.support(i as usize) as f64, i)),
-        );
-        if self.undecided > 0 {
-            self.native_order.push((self.undecided as f64, k as u32));
-        }
-        self.native_order.sort_by(|a, b| b.0.total_cmp(&a.0));
-        let decode =
-            |idx: usize| if idx == k { Opinion::UNDECIDED } else { Opinion::new(idx as u32) };
-        for &(w, i) in &self.native_order {
-            self.native_ops.push(decode(i as usize));
-            self.native_weights.push(w);
-        }
-
-        if d == 1 {
-            // Absorbed round: every window is h copies of the one
-            // surviving opinion — pure rule evaluation.
-            self.window.clear();
-            self.window.push((self.native_ops[0], h as u32));
-            for u in 0..n {
-                let own = self.opinions[u];
-                let new = self
-                    .rule
-                    .as_multiset()
-                    .expect("Multiset access requires a MultisetRule impl")
-                    .update_from_counts(own, &self.window, &mut self.fast_rng);
-                self.record(u, own, new);
-            }
-            return;
-        }
-
-        if expected_window_visits(&self.native_weights, h) > h as f64 {
-            return self.step_updatable();
-        }
-
-        let walk = WindowMultinomial::new(&self.native_weights, h);
-        for u in 0..n {
-            self.window.clear();
-            let ops = &self.native_ops;
-            let window = &mut self.window;
-            walk.sample_window(&mut self.fast_rng, |j, x| window.push((ops[j], x as u32)));
-            let own = self.opinions[u];
-            let new = self
-                .rule
-                .as_multiset()
-                .expect("Multiset access requires a MultisetRule impl")
-                .update_from_counts(own, &self.window, &mut self.fast_rng);
-            self.record(u, own, new);
-        }
-    }
 }
 
 impl<R: UpdateRule> Engine for AgentEngine<R> {
@@ -606,39 +421,20 @@ impl<R: UpdateRule> Engine for AgentEngine<R> {
 
     fn step(&mut self) {
         if !self.opinions.is_empty() {
-            let incremental = self.round_state == RoundStateMode::Incremental;
             match self.mode {
-                SamplingMode::Native => match (self.rule.sample_access(), incremental) {
-                    (SampleAccess::OrderedWindow, false) => self.step_alias(),
-                    (SampleAccess::Multiset, false) => self.step_multiset(),
-                    (SampleAccess::SinglePeer, false) => self.step_single_peer(),
-                    (SampleAccess::Multiset, true) => self.step_multiset_incremental(),
-                    (_, true) => self.step_updatable(),
+                SamplingMode::Native => match self.rule.sample_access() {
+                    SampleAccess::OrderedWindow => self.step_alias(),
+                    SampleAccess::Multiset => self.step_multiset(),
+                    SampleAccess::SinglePeer => self.step_single_peer(),
                 },
-                SamplingMode::AliasTable if incremental => self.step_updatable(),
-                SamplingMode::AliasTable => self.step_alias(),
                 SamplingMode::PerNode => self.step_per_node(),
             }
             std::mem::swap(&mut self.opinions, &mut self.next_opinions);
-            if incremental {
-                // Patch the persistent sampler from the touched slots
-                // (the log still holds them), then re-derive the cached
-                // observables in O(#changed) — no dense pass at all.
-                if let Some(s) = self.usampler.as_mut() {
-                    for &slot in self.change_log.touched() {
-                        s.set(slot as usize, self.config.support(slot as usize));
-                    }
-                    let k = self.config.num_slots();
-                    s.set(k, self.undecided);
-                }
-                self.config.apply_change_log(&mut self.change_log);
-            } else {
-                // `record` defers every derived cache (an exact per-shift
-                // occupancy list would make many-color rounds quadratic);
-                // one O(k) rebuild per round keeps the observables exact
-                // and is dominated by the O(n·h) round itself.
-                self.config.rebuild_caches();
-            }
+            // `record` defers every derived cache (an exact per-shift
+            // occupancy list would make many-color rounds quadratic);
+            // one O(k) rebuild per round keeps the observables exact and
+            // is dominated by the O(n·h) round itself.
+            self.config.rebuild_caches();
         }
         self.round += 1;
     }
@@ -676,7 +472,7 @@ const RUN_TABLE_LEN: usize = 64;
 /// weights but routes every table through [`Categorical::rebuild`], so
 /// no round allocates — and it consumes the generator exactly as the
 /// historical from-scratch build did (the only draw is the opening run
-/// length, in the same stream position), keeping rebuild-mode
+/// length, in the same stream position), keeping historical
 /// trajectories byte-exact.
 #[derive(Debug, Clone)]
 struct RoundSampler {
@@ -967,80 +763,6 @@ mod tests {
             (mp - mc).abs() < 0.15 * mp,
             "compaction changed the consensus-time law: {mp} vs {mc}"
         );
-    }
-
-    #[test]
-    fn incremental_round_state_matches_recount_per_rule() {
-        // The O(#changed) path must keep counts and caches exact along
-        // whole trajectories, for every SampleAccess flavor. (Debug
-        // builds additionally recount the caches densely inside every
-        // apply_change_log call.)
-        let c = Configuration::singletons(150);
-        let mut voter =
-            AgentEngine::new(Voter, &c, 11).with_round_state(RoundStateMode::Incremental);
-        let mut two =
-            AgentEngine::new(TwoChoices, &c, 12).with_round_state(RoundStateMode::Incremental);
-        let mut three =
-            AgentEngine::new(ThreeMajority, &c, 13).with_round_state(RoundStateMode::Incremental);
-        for _ in 0..30 {
-            voter.step();
-            assert_eq!(voter.configuration(), Configuration::from_opinions(voter.opinions(), 150));
-            two.step();
-            assert_eq!(two.configuration(), Configuration::from_opinions(two.opinions(), 150));
-            three.step();
-            assert_eq!(three.configuration(), Configuration::from_opinions(three.opinions(), 150));
-        }
-    }
-
-    #[test]
-    fn incremental_undecided_dynamics_conserves_mass() {
-        let c = Configuration::singletons(64);
-        let mut e = AgentEngine::new(UndecidedDynamics, &c, 17)
-            .with_round_state(RoundStateMode::Incremental);
-        for _ in 0..40 {
-            e.step();
-            assert_eq!(e.configuration().n() + e.undecided(), 64);
-            assert_eq!(e.configuration(), Configuration::from_opinions(e.opinions(), 64));
-        }
-    }
-
-    #[test]
-    fn incremental_deterministic_per_seed_and_reaches_consensus() {
-        let c = Configuration::uniform(80, 4);
-        let run = |seed: u64| {
-            let mut e =
-                AgentEngine::new(Voter, &c, seed).with_round_state(RoundStateMode::Incremental);
-            let mut rounds = 0;
-            while !e.is_consensus() && rounds < 100_000 {
-                e.step();
-                rounds += 1;
-            }
-            assert!(e.is_consensus(), "no consensus after {rounds} rounds");
-            (e.round(), e.configuration())
-        };
-        assert_eq!(run(23), run(23));
-    }
-
-    #[test]
-    fn incremental_vs_rebuild_one_step_means_agree() {
-        // Same law, different randomness consumption: the one-round mean
-        // support of color 0 must agree across round-state modes.
-        let c = Configuration::from_counts(vec![30, 20, 10]);
-        let trials = 4_000;
-        let mut sum_rebuild = 0u64;
-        let mut sum_incr = 0u64;
-        for t in 0..trials {
-            let mut r = AgentEngine::new(ThreeMajority, &c, 3000 + t);
-            r.step();
-            sum_rebuild += r.configuration().support(0);
-            let mut i = AgentEngine::new(ThreeMajority, &c, 4000 + t)
-                .with_round_state(RoundStateMode::Incremental);
-            i.step();
-            sum_incr += i.configuration().support(0);
-        }
-        let mr = sum_rebuild as f64 / trials as f64;
-        let mi = sum_incr as f64 / trials as f64;
-        assert!((mr - mi).abs() < 0.5, "rebuild {mr} vs incremental {mi}");
     }
 
     #[test]

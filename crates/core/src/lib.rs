@@ -56,8 +56,8 @@ pub mod rules;
 pub mod run;
 pub mod theory;
 
-pub use config::{ChangeLog, Configuration};
-pub use engine::{AgentEngine, Engine, RoundStateMode, SamplingMode, VectorEngine};
+pub use config::Configuration;
+pub use engine::{AgentEngine, Engine, SamplingMode, VectorEngine};
 pub use opinion::Opinion;
 pub use process::{
     condensed_window_step_by_dealing, AcProcess, ExpectedUpdate, MultisetRule, SampleAccess,

@@ -1,10 +1,10 @@
 //! E7-style cross-validation of the agent engine's sampling modes.
 //!
-//! The alias-table path (with its run-length fast form) and the native
-//! `SampleAccess` dispatch (multiset window splits, single-peer draws)
-//! must be distributionally identical to the seed's per-node path — and
-//! all of them, for processes with a vector step, to the exact one-step
-//! law. The checks compare one-round means over many trials for
+//! The native `SampleAccess` dispatch (the alias-table path with its
+//! run-length fast form for ordered windows, multiset window splits,
+//! single-peer draws) must be distributionally identical to the literal
+//! per-node path — and both, for processes with a vector step, to the
+//! exact one-step law. The checks compare one-round means over many trials for
 //! 3-Majority, Voter, and 2-Choices, from starts chosen to exercise
 //! every sampler form: alias / run-length / constant rounds, and both
 //! multiset sub-paths (the cached-binomial window walk at low occupancy
@@ -68,8 +68,6 @@ where
     R: UpdateRule + VectorStep + Clone,
 {
     let n = start.n();
-    let (alias, alias_undecided) =
-        one_step_agent_means(rule.clone(), &start, SamplingMode::AliasTable, trials, seed);
     let (per_node, per_node_undecided) =
         one_step_agent_means(rule.clone(), &start, SamplingMode::PerNode, trials, seed + trials);
     let (native, native_undecided) =
@@ -78,15 +76,9 @@ where
     for i in 0..start.num_slots() {
         let t = tol(n, per_node[i], trials);
         assert!(
-            (alias[i] - per_node[i]).abs() < t,
-            "color {i}: alias mean {} vs per-node mean {} (tol {t})",
-            alias[i],
-            per_node[i]
-        );
-        assert!(
-            (alias[i] - vector[i]).abs() < t,
-            "color {i}: alias mean {} vs vector mean {} (tol {t})",
-            alias[i],
+            (per_node[i] - vector[i]).abs() < t,
+            "color {i}: per-node mean {} vs vector mean {} (tol {t})",
+            per_node[i],
             vector[i]
         );
         assert!(
@@ -95,11 +87,13 @@ where
             native[i],
             per_node[i]
         );
+        assert!(
+            (native[i] - vector[i]).abs() < t,
+            "color {i}: native mean {} vs vector mean {} (tol {t})",
+            native[i],
+            vector[i]
+        );
     }
-    assert!(
-        (alias_undecided - per_node_undecided).abs() < tol(n, per_node_undecided.max(1.0), trials),
-        "undecided: alias {alias_undecided} vs per-node {per_node_undecided}"
-    );
     assert!(
         (native_undecided - per_node_undecided).abs() < tol(n, per_node_undecided.max(1.0), trials),
         "undecided: native {native_undecided} vs per-node {per_node_undecided}"
@@ -107,7 +101,7 @@ where
 }
 
 #[test]
-fn three_majority_alias_matches_per_node_and_vector() {
+fn three_majority_native_matches_per_node_and_vector() {
     // p_top = 0.5: the run-length sampler form.
     crossval(ThreeMajority, Configuration::from_counts(vec![30, 20, 10]), 4_000, 100);
     // Near-uniform: the alias form.
@@ -115,13 +109,13 @@ fn three_majority_alias_matches_per_node_and_vector() {
 }
 
 #[test]
-fn voter_alias_matches_per_node_and_vector() {
+fn voter_native_matches_per_node_and_vector() {
     crossval(Voter, Configuration::from_counts(vec![60, 25, 15]), 4_000, 200);
     crossval(Voter, Configuration::from_counts(vec![10, 12, 9, 11, 8, 10]), 4_000, 20_000);
 }
 
 #[test]
-fn two_choices_alias_matches_per_node_and_vector() {
+fn two_choices_native_matches_per_node_and_vector() {
     crossval(TwoChoices, Configuration::from_counts(vec![70, 20, 10]), 4_000, 300);
     crossval(TwoChoices, Configuration::from_counts(vec![15, 14, 16, 15]), 4_000, 30_000);
 }
@@ -131,7 +125,7 @@ fn absorbed_round_is_a_fixed_point_in_every_mode() {
     // Consensus uses the constant sampler form (and the multiset path's
     // single-category window); it must stay absorbed.
     let start = Configuration::consensus(500, 4);
-    for mode in [SamplingMode::Native, SamplingMode::AliasTable, SamplingMode::PerNode] {
+    for mode in [SamplingMode::Native, SamplingMode::PerNode] {
         let mut e = AgentEngine::with_sampling(ThreeMajority, &start, 9, mode);
         for _ in 0..5 {
             e.step();
@@ -142,7 +136,7 @@ fn absorbed_round_is_a_fixed_point_in_every_mode() {
 }
 
 #[test]
-fn multiset_dispatch_matches_ordered_at_singleton_start() {
+fn multiset_dispatch_matches_per_node_at_singleton_start() {
     // k = n singletons: the multiset path's diverse tallying fallback
     // (d > 16 live categories). h-Majority's exact-alpha vector step
     // cannot enumerate k = 96, so 3-Majority carries this regime (the
@@ -151,14 +145,14 @@ fn multiset_dispatch_matches_ordered_at_singleton_start() {
 }
 
 #[test]
-fn multiset_dispatch_matches_ordered_at_low_occupancy() {
+fn multiset_dispatch_matches_per_node_at_low_occupancy() {
     // Few live colors: the cached-binomial WindowMultinomial walk.
     crossval(ThreeMajority, Configuration::from_counts(vec![70, 20, 10]), 4_000, 70_000);
     crossval(HMajority::new(5), Configuration::from_counts(vec![55, 30, 15]), 2_000, 80_000);
 }
 
 #[test]
-fn single_peer_dispatch_matches_ordered_for_voter() {
+fn single_peer_dispatch_matches_per_node_for_voter() {
     // Voter's native path draws one categorical per node; both the
     // run-length (concentrated) and alias (diverse) sampler forms.
     crossval(Voter, Configuration::from_counts(vec![80, 15, 5]), 4_000, 90_000);
@@ -166,13 +160,13 @@ fn single_peer_dispatch_matches_ordered_for_voter() {
 }
 
 #[test]
-fn undecided_multiset_dispatch_matches_ordered() {
+fn undecided_multiset_dispatch_matches_per_node() {
     // The undecided dynamics has no vector step, so compare the agent
     // modes directly. For h = 1 rules Native deliberately short-circuits
     // to the alias path (a one-draw window walk can never pay), so this
     // is a sanity pin that the short-circuit changes nothing in law —
     // the rule's *real* native path is on the cluster wire, pinned by
-    // `native_undecided_consumption_matches_ordered` in
+    // `native_undecided_consumption_matches_per_node_engine` in
     // crates/runtime/tests/cluster_crossval.rs.
     let start = Configuration::from_counts(vec![40, 30, 20]);
     let trials = 4_000u64;
@@ -193,20 +187,20 @@ fn undecided_multiset_dispatch_matches_ordered() {
         (means, undecided as f64 / trials as f64)
     };
     let (native, native_u) = two_step_means(SamplingMode::Native, 110_000);
-    let (ordered, ordered_u) = two_step_means(SamplingMode::AliasTable, 120_000);
+    let (per_node, per_node_u) = two_step_means(SamplingMode::PerNode, 120_000);
     let n = start.n();
     for i in 0..start.num_slots() {
-        let t = tol(n, ordered[i], trials);
+        let t = tol(n, per_node[i], trials);
         assert!(
-            (native[i] - ordered[i]).abs() < t,
-            "color {i}: native {} vs ordered {} (tol {t})",
+            (native[i] - per_node[i]).abs() < t,
+            "color {i}: native {} vs per-node {} (tol {t})",
             native[i],
-            ordered[i]
+            per_node[i]
         );
     }
     assert!(
-        (native_u - ordered_u).abs() < tol(n, ordered_u, trials),
-        "undecided: native {native_u} vs ordered {ordered_u}"
+        (native_u - per_node_u).abs() < tol(n, per_node_u, trials),
+        "undecided: native {native_u} vs per-node {per_node_u}"
     );
 }
 
@@ -231,10 +225,10 @@ fn consensus_time_law_agrees_between_modes() {
             .sum();
         total as f64 / trials as f64
     };
-    let alias = mean_time(SamplingMode::AliasTable, 40_000);
+    let native = mean_time(SamplingMode::Native, 40_000);
     let per_node = mean_time(SamplingMode::PerNode, 80_000);
     assert!(
-        (alias - per_node).abs() < 0.2 * per_node,
-        "consensus-time law diverged: alias {alias} vs per-node {per_node}"
+        (native - per_node).abs() < 0.2 * per_node,
+        "consensus-time law diverged: native {native} vs per-node {per_node}"
     );
 }

@@ -1,36 +1,29 @@
 //! The cluster coordinator: spawns shard threads, drives synchronous
 //! rounds, aggregates per-round observables, and detects consensus.
 //!
-//! Two orthogonal knobs shape the per-round traffic (see
-//! [`crate::message`] for the wire protocol itself):
+//! The data plane is fixed (see [`crate::message`] for the wire
+//! protocol itself): each shard pair's pulls aggregate into one
+//! [`crate::message::PullBatch`] answered by one
+//! [`crate::message::OpinionPalette`], and — once occupancy
+//! concentrates (`occ · shards² ≤ n·h`) — the coordinator flips the
+//! fleet to histogram *push* ([`crate::message::DataFormat::Push`]):
+//! every shard broadcasts its opinion histogram and samples its own
+//! pulls from the union, `O(#shards² · #distinct)` entries per round
+//! regardless of `n`. [`GearMode`] can pin either gear.
 //!
-//! * **[`WireMode`]** selects the data plane: the default
-//!   [`WireMode::Batched`] aggregates each shard pair's pulls into one
-//!   [`crate::message::PullBatch`] answered by one
-//!   [`crate::message::OpinionPalette`], and — once occupancy
-//!   concentrates (`occ · shards² ≤ n·h`) — flips the fleet to
-//!   histogram *push* ([`crate::message::DataFormat::Push`]): every
-//!   shard broadcasts its opinion histogram and samples its own pulls
-//!   from the union, `O(#shards² · #distinct)` entries per round
-//!   regardless of `n`. [`WireMode::PerEntry`] keeps the PR 3
-//!   request/reply format (`2·n·h` entries per round) as the paired
-//!   baseline.
-//! * **[`ReportMode`]** selects the control plane: sparse absolute
-//!   reports folded into **one** persistent merged [`Configuration`]
-//!   via [`Configuration::merge_sparse`] (`O(#occupied)` per round), or
-//!   — under [`ReportMode::Delta`] — signed per-round deltas merged via
-//!   [`Configuration::apply_deltas`] (`O(#changed)` per round) once the
-//!   coordinator observes the changed-slot set collapsing. The
-//!   coordinator arbitrates the sparse↔delta switch round-by-round
-//!   through [`crate::message::Control::Round`], keeping the format
-//!   uniform across shards within a round (absolute and delta reports
-//!   cannot be mixed against a single merged configuration).
-//!   [`ReportMode::Dense`] preserves the pre-sparse path (fresh dense
-//!   vectors and a `from_counts` rebuild every round) as the
-//!   paired-benchmark baseline.
+//! **[`ReportMode`]** selects the control plane: sparse absolute
+//! reports folded into **one** persistent merged [`Configuration`] via
+//! [`Configuration::merge_sparse`] (`O(#occupied)` per round), or —
+//! under [`ReportMode::Delta`] — signed per-round deltas merged via
+//! [`Configuration::apply_deltas`] (`O(#changed)` per round) once the
+//! coordinator observes the changed-slot set collapsing. The
+//! coordinator arbitrates the sparse↔delta switch round-by-round
+//! through [`crate::message::Control::Round`], keeping the format
+//! uniform across shards within a round (absolute and delta reports
+//! cannot be mixed against a single merged configuration).
 //!
 //! Per-round observables ([`Trace`]) read off the merged
-//! configuration's `O(1)` cached observables in every mode.
+//! configuration's `O(1)` cached observables.
 //!
 //! Under an **active [`FaultPlan`]** the coordinator swaps the strict
 //! barrier for a quorum-relaxed one: it sizes each round's report
@@ -51,7 +44,7 @@
 use std::sync::mpsc;
 
 use symbreak_adversary::quorum_threshold;
-use symbreak_core::{Configuration, Opinion, RoundStateMode, SampleAccess, UpdateRule};
+use symbreak_core::{Configuration, Opinion, SampleAccess, UpdateRule};
 use symbreak_sim::trace::{RoundStats, Trace};
 
 use crate::fault::{FaultCounters, FaultKind, FaultPlan, StopReason};
@@ -63,6 +56,9 @@ use crate::transport::{
 
 /// Per-round report wire format exchanged between shards and the
 /// coordinator.
+///
+/// The report format never touches the protocol's RNG streams, so both
+/// modes realize the identical trajectory per seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReportMode {
     /// `(slot, count)` pairs over each shard's locally occupied slots,
@@ -78,57 +74,6 @@ pub enum ReportMode {
     /// round). The coordinator commands the format per round and may
     /// switch back if churn returns.
     Delta,
-    /// Dense `k`-slot count vectors rebuilt from scratch every round (the
-    /// pre-sparse protocol), kept as the paired-benchmark baseline.
-    Dense,
-}
-
-/// Data-plane wire format exchanged between shards.
-///
-/// The report format never touches the protocol's RNG streams, so for a
-/// fixed wire mode every [`ReportMode`] realizes the identical
-/// trajectory per seed. The two *wire* modes realize the same process
-/// law — batched mode is an exact aggregation of Uniform Pull, not an
-/// approximation — but consume randomness differently, so their
-/// trajectories are compared distributionally, not pathwise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WireMode {
-    /// Aggregate traffic: one `PullBatch` + one `OpinionPalette` per
-    /// shard pair per round in the diverse regime, and coordinator-
-    /// arbitrated histogram push (no pulls at all, `O(#shards² ·
-    /// #distinct)` entries) once opinions concentrate.
-    #[default]
-    Batched,
-    /// One `Request` and one `Reply` entry per pull: exactly `2·n·h`
-    /// channel entries per round (the PR 3 data plane, kept as the
-    /// paired-benchmark baseline).
-    PerEntry,
-}
-
-/// How shards consume the batched data plane's received aggregates —
-/// the runtime end of the sample-consumption taxonomy
-/// ([`symbreak_core::SampleAccess`]).
-///
-/// Under [`ConsumeMode::Native`] (the default) a shard dispatches on
-/// the rule's declared access: multiset rules take received
-/// [`crate::message::OpinionPalette`]s directly as histogram splits
-/// (per-node multivariate-hypergeometric windows — no inside-out
-/// Fisher–Yates dealing pass), and single-peer rules skip sample
-/// materialization entirely (the dealt multiset *is* the next opinion
-/// vector). Both are exactly the Uniform Pull law; they consume
-/// randomness differently from the ordered dealing, so the trajectories
-/// are compared distributionally (like the wire modes), not pathwise.
-/// [`ConsumeMode::Ordered`] forces the ordered-window dealing for every
-/// rule — the paired baseline. The per-entry wire always consumes
-/// ordered (its replies are already per-draw).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConsumeMode {
-    /// Dispatch on the rule's [`symbreak_core::SampleAccess`].
-    #[default]
-    Native,
-    /// Ordered-window dealing for every rule (the pre-taxonomy
-    /// behaviour), kept as the paired baseline.
-    Ordered,
 }
 
 /// Per-shard state representation.
@@ -136,19 +81,17 @@ pub enum ConsumeMode {
 /// Under [`ShardRepr::Histogram`] (the default) a shard keeps only its
 /// local opinion histogram — `O(#occupied)` memory instead of
 /// `O(local_n)` agents — and steps, serves, consumes, and reports off
-/// counts alone. The condensed form engages per rule: batched wire,
-/// native consumption, and a rule whose [`SampleAccess`] is multiset
-/// or single-peer; ordered-window rules (and the per-entry wire or
-/// [`ConsumeMode::Ordered`]) keep the agent vector regardless, because
-/// an ordered window is a property of individual draws that a
-/// histogram cannot replay. [`ShardRepr::Agents`] forces the agent
-/// vector everywhere — the paired crossval baseline, byte-identical
-/// per seed to the pre-condensed runtime.
+/// counts alone. The condensed form engages per rule (see
+/// `shard_is_condensed`): a rule whose [`SampleAccess`] is multiset or
+/// single-peer; ordered-window rules (2-Choices) keep the agent vector
+/// regardless, because an ordered window is a property of individual
+/// draws that a histogram cannot replay. [`ShardRepr::Agents`] forces
+/// the agent vector everywhere.
 ///
 /// Both representations realize the same process law (the condensed
 /// step is an exact aggregation, not an approximation) but consume
-/// randomness differently, so — like the wire modes — their
-/// trajectories are compared distributionally, not pathwise.
+/// randomness differently, so their trajectories are compared
+/// distributionally, not pathwise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardRepr {
     /// Configuration-backed local histogram where the rule's sample
@@ -156,13 +99,20 @@ pub enum ShardRepr {
     /// push gear.
     #[default]
     Histogram,
-    /// Materialized per-agent opinion vector everywhere (the paired
-    /// baseline and the forced mode for ordered-window rules).
+    /// Materialized per-agent opinion vector everywhere (the forced mode
+    /// for ordered-window rules).
     Agents,
 }
 
-/// Data-plane gear selection (batched wire only — the per-entry wire
-/// has no push gear and ignores this knob).
+/// Whether a shard runs condensed: the representation asks for a
+/// histogram and the rule's sample access can consume one. The one
+/// predicate the channel coordinator, the socket coordinator and the
+/// worker all apply.
+pub(crate) fn shard_is_condensed(repr: ShardRepr, access: SampleAccess) -> bool {
+    repr == ShardRepr::Histogram && access != SampleAccess::OrderedWindow
+}
+
+/// Data-plane gear selection.
 ///
 /// [`GearMode::Auto`] is the byte-exact default: condensed fleets boot
 /// in whatever gear the start configuration arbitrates to and
@@ -181,6 +131,26 @@ pub enum GearMode {
     ForcePull,
 }
 
+/// How shards maintain their per-round samplers between rounds.
+///
+/// Both modes realize the identical process law. They consume the
+/// generator differently, so incremental trajectories are compared
+/// distributionally, not pathwise; the default keeps every historical
+/// trajectory byte-exact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum RoundStateMode {
+    /// From-scratch per round: fresh push unions, alias tables and
+    /// serving mirrors. The byte-exact default.
+    #[default]
+    Rebuild,
+    /// Persistent round state: push rounds broadcast `O(#changed)`
+    /// histogram deltas into a persistent union, and condensed shards
+    /// patch their serving [`symbreak_sim::dist::FenwickPool`] in
+    /// `O(#changed·log k)` instead of rebuilding. Fleets with an active
+    /// fault plan keep the rebuild path regardless.
+    Incremental,
+}
+
 /// Cluster construction parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
@@ -190,10 +160,6 @@ pub struct ClusterConfig {
     pub seed: u64,
     /// Report wire format (defaults to [`ReportMode::Sparse`]).
     pub report_mode: ReportMode,
-    /// Data-plane wire format (defaults to [`WireMode::Batched`]).
-    pub wire_mode: WireMode,
-    /// Sample-consumption dispatch (defaults to [`ConsumeMode::Native`]).
-    pub consume_mode: ConsumeMode,
     /// Per-shard state representation (defaults to
     /// [`ShardRepr::Histogram`], arbitrated per rule).
     pub shard_repr: ShardRepr,
@@ -204,28 +170,18 @@ pub struct ClusterConfig {
     /// [`FaultPlan::none`], which keeps the exact fault-free paths).
     pub fault_plan: FaultPlan,
     /// Per-round sampler lifecycle (defaults to
-    /// [`RoundStateMode::Rebuild`], the byte-exact baseline).
-    /// [`RoundStateMode::Incremental`] lets condensed shards patch
-    /// their persistent push-union and serving samplers from
-    /// `O(#changed)` histogram deltas instead of rebuilding from
-    /// scratch each round — distribution-exact, but a different RNG
-    /// discipline, so (like the wire modes) incremental trajectories
-    /// are compared distributionally, not pathwise. Shards that are
-    /// not condensed, and fleets with an active fault plan, keep the
-    /// rebuild path regardless of the knob.
+    /// [`RoundStateMode::Rebuild`], the byte-exact default).
     pub round_state: RoundStateMode,
 }
 
 impl ClusterConfig {
-    /// Shorthand for the default formats (batched data plane, sparse
-    /// reports, native sample consumption, no faults).
+    /// Shorthand for the default formats (sparse reports, condensed
+    /// shards where the rule allows, auto gear, no faults).
     pub fn new(shards: usize, seed: u64) -> Self {
         Self {
             shards,
             seed,
             report_mode: ReportMode::default(),
-            wire_mode: WireMode::default(),
-            consume_mode: ConsumeMode::default(),
             shard_repr: ShardRepr::default(),
             data_gear: GearMode::default(),
             fault_plan: FaultPlan::none(),
@@ -239,18 +195,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Selects the data-plane wire format.
-    pub fn with_wire_mode(mut self, wire_mode: WireMode) -> Self {
-        self.wire_mode = wire_mode;
-        self
-    }
-
-    /// Selects the sample-consumption dispatch.
-    pub fn with_consume_mode(mut self, consume_mode: ConsumeMode) -> Self {
-        self.consume_mode = consume_mode;
-        self
-    }
-
     /// Selects the per-shard state representation.
     pub fn with_shard_repr(mut self, shard_repr: ShardRepr) -> Self {
         self.shard_repr = shard_repr;
@@ -258,17 +202,15 @@ impl ClusterConfig {
     }
 
     /// Selects the data-plane gear (pin push or pull, or keep the
-    /// default per-round arbitration). Batched wire only; the
-    /// per-entry wire has no push gear and ignores the knob.
+    /// default per-round arbitration).
     pub fn with_data_gear(mut self, data_gear: GearMode) -> Self {
         self.data_gear = data_gear;
         self
     }
 
-    /// Installs a fault schedule. Active plans require the batched wire
-    /// and sparse reports (checked by [`Cluster::new`]): delta chains
-    /// cannot be applied relative to states the coordinator never saw,
-    /// and dense bodies have no rejection-tolerant merge.
+    /// Installs a fault schedule. Active plans require sparse reports
+    /// (checked by [`Cluster::new`]): delta chains cannot be applied
+    /// relative to states the coordinator never saw.
     pub fn with_fault_plan(mut self, fault_plan: FaultPlan) -> Self {
         self.fault_plan = fault_plan;
         self
@@ -276,7 +218,7 @@ impl ClusterConfig {
 
     /// Selects the per-round sampler lifecycle (persistent
     /// delta-patched round state vs the byte-exact from-scratch
-    /// rebuild baseline).
+    /// rebuild).
     pub fn with_round_state(mut self, round_state: RoundStateMode) -> Self {
         self.round_state = round_state;
         self
@@ -298,14 +240,12 @@ pub struct ClusterOutcome {
     pub final_config: Configuration,
     /// Round-by-round observables.
     pub trace: Trace,
-    /// Total point-to-point wire entries exchanged over the whole run.
-    /// Under [`WireMode::PerEntry`] this is exactly `2·n·h` per round
-    /// (every request and its reply counted individually, intra-shard
-    /// deliveries included — there is no coalescing); under
-    /// [`WireMode::Batched`] it is the target-run, palette, and
-    /// palette-run entries — `O(#shard-pairs · #distinct opinions)` per
-    /// round. Under an active fault plan, dropped and delayed entries
-    /// count once (transmitted) and duplicated entries count twice.
+    /// Total point-to-point wire entries exchanged over the whole run:
+    /// the target-run, palette, and palette-run entries —
+    /// `O(#shard-pairs · #distinct opinions)` per round, bounded by the
+    /// `n·h` draws they carry. Under an active fault plan, dropped and
+    /// delayed entries count once (transmitted) and duplicated entries
+    /// count twice.
     pub total_messages: u64,
     /// Fault and degradation observables (all zero for inert plans).
     pub faults: FaultCounters,
@@ -328,8 +268,8 @@ pub struct HorizonOutcome {
     pub total_messages: u64,
     /// Per-round control-plane size: the summed report-body entry
     /// counts across shards (`Σ |report|` — pairs for sparse, changed
-    /// slots for delta, `k · shards` for dense; received duplicates and
-    /// straggler retransmissions included). This is the series the
+    /// slots for delta; received duplicates and straggler
+    /// retransmissions included). This is the series the
     /// delta control plane collapses in the stalled regime.
     pub report_entries: Vec<u64>,
     /// Why the run ended: consensus, horizon exhausted, a round whose
@@ -359,6 +299,8 @@ pub struct HorizonOutcome {
 pub struct Cluster<R> {
     rule: R,
     start: Configuration,
+    /// `start.n()`, checked at construction to fit the `u32` node ids.
+    n: u32,
     config: ClusterConfig,
 }
 
@@ -366,18 +308,18 @@ impl<R: UpdateRule + Clone + Send> Cluster<R> {
     /// Prepares a cluster over the nodes described by `start`.
     ///
     /// # Panics
-    /// Panics if there are fewer nodes than shards, or zero shards.
+    /// Panics if there are fewer nodes than shards, zero shards, or
+    /// more nodes than `u32` node ids can address.
     pub fn new(rule: R, start: &Configuration, config: ClusterConfig) -> Self {
         assert!(config.shards >= 1, "need at least one shard");
         assert!(start.n() >= config.shards as u64, "need at least one node per shard");
+        let n = u32::try_from(start.n())
+            .unwrap_or_else(|_| panic!("{} nodes exceed the u32 node-id space", start.n()));
         if config.fault_plan.is_active() {
             config.fault_plan.validate(config.shards);
-            assert!(
-                config.wire_mode == WireMode::Batched && config.report_mode == ReportMode::Sparse,
-                "fault plans require the batched wire and sparse reports"
-            );
+            assert!(config.report_mode == ReportMode::Sparse, "fault plans require sparse reports");
         }
-        Self { rule, start: start.clone(), config }
+        Self { rule, start: start.clone(), n, config }
     }
 
     /// Runs synchronous rounds until consensus, or `max_rounds`.
@@ -410,12 +352,10 @@ impl<R: UpdateRule + Clone + Send> Cluster<R> {
     /// support-cap series over an `Ω(n / log n)` horizon, not about
     /// reaching consensus.
     pub fn run_horizon(self, rounds: u64) -> HorizonOutcome {
-        let n = self.start.n() as u32;
+        let n = self.n;
         let k_slots = self.start.num_slots();
         let shards = self.config.shards;
         let report_mode = self.config.report_mode;
-        let wire_mode = self.config.wire_mode;
-        let consume_mode = self.config.consume_mode;
         let data_gear = self.config.data_gear;
         let round_state = self.config.round_state;
         let plan = self.config.fault_plan;
@@ -439,15 +379,10 @@ impl<R: UpdateRule + Clone + Send> Cluster<R> {
         }
         let (report_tx, report_rx) = mpsc::channel::<ShardReport>();
 
-        // Per-shard sparse seed bodies (no O(n) opinion expansion); a
-        // shard is condensed when the representation, the wire, and the
-        // rule's sample access all permit it — the same predicate the
-        // worker asserts against its init.
+        // Per-shard sparse seed bodies (no O(n) opinion expansion); the
+        // worker asserts the condensed predicate against its init.
         let bodies = shard_bodies(&self.start, &partition);
-        let condensed = self.config.shard_repr == ShardRepr::Histogram
-            && wire_mode == WireMode::Batched
-            && consume_mode == ConsumeMode::Native
-            && self.rule.sample_access() != SampleAccess::OrderedWindow;
+        let condensed = shard_is_condensed(self.config.shard_repr, self.rule.sample_access());
         let h = self.rule.sample_count() as u64;
         let rule = self.rule;
         let seed = self.config.seed;
@@ -481,8 +416,6 @@ impl<R: UpdateRule + Clone + Send> Cluster<R> {
                     partition,
                     k_slots,
                     report_mode,
-                    wire_mode,
-                    consume_mode,
                     repr: shard_repr,
                     master_seed: seed,
                     plan: plan.clone(),
@@ -510,8 +443,7 @@ impl<R: UpdateRule + Clone + Send> Cluster<R> {
             // A forced gear overrides both.
             let auto =
                 if condensed { arbitrate_gear(&merged, shards, n, h) } else { DataFormat::Pull };
-            let initial_data =
-                if wire_mode == WireMode::Batched { resolve_gear(data_gear, auto) } else { auto };
+            let initial_data = resolve_gear(data_gear, auto);
             let mut link = ChannelLink::new(control_txs, report_rx);
             let out = if plan.is_active() {
                 run_coordinator_faulty(
@@ -532,10 +464,8 @@ impl<R: UpdateRule + Clone + Send> Cluster<R> {
                     rounds,
                     n,
                     h,
-                    k_slots,
                     shards,
                     report_mode,
-                    wire_mode,
                     merged,
                     initial_data,
                     data_gear,
@@ -571,34 +501,26 @@ impl<R: WireRule> Cluster<R> {
     /// *after* launch is not a panic: the run aborts with
     /// [`StopReason::TransportLost`].
     pub fn run_horizon_socket(self, rounds: u64, socket: &SocketConfig) -> HorizonOutcome {
-        let n = self.start.n() as u32;
+        let n = self.n;
         let k_slots = self.start.num_slots();
         let shards = self.config.shards;
         let report_mode = self.config.report_mode;
-        let wire_mode = self.config.wire_mode;
-        let consume_mode = self.config.consume_mode;
         let data_gear = self.config.data_gear;
         let plan = self.config.fault_plan;
         let partition = Partition::new(n, shards);
         let bodies = shard_bodies(&self.start, &partition);
-        // The same condensation predicate `run_horizon` applies; the
-        // workers re-derive and assert it against their init.
-        let condensed = self.config.shard_repr == ShardRepr::Histogram
-            && wire_mode == WireMode::Batched
-            && consume_mode == ConsumeMode::Native
-            && self.rule.sample_access() != SampleAccess::OrderedWindow;
+        // The workers re-derive and assert the predicate against their
+        // init.
+        let condensed = shard_is_condensed(self.config.shard_repr, self.rule.sample_access());
         let h = self.rule.sample_count() as u64;
         let merged = self.start;
         let auto = if condensed { arbitrate_gear(&merged, shards, n, h) } else { DataFormat::Pull };
-        let initial_data =
-            if wire_mode == WireMode::Batched { resolve_gear(data_gear, auto) } else { auto };
+        let initial_data = resolve_gear(data_gear, auto);
         let spec = FleetSpec {
             n,
             shards,
             k_slots,
             report_mode,
-            wire_mode,
-            consume_mode,
             repr: self.config.shard_repr,
             master_seed: self.config.seed,
             plan: plan.clone(),
@@ -627,10 +549,8 @@ impl<R: WireRule> Cluster<R> {
                 rounds,
                 n,
                 h,
-                k_slots,
                 shards,
                 report_mode,
-                wire_mode,
                 merged,
                 initial_data,
                 data_gear,
@@ -721,10 +641,8 @@ fn run_coordinator_exact(
     rounds: u64,
     n: u32,
     h: u64,
-    k_slots: usize,
     shards: usize,
     report_mode: ReportMode,
-    wire_mode: WireMode,
     mut merged: Configuration,
     initial_data: DataFormat,
     data_gear: GearMode,
@@ -744,15 +662,12 @@ fn run_coordinator_exact(
     // reports closes everything but that tail.
     let mut shard_sent = vec![0u64; shards];
     let mut shard_received = vec![0u64; shards];
-    // The per-round report format: fixed in Sparse/Dense modes,
-    // arbitrated on the reported changed-slot counts in Delta
-    // mode (start absolute; switch once the changed set is
-    // small, switch back if churn returns).
-    let mut format = match report_mode {
-        ReportMode::Sparse | ReportMode::Delta => ReportFormat::Sparse,
-        ReportMode::Dense => ReportFormat::Dense,
-    };
-    // The data-plane format (batched wire only): pull/reply
+    // The per-round report format: always sparse in Sparse mode,
+    // arbitrated on the reported changed-slot counts in Delta mode
+    // (start absolute; switch once the changed set is small, switch
+    // back if churn returns).
+    let mut format = ReportFormat::Sparse;
+    // The data-plane format: pull/reply
     // until the occupancy concentrates enough that pushing
     // whole histograms is cheaper than answering pulls
     // (`occ · shards² ≤ n·h`), then histogram push — and back,
@@ -798,20 +713,6 @@ fn run_coordinator_exact(
                     _ => unreachable!("delta round, non-delta report"),
                 }));
             }
-            ReportFormat::Dense => {
-                // The preserved pre-sparse path: a fresh dense
-                // aggregate and configuration rebuild per round.
-                let mut counts = vec![0u64; k_slots];
-                for r in &reports {
-                    let ReportBody::Dense(shard_counts) = &r.body else {
-                        unreachable!("dense round, non-dense report")
-                    };
-                    for (total, c) in counts.iter_mut().zip(shard_counts) {
-                        *total += c;
-                    }
-                }
-                merged = Configuration::from_counts(counts);
-            }
         }
         if report_mode == ReportMode::Delta {
             let changed: u64 = reports.iter().map(|r| r.changed_slots.unwrap_or(0)).sum();
@@ -821,9 +722,7 @@ fn run_coordinator_exact(
                 ReportFormat::Sparse
             };
         }
-        if wire_mode == WireMode::Batched {
-            data = resolve_gear(data_gear, arbitrate_gear(&merged, shards, n, h));
-        }
+        data = resolve_gear(data_gear, arbitrate_gear(&merged, shards, n, h));
         trace.push(RoundStats {
             round,
             num_colors: merged.num_colors(),
@@ -1101,7 +1000,7 @@ fn run_coordinator_faulty(
             faults.quorum_rounds += 1;
         }
         // Pull/push arbitration over the merged view, exactly as on
-        // the strict path (fault plans mandate the batched wire).
+        // the strict path.
         data = resolve_gear(data_gear, arbitrate_gear(&merged, shards, n, h));
         trace.push(RoundStats {
             round,
@@ -1170,16 +1069,13 @@ mod tests {
     }
 
     #[test]
-    fn cluster_is_deterministic_per_seed_in_both_wire_modes() {
+    fn cluster_is_deterministic_per_seed() {
         let start = Configuration::uniform(120, 6);
-        for wire in [WireMode::Batched, WireMode::PerEntry] {
-            let run = |seed| {
-                let cfg = ClusterConfig::new(3, seed).with_wire_mode(wire);
-                let cluster = Cluster::new(ThreeMajority, &start, cfg);
-                cluster.run_to_consensus(100_000).expect("consensus").consensus_round
-            };
-            assert_eq!(run(42), run(42), "{wire:?} must be deterministic per seed");
-        }
+        let run = |seed| {
+            let cluster = Cluster::new(ThreeMajority, &start, ClusterConfig::new(3, seed));
+            cluster.run_to_consensus(100_000).expect("consensus").consensus_round
+        };
+        assert_eq!(run(42), run(42), "runs must be deterministic per seed");
     }
 
     #[test]
@@ -1191,16 +1087,12 @@ mod tests {
     }
 
     #[test]
-    fn cluster_handles_undecided_dynamics_per_entry_and_delta() {
+    fn cluster_handles_undecided_dynamics_with_delta_reports() {
         let start = Configuration::from_counts(vec![80, 20]);
-        for (wire, report) in
-            [(WireMode::PerEntry, ReportMode::Sparse), (WireMode::Batched, ReportMode::Delta)]
-        {
-            let cfg = ClusterConfig::new(4, 5).with_wire_mode(wire).with_report_mode(report);
-            let cluster = Cluster::new(UndecidedDynamics, &start, cfg);
-            let out = cluster.run_to_consensus(1_000_000).expect("consensus");
-            assert!(out.final_config.is_consensus(), "{wire:?}/{report:?}");
-        }
+        let cfg = ClusterConfig::new(4, 5).with_report_mode(ReportMode::Delta);
+        let cluster = Cluster::new(UndecidedDynamics, &start, cfg);
+        let out = cluster.run_to_consensus(1_000_000).expect("consensus");
+        assert!(out.final_config.is_consensus());
     }
 
     #[test]
@@ -1214,47 +1106,28 @@ mod tests {
     }
 
     #[test]
-    fn per_entry_message_accounting_matches_protocol_cost() {
-        // Each round: every node sends h requests and receives h replies,
-        // so total messages = rounds * 2 * n * h exactly — intra-shard
-        // deliveries included, no coalescing.
-        let n = 120u64;
-        let start = Configuration::uniform(n, 4);
-        let cfg = ClusterConfig::new(3, 8).with_wire_mode(WireMode::PerEntry);
-        let cluster = Cluster::new(ThreeMajority, &start, cfg);
-        let out = cluster.run_to_consensus(100_000).expect("consensus");
-        assert_eq!(out.total_messages, out.consensus_round * 2 * n * 3);
-    }
-
-    #[test]
-    fn batched_wire_moves_fewer_entries_than_per_entry() {
-        // The aggregate data plane is bounded by the per-entry cost
-        // model (a palette never carries more entries than the pulls it
+    fn wire_entries_collapse_below_the_per_draw_cost() {
+        // The aggregate data plane is bounded by the per-draw cost model
+        // (a palette never carries more entries than the pulls it
         // answers) and collapses far below it once the per-pair draw
         // count dwarfs the distinct-opinion count, where the serving
         // side switches from raw palettes to run-length histograms.
         let n = 4096u64;
         let start = Configuration::uniform(n, 8);
-        let run = |wire| {
-            let cfg = ClusterConfig::new(4, 9).with_wire_mode(wire);
-            Cluster::new(ThreeMajority, &start, cfg).run_horizon(40)
-        };
-        let batched = run(WireMode::Batched);
-        let per_entry = run(WireMode::PerEntry);
-        assert_eq!(per_entry.total_messages, per_entry.rounds_run * 2 * n * 3);
-        let batched_per_round = batched.total_messages / batched.rounds_run;
+        let out = Cluster::new(ThreeMajority, &start, ClusterConfig::new(4, 9)).run_horizon(40);
+        let per_round = out.total_messages / out.rounds_run;
         assert!(
-            batched_per_round < per_entry.total_messages / per_entry.rounds_run / 4,
-            "batched wire should collapse the per-round entry count \
-             (batched {batched_per_round}/round vs per-entry {}/round)",
+            per_round < 2 * n * 3 / 4,
+            "the wire should collapse the per-round entry count \
+             ({per_round}/round vs {} request-plus-reply entries)",
             2 * n * 3
         );
     }
 
     #[test]
-    fn report_modes_run_the_same_trajectory_batched() {
+    fn report_modes_run_the_same_trajectory() {
         // The report wire format never touches the protocol RNG streams,
-        // so same seed + same wire mode ⇒ identical realized process.
+        // so same seed ⇒ identical realized process.
         for (counts, shards, seed) in [
             (Configuration::uniform(200, 8).counts().to_vec(), 3usize, 11u64),
             (vec![1; 64], 4, 12), // k = n singleton start
@@ -1270,12 +1143,7 @@ mod tests {
                 .expect("consensus")
             };
             let sparse = run(ReportMode::Sparse);
-            let dense = run(ReportMode::Dense);
             let delta = run(ReportMode::Delta);
-            assert_eq!(sparse.consensus_round, dense.consensus_round);
-            assert_eq!(sparse.trace, dense.trace);
-            assert_eq!(sparse.final_config, dense.final_config);
-            assert_eq!(sparse.total_messages, dense.total_messages);
             assert_eq!(sparse.consensus_round, delta.consensus_round);
             assert_eq!(sparse.trace, delta.trace);
             assert_eq!(sparse.final_config, delta.final_config);
@@ -1284,26 +1152,7 @@ mod tests {
     }
 
     #[test]
-    fn report_modes_run_the_same_trajectory_per_entry() {
-        let start = Configuration::from_counts(vec![1; 64]);
-        let run = |mode| {
-            let cfg =
-                ClusterConfig::new(4, 12).with_report_mode(mode).with_wire_mode(WireMode::PerEntry);
-            Cluster::new(ThreeMajority, &start, cfg).run_to_consensus(1_000_000).expect("consensus")
-        };
-        let sparse = run(ReportMode::Sparse);
-        let dense = run(ReportMode::Dense);
-        let delta = run(ReportMode::Delta);
-        assert_eq!(sparse.consensus_round, dense.consensus_round);
-        assert_eq!(sparse.trace, dense.trace);
-        assert_eq!(sparse.final_config, dense.final_config);
-        assert_eq!(sparse.consensus_round, delta.consensus_round);
-        assert_eq!(sparse.trace, delta.trace);
-        assert_eq!(sparse.final_config, delta.final_config);
-    }
-
-    #[test]
-    fn dense_and_sparse_agree_under_undecided_dynamics() {
+    fn delta_and_sparse_agree_under_undecided_dynamics() {
         // Mass-changing reports (shards holding back undecided nodes)
         // exercise merge_sparse's and apply_deltas' population
         // re-derivation.
@@ -1318,11 +1167,8 @@ mod tests {
             .expect("consensus")
         };
         let sparse = run(ReportMode::Sparse);
-        let dense = run(ReportMode::Dense);
         let delta = run(ReportMode::Delta);
-        assert_eq!(sparse.consensus_round, dense.consensus_round);
-        assert_eq!(sparse.trace, dense.trace);
-        assert_eq!(sparse.final_config, dense.final_config);
+        assert_eq!(sparse.consensus_round, delta.consensus_round);
         assert_eq!(sparse.trace, delta.trace);
         assert_eq!(sparse.final_config, delta.final_config);
     }
@@ -1367,61 +1213,38 @@ mod tests {
     }
 
     #[test]
-    fn consume_modes_are_deterministic_and_reach_consensus() {
-        // Both consumption modes on the batched wire, for a multiset
-        // rule (3-Majority), a single-peer rule (Voter), and the
+    fn native_consumption_is_deterministic_and_reaches_consensus() {
+        // The access-dispatched consume paths for a multiset rule
+        // (3-Majority), a single-peer rule (Voter), and the
         // own-state-reading 2-Median.
         use symbreak_core::rules::TwoMedian;
         let start = Configuration::uniform(120, 6);
-        for consume in [ConsumeMode::Native, ConsumeMode::Ordered] {
-            let run = |seed| {
-                let cfg = ClusterConfig::new(3, seed).with_consume_mode(consume);
-                let cluster = Cluster::new(ThreeMajority, &start, cfg);
-                cluster.run_to_consensus(100_000).expect("consensus").consensus_round
-            };
-            assert_eq!(run(42), run(42), "{consume:?} must be deterministic per seed");
-        }
-        for consume in [ConsumeMode::Native, ConsumeMode::Ordered] {
-            let cfg = ClusterConfig::new(4, 7).with_consume_mode(consume);
-            let out = Cluster::new(Voter, &Configuration::uniform(64, 4), cfg)
-                .run_to_consensus(1_000_000)
-                .expect("consensus");
-            assert!(out.final_config.is_consensus(), "Voter/{consume:?}");
-            let cfg = ClusterConfig::new(4, 8).with_consume_mode(consume);
-            let out = Cluster::new(TwoMedian, &Configuration::uniform(64, 5), cfg)
-                .run_to_consensus(1_000_000)
-                .expect("consensus");
-            assert!(out.final_config.is_consensus(), "2-Median/{consume:?}");
-        }
-    }
-
-    #[test]
-    fn native_report_modes_run_the_same_trajectory() {
-        // The report format still never touches the data-plane RNG
-        // streams under native consumption.
-        let start = Configuration::from_counts(vec![1; 64]);
-        let run = |mode| {
-            Cluster::new(ThreeMajority, &start, ClusterConfig::new(4, 12).with_report_mode(mode))
-                .run_to_consensus(1_000_000)
-                .expect("consensus")
+        let run = |seed| {
+            let cluster = Cluster::new(ThreeMajority, &start, ClusterConfig::new(3, seed));
+            cluster.run_to_consensus(100_000).expect("consensus").consensus_round
         };
-        let sparse = run(ReportMode::Sparse);
-        let delta = run(ReportMode::Delta);
-        assert_eq!(sparse.trace, delta.trace);
-        assert_eq!(sparse.final_config, delta.final_config);
+        assert_eq!(run(42), run(42), "consumption must be deterministic per seed");
+        let out = Cluster::new(Voter, &Configuration::uniform(64, 4), ClusterConfig::new(4, 7))
+            .run_to_consensus(1_000_000)
+            .expect("consensus");
+        assert!(out.final_config.is_consensus(), "Voter");
+        let out = Cluster::new(TwoMedian, &Configuration::uniform(64, 5), ClusterConfig::new(4, 8))
+            .run_to_consensus(1_000_000)
+            .expect("consensus");
+        assert!(out.final_config.is_consensus(), "2-Median");
     }
 
     #[test]
     fn run_horizon_reports_capped_trajectories() {
         let start = Configuration::singletons(128);
-        let cfg = ClusterConfig::new(4, 9).with_wire_mode(WireMode::PerEntry);
-        let cluster = Cluster::new(Voter, &start, cfg);
+        let cluster = Cluster::new(Voter, &start, ClusterConfig::new(4, 9));
         let out = cluster.run_horizon(5);
         assert_eq!(out.rounds_run, 5);
         assert_eq!(out.consensus_round, None, "128 singletons cannot converge in 5 rounds");
         assert_eq!(out.trace.len(), 5);
         assert_eq!(out.final_config.n(), 128);
-        assert_eq!(out.total_messages, 5 * 2 * 128);
+        // At most one entry per draw plus one target run per shard pair.
+        assert!(out.total_messages > 0 && out.total_messages <= 5 * (128 + 4 * 4));
         assert_eq!(out.report_entries.len(), 5);
         // Occupancy only shrinks along the trajectory.
         let colors: Vec<usize> = out.trace.rounds().iter().map(|r| r.num_colors).collect();
@@ -1440,29 +1263,10 @@ mod tests {
     }
 
     #[test]
-    fn rounds_without_cross_shard_replies_terminate() {
-        // With n = 2 nodes on 2 shards and h = 1, both nodes sample their
-        // own shard with probability 1/4 per round, so runs repeatedly
-        // hit rounds where *zero* reply batches cross shard boundaries —
-        // exactly the case the per-entry protocol must survive without
-        // the (skipped) empty reply batches. Replies are counted by
-        // entry, not by batch, so every one of these runs must still
-        // terminate.
-        for seed in 0..40 {
-            let start = Configuration::uniform(2, 2);
-            let cfg = ClusterConfig::new(2, seed).with_wire_mode(WireMode::PerEntry);
-            let cluster = Cluster::new(Voter, &start, cfg);
-            let out = cluster.run_to_consensus(100_000).expect("consensus despite empty replies");
-            assert!(out.final_config.is_consensus());
-        }
-    }
-
-    #[test]
-    fn batched_tiny_clusters_terminate() {
-        // The batched analogue: n = 2 on 2 shards hits rounds where a
-        // peer's pull batch is empty (zero draws land on it) — survived
-        // via the always-sent (possibly empty) batches that close both
-        // phases by count.
+    fn tiny_clusters_terminate() {
+        // n = 2 on 2 shards hits rounds where a peer's pull batch is
+        // empty (zero draws land on it) — survived via the always-sent
+        // (possibly empty) batches that close both phases by count.
         for seed in 0..40 {
             let start = Configuration::uniform(2, 2);
             let cluster = Cluster::new(Voter, &start, ClusterConfig::new(2, seed));
@@ -1476,5 +1280,13 @@ mod tests {
     fn more_shards_than_nodes_panics() {
         let start = Configuration::uniform(3, 3);
         Cluster::new(Voter, &start, ClusterConfig::new(8, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "u32 node-id space")]
+    fn more_nodes_than_u32_ids_panics() {
+        // 2^32 + 1 nodes would truncate to one node in the u32 id space.
+        let start = Configuration::from_counts(vec![1 << 32, 1]);
+        Cluster::new(Voter, &start, ClusterConfig::new(2, 0));
     }
 }

@@ -32,8 +32,8 @@
 //! * `round` — the synchronous round the message belongs to. This is
 //!   the tag the fault layer's stateless hash decisions and the
 //!   round-parking receive loops key off, so it lives in the header,
-//!   not the payload; frames without round semantics (per-entry
-//!   batches, handshake frames, `Stop`) carry `0`.
+//!   not the payload; frames without round semantics (handshake
+//!   frames, `Stop`) carry `0`.
 //! * `len` — payload byte length, so a reader can frame a stream
 //!   without understanding every kind.
 //!
@@ -45,28 +45,30 @@
 
 use std::io::{self, Read, Write};
 
-use symbreak_core::{Opinion, RoundStateMode};
+use symbreak_core::Opinion;
 
-use crate::cluster::{ConsumeMode, ReportMode, ShardRepr, WireMode};
+use crate::cluster::{ReportMode, RoundStateMode, ShardRepr};
 use crate::fault::{ByzantineSpec, CorruptionKind, CrashSpec, FaultPlan};
 use crate::message::{
-    Control, DataFormat, OpinionPalette, PullBatch, Reply, ReportBody, ReportFormat, Request,
-    ShardMessage, ShardReport, TargetRun,
+    Control, DataFormat, OpinionPalette, PullBatch, ReportBody, ReportFormat, ShardMessage,
+    ShardReport, TargetRun,
 };
 
 /// The two magic bytes opening every frame (`"SB"`).
 pub const WIRE_MAGIC: [u8; 2] = [0x53, 0x42];
-/// The encoding version this build speaks.
-pub const WIRE_VERSION: u8 = 1;
+/// The encoding version this build speaks (version 2 changed the `Init`
+/// payload).
+pub const WIRE_VERSION: u8 = 2;
 
 /// Frame type discriminant (the `kind` header byte).
+///
+/// Kinds 1 and 2 — the retired per-entry request and reply batches —
+/// stay unassigned and decode as [`WireError::UnknownKind`]; the
+/// surviving kinds keep their numbers, so per-seed byte counts are
+/// unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum FrameKind {
-    /// [`ShardMessage::Requests`].
-    Requests = 1,
-    /// [`ShardMessage::Replies`].
-    Replies = 2,
     /// [`ShardMessage::Pull`].
     Pull = 3,
     /// [`ShardMessage::Palette`].
@@ -92,8 +94,6 @@ pub enum FrameKind {
 impl FrameKind {
     fn from_u8(b: u8) -> Result<Self, WireError> {
         Ok(match b {
-            1 => FrameKind::Requests,
-            2 => FrameKind::Replies,
             3 => FrameKind::Pull,
             4 => FrameKind::Palette,
             5 => FrameKind::Report,
@@ -406,22 +406,6 @@ pub fn write_frame(stream: &mut impl Write, bytes: &[u8]) -> io::Result<()> {
 /// Encodes a [`ShardMessage`] as one complete frame appended to `out`.
 pub fn encode_shard_message(msg: &ShardMessage, out: &mut Vec<u8>) {
     match msg {
-        ShardMessage::Requests(batch) => put_frame(out, FrameKind::Requests, 0, |b| {
-            put_varint(b, batch.len() as u64);
-            for req in batch {
-                put_varint(b, u64::from(req.target));
-                put_varint(b, u64::from(req.requester));
-                b.push(req.slot);
-            }
-        }),
-        ShardMessage::Replies(batch) => put_frame(out, FrameKind::Replies, 0, |b| {
-            put_varint(b, batch.len() as u64);
-            for rep in batch {
-                put_varint(b, u64::from(rep.requester));
-                b.push(rep.slot);
-                put_varint(b, opinion_code(rep.opinion));
-            }
-        }),
         ShardMessage::Pull(batch) => put_frame(out, FrameKind::Pull, batch.round, |b| {
             put_varint(b, u64::from(batch.origin));
             put_varint(b, batch.target_runs.len() as u64);
@@ -451,22 +435,6 @@ pub fn encode_shard_message(msg: &ShardMessage, out: &mut Vec<u8>) {
 /// (pinned equal to the encoder by proptest).
 pub fn shard_message_len(msg: &ShardMessage) -> u64 {
     let (round, payload) = match msg {
-        ShardMessage::Requests(batch) => {
-            let mut p = varint_len(batch.len() as u64);
-            for req in batch {
-                p += varint_len(u64::from(req.target)) + varint_len(u64::from(req.requester)) + 1;
-            }
-            (0, p)
-        }
-        ShardMessage::Replies(batch) => {
-            let mut p = varint_len(batch.len() as u64);
-            for rep in batch {
-                p += varint_len(u64::from(rep.requester))
-                    + 1
-                    + varint_len(opinion_code(rep.opinion));
-            }
-            (0, p)
-        }
         ShardMessage::Pull(batch) => {
             let mut p =
                 varint_len(u64::from(batch.origin)) + varint_len(batch.target_runs.len() as u64);
@@ -496,34 +464,6 @@ pub fn shard_message_len(msg: &ShardMessage) -> u64 {
 pub fn decode_shard_message(frame: &Frame) -> Result<ShardMessage, WireError> {
     let mut r = Reader::new(&frame.payload);
     let msg = match frame.kind {
-        FrameKind::Requests => {
-            let count = r.bounded_count()?;
-            let mut batch = Vec::with_capacity(count);
-            for _ in 0..count {
-                let target = r.varint()?;
-                let requester = r.varint()?;
-                let slot = r.u8()?;
-                if target > u64::from(u32::MAX) || requester > u64::from(u32::MAX) {
-                    return Err(WireError::Malformed("node id out of range"));
-                }
-                batch.push(Request { target: target as u32, requester: requester as u32, slot });
-            }
-            ShardMessage::Requests(batch)
-        }
-        FrameKind::Replies => {
-            let count = r.bounded_count()?;
-            let mut batch = Vec::with_capacity(count);
-            for _ in 0..count {
-                let requester = r.varint()?;
-                let slot = r.u8()?;
-                let opinion = r.opinion()?;
-                if requester > u64::from(u32::MAX) {
-                    return Err(WireError::Malformed("node id out of range"));
-                }
-                batch.push(Reply { requester: requester as u32, slot, opinion });
-            }
-            ShardMessage::Replies(batch)
-        }
         FrameKind::Pull => {
             let origin = r.varint()?;
             let count = r.bounded_count()?;
@@ -583,7 +523,6 @@ fn report_format_code(f: ReportFormat) -> u8 {
     match f {
         ReportFormat::Sparse => 0,
         ReportFormat::Delta => 1,
-        ReportFormat::Dense => 2,
     }
 }
 
@@ -639,7 +578,6 @@ pub fn decode_control(frame: &Frame) -> Result<Control, WireError> {
             let report = match r.u8()? {
                 0 => ReportFormat::Sparse,
                 1 => ReportFormat::Delta,
-                2 => ReportFormat::Dense,
                 _ => return Err(WireError::Malformed("unknown report format")),
             };
             let data = match r.u8()? {
@@ -695,13 +633,6 @@ pub fn encode_report(rep: &ShardReport, out: &mut Vec<u8>) {
                     put_varint(b, zigzag(delta));
                 }
             }
-            ReportBody::Dense(counts) => {
-                b.push(2);
-                put_varint(b, counts.len() as u64);
-                for &c in counts {
-                    put_varint(b, c);
-                }
-            }
         }
         put_varint(b, rep.undecided);
         put_varint(b, rep.messages_sent);
@@ -732,12 +663,6 @@ pub fn report_len(rep: &ShardReport) -> u64 {
             p += varint_len(pairs.len() as u64);
             for &(slot, delta) in pairs {
                 p += varint_len(u64::from(slot)) + varint_len(zigzag(delta));
-            }
-        }
-        ReportBody::Dense(counts) => {
-            p += varint_len(counts.len() as u64);
-            for &c in counts {
-                p += varint_len(c);
             }
         }
     }
@@ -783,14 +708,6 @@ pub fn decode_report(frame: &Frame) -> Result<ShardReport, WireError> {
                 pairs.push((slot as u32, unzigzag(d)));
             }
             ReportBody::Delta(pairs)
-        }
-        2 => {
-            let count = r.bounded_count()?;
-            let mut counts = Vec::with_capacity(count);
-            for _ in 0..count {
-                counts.push(r.varint()?);
-            }
-            ReportBody::Dense(counts)
         }
         _ => return Err(WireError::Malformed("unknown report body kind")),
     };
@@ -881,8 +798,6 @@ pub(crate) struct WorkerInit {
     pub shards: usize,
     pub k_slots: usize,
     pub report_mode: ReportMode,
-    pub wire_mode: WireMode,
-    pub consume_mode: ConsumeMode,
     pub repr: ShardRepr,
     pub master_seed: u64,
     pub plan: FaultPlan,
@@ -894,20 +809,11 @@ pub(crate) struct WorkerInit {
     pub die_at_round: Option<u64>,
 }
 
-fn mode_codes(init: &WorkerInit) -> [u8; 5] {
+fn mode_codes(init: &WorkerInit) -> [u8; 3] {
     [
         match init.report_mode {
             ReportMode::Sparse => 0,
             ReportMode::Delta => 1,
-            ReportMode::Dense => 2,
-        },
-        match init.wire_mode {
-            WireMode::Batched => 0,
-            WireMode::PerEntry => 1,
-        },
-        match init.consume_mode {
-            ConsumeMode::Native => 0,
-            ConsumeMode::Ordered => 1,
         },
         match init.repr {
             ShardRepr::Histogram => 0,
@@ -1014,18 +920,7 @@ pub(crate) fn decode_worker_init(frame: &Frame) -> Result<WorkerInit, WireError>
     let report_mode = match r.u8()? {
         0 => ReportMode::Sparse,
         1 => ReportMode::Delta,
-        2 => ReportMode::Dense,
         _ => return Err(WireError::Malformed("unknown report mode")),
-    };
-    let wire_mode = match r.u8()? {
-        0 => WireMode::Batched,
-        1 => WireMode::PerEntry,
-        _ => return Err(WireError::Malformed("unknown wire mode")),
-    };
-    let consume_mode = match r.u8()? {
-        0 => ConsumeMode::Native,
-        1 => ConsumeMode::Ordered,
-        _ => return Err(WireError::Malformed("unknown consume mode")),
     };
     let repr = match r.u8()? {
         0 => ShardRepr::Histogram,
@@ -1135,8 +1030,6 @@ pub(crate) fn decode_worker_init(frame: &Frame) -> Result<WorkerInit, WireError>
         shards,
         k_slots,
         report_mode,
-        wire_mode,
-        consume_mode,
         repr,
         master_seed,
         plan,
@@ -1203,8 +1096,6 @@ mod tests {
             shards: 4,
             k_slots: 64,
             report_mode: ReportMode::Delta,
-            wire_mode: WireMode::Batched,
-            consume_mode: ConsumeMode::Native,
             repr: ShardRepr::Histogram,
             master_seed: u64::MAX,
             plan: FaultPlan::none()

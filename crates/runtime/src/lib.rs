@@ -22,16 +22,15 @@
 //! Traffic is aggregate end-to-end (see [`message`] for the wire
 //! protocol, and `docs/ARCHITECTURE.md` for the message-cost model):
 //!
-//! * **Data plane** ([`WireMode`]) — by default each shard pair
-//!   exchanges one `PullBatch` of target runs and one `OpinionPalette`
-//!   sampled shard-side per round, and once occupancy concentrates the
+//! * **Data plane** ([`GearMode`]) — each shard pair exchanges one
+//!   `PullBatch` of target runs and one `OpinionPalette` sampled
+//!   shard-side per round, and once occupancy concentrates the
 //!   coordinator flips the fleet to histogram *push*
 //!   ([`DataFormat::Push`]): every shard broadcasts its opinion
 //!   histogram and draws its own pulls from the union via one alias
 //!   table — `O(#shards² · #distinct)` channel entries per round
-//!   instead of the per-entry `2·n·h`. The per-entry request/reply
-//!   format survives as [`WireMode::PerEntry`] for paired
-//!   benchmarking; every format realizes exactly the Uniform Pull law.
+//!   instead of one entry per pull. Both gears realize exactly the
+//!   Uniform Pull law.
 //! * **Control plane** ([`ReportMode`]) — shards report sparse
 //!   `(slot, count)` pairs over their locally occupied colors, folded
 //!   into one persistent merged [`Configuration`] via
@@ -41,13 +40,17 @@
 //!   changed-slot set collapses — `O(#changed)` per round exactly where
 //!   the high-occupancy Theorem-5 regime lives.
 //! * **Shard representation** ([`ShardRepr`]) — by default shards whose
-//!   rule consumes multisets or single peers on the batched wire are
-//!   *condensed*: their whole state is a local histogram, stepped by
-//!   closed-form aggregate draws — `O(#occupied)` memory and, in the
-//!   push gear, `O(#occupied · h)` per-round compute, independent of
-//!   `local_n` — which is what makes `n ≥ 10⁸` Theorem-5 sweeps
-//!   tractable. [`ShardRepr::Agents`] forces the materialized per-agent
-//!   vector everywhere as the paired baseline.
+//!   rule consumes multisets or single peers are *condensed*: their
+//!   whole state is a local histogram, stepped by closed-form aggregate
+//!   draws — `O(#occupied)` memory and, in the push gear,
+//!   `O(#occupied · h)` per-round compute, independent of `local_n` —
+//!   which is what makes `n ≥ 10⁸` Theorem-5 sweeps tractable.
+//!   Ordered-window rules (2-Choices) keep the per-agent vector, which
+//!   [`ShardRepr::Agents`] forces everywhere.
+//! * **Round state** ([`RoundStateMode`]) — the byte-exact default
+//!   rebuilds every per-round sampler; the incremental mode broadcasts
+//!   push-gear histogram deltas and patches persistent samplers in
+//!   `O(#changed)`.
 //! * **Fault layer** ([`FaultPlan`]) — a seeded, deterministic fault
 //!   schedule interposes on the wire path: dropped / duplicated /
 //!   delayed palettes and reports, crash-stop shards that rejoin from
@@ -77,7 +80,7 @@
 //!
 //! # Examples
 //!
-//! Run to consensus on the default (batched, sparse-report) formats:
+//! Run to consensus on the default (sparse-report) formats:
 //!
 //! ```
 //! use symbreak_runtime::{Cluster, ClusterConfig};
@@ -116,17 +119,15 @@ pub mod shard;
 pub mod transport;
 
 pub use cluster::{
-    Cluster, ClusterConfig, ClusterOutcome, ConsumeMode, GearMode, HorizonOutcome, ReportMode,
-    ShardRepr, WireMode,
+    Cluster, ClusterConfig, ClusterOutcome, GearMode, HorizonOutcome, ReportMode, RoundStateMode,
+    ShardRepr,
 };
 pub use fault::{
     ByzantineSpec, CorruptionKind, CrashSpec, FaultCounters, FaultKind, FaultPlan, StopReason,
 };
 pub use message::{
-    DataFormat, OpinionPalette, PullBatch, ReportBody, ReportFormat, Request, ShardMessage,
-    TargetRun,
+    DataFormat, OpinionPalette, PullBatch, ReportBody, ReportFormat, ShardMessage, TargetRun,
 };
-pub use symbreak_core::RoundStateMode;
 pub use transport::{
     shard_process_main, spawn_shard_process, RuleSpec, SocketConfig, Transport, TransportAddr,
     TransportLost, WireRule,

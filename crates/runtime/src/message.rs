@@ -1,37 +1,17 @@
 //! The cluster wire protocol: every message type exchanged between
-//! shards and with the coordinator, in both wire modes.
+//! shards and with the coordinator.
 //!
 //! # Data plane
 //!
 //! All inter-shard traffic is batched per (sender-shard, receiver-shard)
-//! pair per phase. The runtime speaks one of two wire formats, selected
-//! by [`crate::WireMode`]:
-//!
-//! ## Per-entry (`WireMode::PerEntry`)
-//!
-//! The PR 3 format, kept as the paired-benchmark baseline. Each of a
-//! node's `h` pulls travels as its own [`Request`] entry and comes back
-//! as its own [`Reply`] entry, so a round moves exactly `2·n·h` entries
-//! through the channels. The two phases close differently:
-//!
-//! * **Requests** are counted by *batches*: every shard sends exactly one
-//!   request batch to every shard each round, empty or not, so a shard
-//!   knows the request phase is over once it has received one batch per
-//!   shard.
-//! * **Replies** are counted by *entries*: a shard expects exactly
-//!   `local_n · h` reply entries per round, so empty reply batches carry
-//!   no information and are **not** sent.
-//!
-//! ## Batched (`WireMode::Batched`)
-//!
-//! The aggregate format. Uniform pulls are anonymous and exchangeable,
-//! so per-pair traffic collapses to at most two messages per round, in
-//! one of two coordinator-arbitrated gears ([`DataFormat`]):
+//! pair per phase. Uniform pulls are anonymous and exchangeable, so
+//! per-pair traffic collapses to at most two messages per round, in one
+//! of two coordinator-arbitrated gears ([`DataFormat`]):
 //!
 //! **Pull gear** (the diverse regime):
 //!
 //! * a [`PullBatch`] of [`TargetRun`]s — "draw `count` uniform targets
-//!   from this shard-local id range" — in place of the individual
+//!   from this shard-local id range" — in place of individual per-node
 //!   requests (one run covering the peer's whole range suffices for
 //!   Uniform Pull, so a batch is `O(1)` entries);
 //! * an [`OpinionPalette`] reply, *sampled shard-side* — raw drawn
@@ -57,23 +37,19 @@
 //! entries per round regardless of `n`.
 //!
 //! In both gears the realized process law is *exactly* Uniform Pull
-//! (cross-validated against the engines), but the RNG discipline
-//! differs from per-entry mode, so the two wire modes realize
-//! different (equally lawful) trajectories per seed.
+//! (cross-validated against the engines).
 //!
-//! The batched wire is **representation-agnostic**: nothing in a
+//! The wire is **representation-agnostic**: nothing in a
 //! [`PullBatch`], [`OpinionPalette`], or report body reveals whether the
 //! serving shard materializes its agents ([`crate::ShardRepr::Agents`])
 //! or keeps only a local histogram ([`crate::ShardRepr::Histogram`]).
 //! Palettes are distributional objects (iid draws from the frozen
 //! round-start snapshot), which a histogram serves directly; per-node
-//! sample reassembly is a *consumer*-side choice. Only the per-entry
-//! format is inherently agent-addressed, which is why it forces the
-//! agent-backed representation.
+//! sample reassembly is a *consumer*-side choice.
 //!
 //! # Control plane
 //!
-//! Per-round shard reports carry one of three [`ReportBody`] formats,
+//! Per-round shard reports carry one of two [`ReportBody`] formats,
 //! commanded round-by-round by the coordinator via [`Control::Round`]
 //! (all shards use the same format within a round, which is what keeps
 //! the coordinator's single merged configuration mergeable):
@@ -88,16 +64,13 @@
 //!   keeps `Θ(n)` colors alive over the whole Theorem-5 horizon (so
 //!   absolute reports stay `O(local_n)`) while only `O(1)` nodes switch
 //!   per round once the process stalls.
-//! * [`ReportBody::Dense`] — the full `k`-slot count vector (the
-//!   pre-sparse format, kept as the paired-benchmark baseline).
 //!
-//! The report format never touches the protocol's RNG streams, so all
-//! three formats realize the identical trajectory for a given seed and
-//! wire mode.
+//! The report format never touches the protocol's RNG streams, so both
+//! formats realize the identical trajectory for a given seed.
 //!
 //! # Fault tagging and accounting
 //!
-//! Every batched data-plane message and every report carries the round
+//! Every data-plane message and every report carries the round
 //! it belongs to. In the fault-free cluster the coordinator's report
 //! barrier makes the tags redundant (every message a shard receives is
 //! for its current round); under an active [`crate::FaultPlan`] they
@@ -118,34 +91,10 @@
 
 use symbreak_core::Opinion;
 
-/// A pull request: node `requester` (global id) asks for the opinion of
-/// node `target` (global id, owned by the receiving shard).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Request {
-    /// Global id of the node whose opinion is requested.
-    pub target: u32,
-    /// Global id of the requesting node (used only to route the reply and
-    /// slot it into the right sample position).
-    pub requester: u32,
-    /// Which of the requester's `h` sample slots this request fills.
-    pub slot: u8,
-}
-
-/// A pull reply carrying the opinion of the target at the round start.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Reply {
-    /// Global id of the requesting node.
-    pub requester: u32,
-    /// Sample slot being filled.
-    pub slot: u8,
-    /// The pulled opinion.
-    pub opinion: Opinion,
-}
-
 /// One run of an aggregate pull: "draw `count` uniform random targets
 /// from the shard-local id range `[start, start + len)`".
 ///
-/// Runs are the unit the batched wire mode counts as a message entry.
+/// Runs are the unit the wire counts as a message entry.
 /// Uniform Pull needs only one run spanning the peer's whole range, but
 /// the format admits subranges so non-uniform pull distributions stay
 /// expressible on the same wire.
@@ -160,7 +109,7 @@ pub struct TargetRun {
 }
 
 /// All pulls a shard addresses to the receiving shard this round, as
-/// sorted target runs ([`crate::WireMode::Batched`]).
+/// sorted target runs.
 ///
 /// Every shard sends every shard exactly one pull batch per round (empty
 /// or not) — batches close the pull phase.
@@ -186,8 +135,8 @@ pub struct PullBatch {
 ///   palette is `O(#distinct opinions)` rather than `O(count)`.
 /// * **Raw** (`runs` empty): `palette` is the drawn opinions verbatim,
 ///   one entry per draw. Used in the many-color regime, where a
-///   histogram would not compress (`#distinct ≈ count`) — still half
-///   of per-entry mode's `2·count` entries, with no per-entry routing.
+///   histogram would not compress (`#distinct ≈ count`) — one entry
+///   per draw, with no per-node routing.
 ///
 /// Every shard sends every shard exactly one palette per round (empty
 /// or not) — palettes close the reply phase by batch count.
@@ -211,15 +160,9 @@ pub struct OpinionPalette {
 /// Batched shard-to-shard traffic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardMessage {
-    /// All per-entry requests a shard addresses to the receiving shard
-    /// this round ([`crate::WireMode::PerEntry`]).
-    Requests(Vec<Request>),
-    /// All per-entry replies a shard returns to the receiving shard this
-    /// round ([`crate::WireMode::PerEntry`]).
-    Replies(Vec<Reply>),
-    /// One aggregate pull batch ([`crate::WireMode::Batched`]).
+    /// One aggregate pull batch.
     Pull(PullBatch),
-    /// One aggregate reply palette ([`crate::WireMode::Batched`]).
+    /// One aggregate reply palette.
     Palette(OpinionPalette),
 }
 
@@ -237,12 +180,9 @@ pub enum ReportFormat {
     Sparse,
     /// Signed `(slot, Δcount)` pairs ([`ReportBody::Delta`]).
     Delta,
-    /// Dense `k`-slot vectors ([`ReportBody::Dense`]).
-    Dense,
 }
 
-/// Data-plane format for one batched round, commanded by the
-/// coordinator (ignored in per-entry wire mode).
+/// Data-plane format for one round, commanded by the coordinator.
 ///
 /// Like [`ReportFormat`], keeping the format uniform across shards
 /// within a round is what keeps the protocol simple: in a push round
@@ -276,7 +216,7 @@ pub enum Control {
         round: u64,
         /// Report wire format for the round.
         report: ReportFormat,
-        /// Data-plane format for the round (batched wire only).
+        /// Data-plane format for the round.
         data: DataFormat,
     },
     /// Revive a crash-stopped shard from the coordinator's snapshot of
@@ -302,7 +242,7 @@ pub enum Control {
 ///
 /// # Example
 ///
-/// The same round, reported three ways — a shard whose 10 nodes sit on
+/// The same round, reported two ways — a shard whose 10 nodes sit on
 /// slots 3 and 7 of a `k = 8` configuration, after one node moved
 /// `7 → 3`:
 ///
@@ -311,10 +251,8 @@ pub enum Control {
 ///
 /// let sparse = ReportBody::Sparse(vec![(3, 9), (7, 1)]); // absolute
 /// let delta = ReportBody::Delta(vec![(3, 1), (7, -1)]);  // what changed
-/// let dense = ReportBody::Dense(vec![0, 0, 0, 9, 0, 0, 0, 1]);
 /// assert_eq!(sparse.entries(), 2);
 /// assert_eq!(delta.entries(), 2);
-/// assert_eq!(dense.entries(), 8); // always O(k) on the wire
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReportBody {
@@ -327,18 +265,14 @@ pub enum ReportBody {
     /// changed this round; every `Δcount` is non-zero. `O(#changed)` on
     /// the wire — the stalled-regime format.
     Delta(Vec<(u32, i64)>),
-    /// Per-color support over all `k` slots (the pre-sparse format, kept
-    /// as the paired-benchmark baseline).
-    Dense(Vec<u64>),
 }
 
 impl ReportBody {
-    /// Number of wire entries the body carries (pairs, or dense slots).
+    /// Number of `(slot, value)` pairs the body carries on the wire.
     pub fn entries(&self) -> u64 {
         match self {
             ReportBody::Sparse(pairs) => pairs.len() as u64,
             ReportBody::Delta(pairs) => pairs.len() as u64,
-            ReportBody::Dense(counts) => counts.len() as u64,
         }
     }
 }
@@ -358,8 +292,7 @@ pub struct ShardReport {
     /// Undecided nodes in this shard.
     pub undecided: u64,
     /// Point-to-point wire entries this shard sent during the round
-    /// (request/reply entries in per-entry mode; target runs plus
-    /// palette and run entries in batched mode). Under an active fault
+    /// (target runs plus palette and run entries). Under an active fault
     /// plan this includes entries transmitted-and-lost, counts
     /// duplicated transmissions twice, and carries forward the tally of
     /// any previous report that was itself dropped (see the
@@ -391,28 +324,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn message_shapes() {
-        let r = Request { target: 1, requester: 2, slot: 0 };
-        assert_eq!(r.target, 1);
-        let msg = ShardMessage::Requests(vec![r]);
-        match msg {
-            ShardMessage::Requests(v) => assert_eq!(v.len(), 1),
-            _ => panic!("wrong variant"),
-        }
-    }
-
-    #[test]
-    fn reply_carries_opinion() {
-        let rep = Reply { requester: 3, slot: 1, opinion: Opinion::new(9) };
-        assert_eq!(rep.opinion, Opinion::new(9));
-        assert_eq!(rep.slot, 1);
-    }
-
-    #[test]
     fn report_bodies_compare_structurally() {
         let sparse = ReportBody::Sparse(vec![(0, 2), (3, 1)]);
         assert_eq!(sparse, ReportBody::Sparse(vec![(0, 2), (3, 1)]));
-        assert_ne!(sparse, ReportBody::Dense(vec![2, 0, 0, 1]));
         assert_ne!(ReportBody::Delta(vec![(0, 2)]), ReportBody::Sparse(vec![(0, 2)]));
     }
 
@@ -420,7 +334,6 @@ mod tests {
     fn report_body_entry_counts() {
         assert_eq!(ReportBody::Sparse(vec![(0, 2), (3, 1)]).entries(), 2);
         assert_eq!(ReportBody::Delta(vec![(7, -4)]).entries(), 1);
-        assert_eq!(ReportBody::Dense(vec![2, 0, 0, 1]).entries(), 4);
     }
 
     #[test]

@@ -1,15 +1,8 @@
 //! Shard workers: each thread owns a contiguous range of nodes and speaks
-//! the wire protocol of [`crate::message`] in the configured
-//! [`WireMode`].
+//! the wire protocol of [`crate::message`].
 //!
-//! **Per-entry mode** recycles its batch buffers: outgoing request and
-//! reply batches are drawn from per-type buffer pools that are
-//! replenished by the batches *received* from peers (each round a shard
-//! sends and receives the same number of batches of each type, so the
-//! pools reach equilibrium after the first round).
-//!
-//! **Batched mode** aggregates, in two coordinator-arbitrated gears.
-//! In the *pull* gear each peer gets one [`PullBatch`] (a single
+//! Traffic is aggregated, in two coordinator-arbitrated gears. In the
+//! *pull* gear each peer gets one [`PullBatch`] (a single
 //! [`TargetRun`] covering the peer's whole range), answered by one
 //! [`OpinionPalette`] sampled shard-side from the server's round-start
 //! opinions. Pull batches are served the moment they arrive
@@ -24,10 +17,9 @@
 //! to its current round (asserted, not assumed).
 //!
 //! How the received aggregates become node updates is dispatched on
-//! the rule's [`SampleAccess`] (under [`ConsumeMode::Native`], batched
-//! wire only):
+//! the rule's [`SampleAccess`]:
 //!
-//! * **ordered window** (and [`ConsumeMode::Ordered`]) — pull palettes
+//! * **ordered window** (2-Choices) — pull palettes
 //!   are dealt into the sample buffer in origin order through an
 //!   inside-out Fisher–Yates (an iid sequence conditioned on its
 //!   multiset is a uniform arrangement, so per-node samples are
@@ -50,8 +42,8 @@
 //! round's counts so it can emit signed `(slot, Δcount)` bodies of size
 //! `O(#changed)` when the coordinator commands [`ReportFormat::Delta`].
 //!
-//! Under [`crate::cluster::ShardRepr::Histogram`] (batched wire, native
-//! consumption, multiset or single-peer rule) the worker is
+//! Under [`crate::cluster::ShardRepr::Histogram`] (multiset or
+//! single-peer rule, see `cluster::shard_is_condensed`) the worker is
 //! **condensed**: it never materializes a per-agent opinion vector at
 //! all. Its only state is a [`Configuration`]-backed local histogram
 //! plus the undecided count. The round-start snapshot mirrors the
@@ -69,7 +61,7 @@
 //! verifies them in `O(#occupied)` with no dense recount. The
 //! agent-backed paths are untouched (byte-identical per seed).
 //!
-//! Under an **active [`FaultPlan`]** (batched wire only) the worker
+//! Under an **active [`FaultPlan`]** the worker
 //! runs fault-aware exchange variants: fault decisions are stateless
 //! hashes shared with every peer and the coordinator (see
 //! [`crate::fault`]), so senders intercept their own transmissions
@@ -88,10 +80,10 @@
 
 use rand::{Rng, SeedableRng};
 
-use symbreak_core::{Opinion, RoundStateMode, SampleAccess, UpdateRule};
+use symbreak_core::{Opinion, SampleAccess, UpdateRule};
 use symbreak_sim::dist::{
     expected_window_visits, expected_window_visits_counts, sample_multinomial_into,
-    sample_multinomial_sparse_into, Binomial, Categorical, DynamicCategorical, GroupSplitter,
+    sample_multinomial_sparse_into, Binomial, Categorical, FenwickPool, GroupSplitter,
     WindowMultinomial, WindowSplitter, WALK_CANDIDATE_CAP,
 };
 use symbreak_sim::rng::{trial_seed, Pcg64};
@@ -99,12 +91,12 @@ use symbreak_sim::rng::{trial_seed, Pcg64};
 use symbreak_adversary::{Adversary, RandomFlipper};
 use symbreak_core::Configuration;
 
-use crate::cluster::{ConsumeMode, ReportMode, ShardRepr, WireMode};
+use crate::cluster::{shard_is_condensed, ReportMode, RoundStateMode, ShardRepr};
 use crate::codec::{unzigzag, zigzag};
 use crate::fault::{CorruptionKind, FaultKind, FaultPlan, BYZANTINE_SALT};
 use crate::message::{
-    Control, DataFormat, OpinionPalette, PullBatch, Reply, ReportBody, ReportFormat, Request,
-    ShardMessage, ShardReport, TargetRun,
+    Control, DataFormat, OpinionPalette, PullBatch, ReportBody, ReportFormat, ShardMessage,
+    ShardReport, TargetRun,
 };
 use crate::transport::{Transport, TransportLost};
 
@@ -132,10 +124,14 @@ impl Partition {
 
     pub fn range(&self, shard: usize) -> std::ops::Range<u32> {
         // Both ends clamp to n: with chunk = ceil(n/shards), trailing
-        // shards can be empty (e.g. n = 10, shards = 8).
-        let lo = ((shard as u32) * self.chunk).min(self.n);
-        let hi = ((shard as u32 + 1) * self.chunk).min(self.n);
-        lo..hi
+        // shards can be empty (e.g. n = 10, shards = 8). The products
+        // run in u64 — `(shard + 1) · chunk` can exceed u32::MAX for a
+        // trailing shard even though the clamped result fits.
+        let n = u64::from(self.n);
+        let chunk = u64::from(self.chunk);
+        let lo = (shard as u64 * chunk).min(n);
+        let hi = ((shard as u64 + 1) * chunk).min(n);
+        lo as u32..hi as u32
     }
 }
 
@@ -148,8 +144,6 @@ pub(crate) struct ShardSpec {
     pub partition: Partition,
     pub k_slots: usize,
     pub report_mode: ReportMode,
-    pub wire_mode: WireMode,
-    pub consume_mode: ConsumeMode,
     pub repr: ShardRepr,
     pub master_seed: u64,
     pub plan: FaultPlan,
@@ -159,7 +153,7 @@ pub(crate) struct ShardSpec {
 /// A shard's seed state, matching its representation: the coordinator
 /// sends a sparse histogram body to condensed shards and a materialized
 /// opinion vector otherwise (the worker asserts the variant against the
-/// spec's representation and the rule's effective sample access).
+/// spec's representation and the rule's sample access).
 pub(crate) enum ShardInit {
     Agents(Vec<Opinion>),
     Histogram(Vec<(u32, u64)>),
@@ -256,7 +250,7 @@ const MEGA_DISPATCH_FACTOR: u64 = 16;
 /// Tallies `opinions` into the dense `counts` scratch (assumed zero
 /// outside `touched`), recording first-touched slots, and returns the
 /// undecided count. The one histogram loop behind the delta baseline,
-/// both batched data planes, and the report builder.
+/// both data-plane gears, and the report builder.
 fn count_opinions(opinions: &[Opinion], counts: &mut [u64], touched: &mut Vec<u32>) -> u64 {
     let mut undecided = 0u64;
     for &o in opinions {
@@ -284,17 +278,14 @@ enum Mirror {
 }
 
 /// One shard's mutable round state: the owned opinions plus every
-/// reusable buffer of both wire modes and the report formats.
+/// reusable buffer of both gears and the report formats.
 struct Worker<R, T> {
     shard_id: usize,
     partition: Partition,
     k_slots: usize,
     report_mode: ReportMode,
-    wire_mode: WireMode,
-    /// The effective sample access this worker dispatches on:
-    /// the rule's declared access under [`ConsumeMode::Native`] on the
-    /// batched wire, [`SampleAccess::OrderedWindow`] otherwise (the
-    /// per-entry wire is per-draw by construction).
+    /// The rule's declared sample access, which the consume paths
+    /// dispatch on.
     access: SampleAccess,
     rule: R,
     /// The materialized agent vector — empty on a condensed shard,
@@ -303,14 +294,13 @@ struct Worker<R, T> {
     transport: T,
     rng: Pcg64,
     h: usize,
-    lo: u32,
     /// One sample slot per (local node, pull): `samples[local·h + s]`.
     samples: Vec<Opinion>,
 
     // Condensed (histogram) representation state.
     /// Whether this worker is condensed (see the module docs): decided
     /// once at construction from the spec's [`ShardRepr`] and the
-    /// effective sample access, never per round.
+    /// sample access, never per round.
     condensed: bool,
     /// The shard's node count — `opinions.len()` on agent-backed
     /// shards, the seed-body mass on condensed ones.
@@ -363,21 +353,13 @@ struct Worker<R, T> {
     /// Condensed push-step output scratch (entries may repeat).
     step_out: Vec<(Opinion, u64)>,
 
-    // Per-entry wire state.
-    snapshot: Vec<Opinion>,
-    outgoing: Vec<Vec<Request>>,
-    reply_out: Vec<Vec<Reply>>,
-    request_pool: Vec<Vec<Request>>,
-    reply_pool: Vec<Vec<Reply>>,
-
-    // Batched wire state.
+    // Data-plane state.
     dest_theta: Vec<f64>,
     dest_counts: Vec<u64>,
     /// One serving RNG stream per requesting shard: palettes for origin
     /// `o` always draw from `serve_rngs[o]`, so batches can be served
-    /// the moment they arrive (pipelined, like per-entry mode) while
-    /// keeping the realized trajectory independent of channel arrival
-    /// order.
+    /// the moment they arrive (pipelined) while keeping the realized
+    /// trajectory independent of channel arrival order.
     serve_rngs: Vec<Pcg64>,
     run_pool: Vec<Vec<TargetRun>>,
     palette_pool: Vec<PaletteBuffers>,
@@ -398,9 +380,9 @@ struct Worker<R, T> {
     alias_values: Vec<Opinion>,
 
     // Incremental (delta-patched) round state. Engages only when the
-    // spec asks for [`RoundStateMode::Incremental`] on a condensed,
-    // batched, fault-free worker — decided once at construction; every
-    // other combination keeps the rebuild paths bit-for-bit.
+    // spec asks for [`RoundStateMode::Incremental`] on a fault-free
+    // worker — decided once at construction; every other combination
+    // keeps the rebuild paths bit-for-bit.
     inc: bool,
     /// Last round this shard broadcast a push histogram. Deltas are
     /// only lawful between *consecutive* push rounds; sender and every
@@ -441,7 +423,7 @@ struct Worker<R, T> {
     /// histogram diff at each round-start snapshot, then drawn from in
     /// `O(log k)` per pull — small raw batches skip the `O(local_n)`
     /// flat-mirror fill entirely.
-    serve_fen: DynamicCategorical,
+    serve_fen: FenwickPool,
     /// The `hist_pairs` state `serve_fen` currently reflects.
     serve_fen_prev: Vec<(u32, u64)>,
     /// Pooled sparse report bodies, recycled by the transport after
@@ -495,54 +477,32 @@ struct Worker<R, T> {
 
 impl<R: UpdateRule, T: Transport> Worker<R, T> {
     fn new(shard_id: usize, spec: ShardSpec, rule: R, init: ShardInit, transport: T) -> Self {
-        let ShardSpec {
-            partition,
-            k_slots,
-            report_mode,
-            wire_mode,
-            consume_mode,
-            repr,
-            master_seed,
-            plan,
-            round_state,
-        } = spec;
+        let ShardSpec { partition, k_slots, report_mode, repr, master_seed, plan, round_state } =
+            spec;
         let rng = Pcg64::seed_from_u64(trial_seed(master_seed, shard_id as u64 + 1));
         let h = rule.sample_count();
         let shards = partition.shards;
-        let per_entry = wire_mode == WireMode::PerEntry;
-        let batched = !per_entry;
         let tracking = report_mode == ReportMode::Delta;
-        // The per-entry wire is per-draw by construction, so native
-        // consumption only applies on the batched data plane.
-        let access = if batched && consume_mode == ConsumeMode::Native {
-            let access = rule.sample_access();
-            assert!(
-                access != SampleAccess::Multiset || rule.as_multiset().is_some(),
-                "Multiset access requires a MultisetRule impl"
-            );
-            debug_assert!(access != SampleAccess::SinglePeer || h == 1);
-            access
-        } else {
-            SampleAccess::OrderedWindow
-        };
-        // Condensed iff the representation asks for it and the rule's
-        // effective access can consume histograms — and the init
-        // variant must agree (the coordinator applies this predicate).
-        let condensed = repr == ShardRepr::Histogram && access != SampleAccess::OrderedWindow;
+        let access = rule.sample_access();
+        assert!(
+            access != SampleAccess::Multiset || rule.as_multiset().is_some(),
+            "Multiset access requires a MultisetRule impl"
+        );
+        debug_assert!(access != SampleAccess::SinglePeer || h == 1);
+        // The init variant must agree with the coordinator's predicate.
+        let condensed = shard_is_condensed(repr, access);
         assert_eq!(
             condensed,
             matches!(init, ShardInit::Histogram(_)),
             "shard init variant must match the condensed predicate"
         );
-        // Incremental round state applies on the batched data plane,
-        // where the per-round sampler and union rebuilds live: the
-        // push gear's delta broadcasts (agent-backed and condensed
-        // alike) and the condensed serving sampler. Per-entry workers
-        // have no per-round rebuild to amortize, and active fault
-        // plans re-derive state across drop/rejoin windows that a
-        // delta chain cannot span — both keep the rebuild path
+        // Incremental round state amortizes the per-round sampler and
+        // union rebuilds: the push gear's delta broadcasts (agent-backed
+        // and condensed alike) and the condensed serving sampler. Active
+        // fault plans re-derive state across drop/rejoin windows that a
+        // delta chain cannot span, so they keep the rebuild path
         // regardless of the knob.
-        let inc = round_state == RoundStateMode::Incremental && batched && !plan.is_active();
+        let inc = round_state == RoundStateMode::Incremental && !plan.is_active();
         let (opinions, hist_pairs, local_n) = match init {
             ShardInit::Agents(opinions) => {
                 let local_n = opinions.len();
@@ -574,12 +534,10 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             partition,
             k_slots,
             report_mode,
-            wire_mode,
             access,
             rule,
             rng,
             h,
-            lo: partition.range(shard_id).start,
             // Single-peer-native workers never materialize samples — both
             // gears write the dealt multiset straight into `opinions` and
             // there is no ordered fallback on that path. Condensed
@@ -603,48 +561,24 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             serve_flat_fresh: false,
             groups: Vec::new(),
             step_out: Vec::new(),
-            snapshot: if per_entry { opinions.clone() } else { Vec::new() },
-            outgoing: if per_entry {
-                (0..shards).map(|_| Vec::new()).collect()
-            } else {
-                Vec::new()
-            },
-            reply_out: if per_entry {
-                (0..shards).map(|_| Vec::new()).collect()
-            } else {
-                Vec::new()
-            },
-            request_pool: Vec::new(),
-            reply_pool: Vec::new(),
-            dest_theta: if batched {
-                (0..shards).map(|d| partition.range(d).len() as f64).collect()
-            } else {
-                Vec::new()
-            },
-            dest_counts: if batched { vec![0; shards] } else { Vec::new() },
-            serve_rngs: if batched {
-                // A distinct stream per (server, origin) pair, salted so
-                // it never collides with the shard round streams.
-                (0..shards)
-                    .map(|origin| {
-                        let pair = (shard_id * shards + origin) as u64;
-                        Pcg64::seed_from_u64(trial_seed(
-                            master_seed ^ 0x9E37_79B9_7F4A_7C15,
-                            pair + 1,
-                        ))
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            },
+            dest_theta: (0..shards).map(|d| partition.range(d).len() as f64).collect(),
+            dest_counts: vec![0; shards],
+            // A distinct stream per (server, origin) pair, salted so it
+            // never collides with the shard round streams.
+            serve_rngs: (0..shards)
+                .map(|origin| {
+                    let pair = (shard_id * shards + origin) as u64;
+                    Pcg64::seed_from_u64(trial_seed(master_seed ^ 0x9E37_79B9_7F4A_7C15, pair + 1))
+                })
+                .collect(),
             run_pool: Vec::new(),
             palette_pool: Vec::new(),
-            snap_counts: if batched { vec![0; k_slots] } else { Vec::new() },
+            snap_counts: vec![0; k_slots],
             snap_touched: Vec::new(),
             snap_undecided: 0,
-            serve_counts: if batched { vec![0; k_slots] } else { Vec::new() },
+            serve_counts: vec![0; k_slots],
             theta_scratch: Vec::new(),
-            recv_palettes: if batched { (0..shards).map(|_| None).collect() } else { Vec::new() },
+            recv_palettes: (0..shards).map(|_| None).collect(),
             alias_weights: Vec::new(),
             alias_values: Vec::new(),
             inc,
@@ -659,11 +593,7 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             union_occ_scratch: Vec::new(),
             push_cat: None,
             push_cat_stale: true,
-            serve_fen: if inc && condensed {
-                DynamicCategorical::with_slots(k_slots + 1)
-            } else {
-                DynamicCategorical::with_slots(0)
-            },
+            serve_fen: FenwickPool::with_slots(if inc && condensed { k_slots + 1 } else { 0 }),
             serve_fen_prev: Vec::new(),
             report_pool: Vec::new(),
             window: Vec::new(),
@@ -769,7 +699,7 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         fen.set(self.k_slots, self.hist_undecided);
         self.serve_fen_prev.clone_from(&self.hist_pairs);
         debug_assert_eq!(
-            self.serve_fen.total(),
+            self.serve_fen.remaining(),
             self.local_n as u64,
             "serving sampler must carry exactly the shard's mass"
         );
@@ -866,19 +796,14 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         if faulty {
             self.flush_delayed();
         }
-        match (self.wire_mode, data, self.access) {
-            (WireMode::PerEntry, _, _) => {
-                debug_assert!(!faulty, "fault plans require the batched wire");
-                self.pull_per_entry(&mut messages_sent)?;
-                self.apply_ordered_windows();
-            }
-            (WireMode::Batched, DataFormat::Pull, access) => {
+        match data {
+            DataFormat::Pull => {
                 if faulty {
                     self.pull_exchange_faulty(&mut messages_sent)?;
                 } else {
                     self.pull_exchange(&mut messages_sent)?;
                 }
-                match (self.condensed, access) {
+                match (self.condensed, self.access) {
                     (false, SampleAccess::OrderedWindow) => {
                         self.deal_palettes_ordered();
                         self.apply_ordered_windows();
@@ -892,13 +817,13 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
                     }
                 }
             }
-            (WireMode::Batched, DataFormat::Push, access) => {
+            DataFormat::Push => {
                 if faulty {
                     self.push_exchange_faulty(&mut messages_sent)?;
                 } else {
                     self.push_exchange(&mut messages_sent)?;
                 }
-                match (self.condensed, access) {
+                match (self.condensed, self.access) {
                     (false, SampleAccess::OrderedWindow) => {
                         self.sample_push_ordered();
                         self.apply_ordered_windows();
@@ -918,7 +843,7 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             // round that materialized opinions or samples has silently
             // fallen off the O(#occupied) path.
             debug_assert!(
-                self.opinions.is_empty() && self.samples.is_empty() && self.snapshot.is_empty(),
+                self.opinions.is_empty() && self.samples.is_empty(),
                 "condensed shard materialized per-agent state"
             );
         }
@@ -1071,79 +996,9 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         }
     }
 
-    /// The PR 3 data plane: one [`Request`]/[`Reply`] entry per pull.
-    fn pull_per_entry(&mut self, messages_sent: &mut u64) -> Result<(), TransportLost> {
-        let local_n = self.opinions.len();
-        let shards = self.partition.shards;
-        // Freeze the round-start snapshot (synchrony: replies quote it).
-        self.snapshot.clone_from(&self.opinions);
-
-        // Issue h uniform pull requests per local node, batched per
-        // destination shard. Every destination gets exactly one request
-        // batch, empty or not — batches close the request phase.
-        for local in 0..local_n {
-            let requester = self.lo + local as u32;
-            for slot in 0..self.h {
-                let target = self.rng.gen_range(0..self.partition.n);
-                self.outgoing[self.partition.owner(target)].push(Request {
-                    target,
-                    requester,
-                    slot: slot as u8,
-                });
-            }
-        }
-        for (dest, out) in self.outgoing.iter_mut().enumerate() {
-            let batch = std::mem::replace(out, self.request_pool.pop().unwrap_or_default());
-            *messages_sent += batch.len() as u64;
-            self.transport.send(dest, ShardMessage::Requests(batch));
-        }
-
-        // Serve requests as they arrive and absorb replies until both
-        // sides of the round are complete. Replies are counted by entry
-        // (`local_n · h` expected), so empty reply batches are skipped.
-        let mut request_batches = 0usize;
-        let expected_replies = local_n * self.h;
-        let mut replies_received = 0usize;
-        while request_batches < shards || replies_received < expected_replies {
-            match self.transport.recv()? {
-                ShardMessage::Requests(mut batch) => {
-                    request_batches += 1;
-                    for req in batch.drain(..) {
-                        let opinion = self.snapshot[(req.target - self.lo) as usize];
-                        self.reply_out[self.partition.owner(req.requester)].push(Reply {
-                            requester: req.requester,
-                            slot: req.slot,
-                            opinion,
-                        });
-                    }
-                    self.request_pool.push(batch);
-                    for (dest, out) in self.reply_out.iter_mut().enumerate() {
-                        if out.is_empty() {
-                            continue;
-                        }
-                        let replies =
-                            std::mem::replace(out, self.reply_pool.pop().unwrap_or_default());
-                        *messages_sent += replies.len() as u64;
-                        self.transport.send(dest, ShardMessage::Replies(replies));
-                    }
-                }
-                ShardMessage::Replies(mut batch) => {
-                    replies_received += batch.len();
-                    for rep in batch.drain(..) {
-                        let local = (rep.requester - self.lo) as usize;
-                        self.samples[local * self.h + rep.slot as usize] = rep.opinion;
-                    }
-                    self.reply_pool.push(batch);
-                }
-                _ => unreachable!("batched message on a per-entry cluster"),
-            }
-        }
-        Ok(())
-    }
-
     /// Applies the update rule to the dealt sample windows, in
-    /// deterministic node order — the ordered-window consumption shared
-    /// by the per-entry wire and [`ConsumeMode::Ordered`].
+    /// deterministic node order — the ordered-window consumption of
+    /// 2-Choices-style rules and the multiset paths' diverse fallback.
     fn apply_ordered_windows(&mut self) {
         let local_n = self.opinions.len();
         for local in 0..local_n {
@@ -1153,7 +1008,7 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         }
     }
 
-    /// The aggregate data plane's exchange phase: one [`PullBatch`] and
+    /// The pull gear's exchange phase: one [`PullBatch`] and
     /// one [`OpinionPalette`] per peer per round. Ends with this round's
     /// palettes parked in `recv_palettes`, consumption left to the
     /// [`SampleAccess`]-dispatched caller.
@@ -1214,7 +1069,6 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
                     self.recv_palettes[p.origin as usize] = Some((p.palette, p.runs));
                     palettes += 1;
                 }
-                _ => unreachable!("per-entry message on a batched cluster"),
             }
         }
 
@@ -1801,7 +1655,9 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
                     self.recv_palettes[p.origin as usize] = Some((p.palette, p.runs));
                     palettes += 1;
                 }
-                _ => unreachable!("round lockstep: pull or per-entry message in a push round"),
+                ShardMessage::Pull(_) => {
+                    unreachable!("round lockstep: pull message in a push round")
+                }
             }
         }
 
@@ -1937,7 +1793,9 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
                     self.recv_palettes[p.origin as usize] = Some((p.palette, p.runs));
                     palettes += 1;
                 }
-                _ => unreachable!("round lockstep: pull or per-entry message in a push round"),
+                ShardMessage::Pull(_) => {
+                    unreachable!("round lockstep: pull message in a push round")
+                }
             }
         }
 
@@ -2105,7 +1963,6 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             match msg {
                 ShardMessage::Pull(b) => b.round,
                 ShardMessage::Palette(p) => p.round,
-                _ => unreachable!("per-entry message on a batched cluster"),
             }
         }
         if let Some(i) = self.pending.iter().position(|m| tag(m) == self.round_no) {
@@ -2250,7 +2107,6 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
                     palettes += 1;
                     self.absorb_palette(p);
                 }
-                _ => unreachable!("per-entry message on a batched cluster"),
             }
         }
 
@@ -2378,7 +2234,9 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
                     palettes += 1;
                     self.absorb_palette(p);
                 }
-                _ => unreachable!("round lockstep: pull or per-entry message in a push round"),
+                ShardMessage::Pull(_) => {
+                    unreachable!("round lockstep: pull message in a push round")
+                }
             }
         }
 
@@ -2611,9 +2469,8 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
     ///
     /// * **raw** (`m < 24·d`, the diverse regime) — draw `m` uniform
     ///   targets and ship their opinions verbatim (a palette with no
-    ///   runs): `O(m)` cheap draws and `m` wire entries — half of
-    ///   per-entry mode's `2m`, with no request routing — which the
-    ///   requester expands with one copy. A histogram would not
+    ///   runs): `O(m)` cheap draws and `m` wire entries, with no
+    ///   per-node routing — which the requester expands with one copy. A histogram would not
     ///   compress enough here to pay for building one.
     /// * **histogram walk** (`m ≥ 24·d`, the concentrated regime) — a
     ///   multinomial over the round-start opinion histogram (undecided
@@ -2709,7 +2566,7 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             // mirror), so it too is arrival-order independent.
             let lg = u64::from((usize::BITS - (self.k_slots + 1).leading_zeros()).max(1));
             if self.inc && total > 0 && total.saturating_mul(lg) < local_n as u64 {
-                debug_assert_eq!(self.serve_fen.total(), local_n as u64);
+                debug_assert_eq!(self.serve_fen.remaining(), local_n as u64);
                 palette.reserve(total as usize);
                 for run in &batch.target_runs {
                     debug_assert!(
@@ -2780,7 +2637,7 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
                 pairs.extend_from_slice(&self.hist_pairs);
                 return (ReportBody::Sparse(pairs), self.hist_undecided, None);
             }
-            // Dense/delta shapes want the dense scratch: mirror once
+            // Tracked or delta shapes want the dense scratch: mirror once
             // and fall through as a freshly-tallied report.
             self.touched.clear();
             self.mirror_hist(Mirror::Report);
@@ -2849,13 +2706,6 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
                 }
                 ReportBody::Delta(pairs)
             }
-            ReportFormat::Dense => {
-                let mut counts = vec![0u64; self.k_slots];
-                for &i in &self.touched {
-                    counts[i as usize] = self.count_scratch[i as usize];
-                }
-                ReportBody::Dense(counts)
-            }
         };
 
         if tracking {
@@ -2898,6 +2748,16 @@ mod tests {
         assert_eq!(p.range(0), 0..3);
         assert_eq!(p.range(3), 9..10);
         assert_eq!(p.owner(9), 3);
+    }
+
+    #[test]
+    fn partition_range_does_not_wrap_near_u32_max() {
+        // chunk = 2^31: the trailing shard's `(shard + 1) · chunk` is 2^32,
+        // one past u32::MAX, before the clamp to n.
+        let p = Partition::new(u32::MAX, 2);
+        assert_eq!(p.range(0), 0..1 << 31);
+        assert_eq!(p.range(1), 1 << 31..u32::MAX);
+        assert_eq!(p.owner(u32::MAX - 1), 1);
     }
 
     #[test]

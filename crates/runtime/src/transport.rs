@@ -67,9 +67,9 @@ use symbreak_core::rules::{
     HMajority, LazyVoter, ThreeMajority, ThreeMajorityAlt, TwoChoices, TwoMedian,
     UndecidedDynamics, Voter,
 };
-use symbreak_core::{Opinion, RoundStateMode, UpdateRule};
+use symbreak_core::{Opinion, UpdateRule};
 
-use crate::cluster::{ConsumeMode, ReportMode, ShardRepr, WireMode};
+use crate::cluster::{ReportMode, RoundStateMode, ShardRepr};
 use crate::codec::{
     control_len, decode_control, decode_hello, decode_peer_hello, decode_report,
     decode_shard_message, decode_worker_init, encode_control, encode_hello, encode_peer_hello,
@@ -715,8 +715,6 @@ pub fn shard_process_main() {
         partition: Partition::new(init.n, shards),
         k_slots: init.k_slots,
         report_mode: init.report_mode,
-        wire_mode: init.wire_mode,
-        consume_mode: init.consume_mode,
         repr: init.repr,
         master_seed: init.master_seed,
         plan: init.plan,
@@ -813,8 +811,6 @@ pub(crate) struct FleetSpec {
     pub shards: usize,
     pub k_slots: usize,
     pub report_mode: ReportMode,
-    pub wire_mode: WireMode,
-    pub consume_mode: ConsumeMode,
     pub repr: ShardRepr,
     pub master_seed: u64,
     pub plan: FaultPlan,
@@ -922,8 +918,6 @@ impl SocketFleet {
                 shards,
                 k_slots: spec.k_slots,
                 report_mode: spec.report_mode,
-                wire_mode: spec.wire_mode,
-                consume_mode: spec.consume_mode,
                 repr: spec.repr,
                 master_seed: spec.master_seed,
                 plan: spec.plan.clone(),

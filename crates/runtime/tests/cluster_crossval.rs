@@ -7,11 +7,12 @@
 //! Voter and 3-Majority, with a Welch-style tolerance on the difference
 //! of means. Seeds are fixed, so the check is deterministic.
 
-use symbreak_core::rules::{ThreeMajority, TwoMedian, Voter};
+use symbreak_core::rules::{ThreeMajority, TwoMedian, UndecidedDynamics, Voter};
 use symbreak_core::{
-    run_to_consensus, Configuration, RunOptions, UpdateRule, VectorEngine, VectorStep,
+    run_to_consensus, AgentEngine, Configuration, RunOptions, SamplingMode, UpdateRule,
+    VectorEngine, VectorStep,
 };
-use symbreak_runtime::{Cluster, ClusterConfig, ConsumeMode, WireMode};
+use symbreak_runtime::{Cluster, ClusterConfig};
 use symbreak_sim::run_trials;
 use symbreak_stats::Summary;
 
@@ -19,37 +20,9 @@ fn cluster_times<R>(rule: R, start: &Configuration, trials: u64, seed: u64) -> V
 where
     R: UpdateRule + Clone + Send + Sync,
 {
-    cluster_times_wire(rule, start, trials, seed, WireMode::default())
-}
-
-fn cluster_times_wire<R>(
-    rule: R,
-    start: &Configuration,
-    trials: u64,
-    seed: u64,
-    wire: WireMode,
-) -> Vec<u64>
-where
-    R: UpdateRule + Clone + Send + Sync,
-{
-    cluster_times_consume(rule, start, trials, seed, wire, ConsumeMode::default())
-}
-
-fn cluster_times_consume<R>(
-    rule: R,
-    start: &Configuration,
-    trials: u64,
-    seed: u64,
-    wire: WireMode,
-    consume: ConsumeMode,
-) -> Vec<u64>
-where
-    R: UpdateRule + Clone + Send + Sync,
-{
     let start = start.clone();
     run_trials(trials, seed, move |_t, s| {
-        let cfg = ClusterConfig::new(3, s).with_wire_mode(wire).with_consume_mode(consume);
-        let cluster = Cluster::new(rule.clone(), &start, cfg);
+        let cluster = Cluster::new(rule.clone(), &start, ClusterConfig::new(3, s));
         cluster.run_to_consensus(10_000_000).expect("consensus").consensus_round
     })
 }
@@ -111,122 +84,54 @@ fn cluster_matches_vector_engine_from_singleton_start() {
 }
 
 #[test]
-fn batched_wire_matches_per_entry_wire() {
-    // The two wire modes consume randomness differently, so they cannot
-    // be compared pathwise — but batched mode is an *exact* aggregation
-    // of Uniform Pull (multinomial split → shard-side multinomial →
-    // uniform rearrangement), so the realized process law must be
-    // identical. Compare mean consensus times over independent trials.
+fn native_multiset_consumption_matches_vector_engine() {
+    // 3-Majority takes the received palettes as histogram splits
+    // (hypergeometric windows in the pull gear, Mult(h, union) windows
+    // in the push gear, ordered fallback while diverse) — an exact
+    // aggregation of Uniform Pull, so the consensus-time law must match
+    // the exact one-step law's.
     let start = Configuration::uniform(192, 8);
     let trials = 48;
-    let batched = cluster_times_wire(ThreeMajority, &start, trials, 7700, WireMode::Batched);
-    let per_entry = cluster_times_wire(ThreeMajority, &start, trials, 7800, WireMode::PerEntry);
-    assert_means_agree("batched vs per-entry", &batched, &per_entry);
+    let cluster = cluster_times(ThreeMajority, &start, trials, 8100);
+    let engine = engine_times(ThreeMajority, &start, trials, 8200);
+    assert_means_agree("3-Majority native cluster", &cluster, &engine);
 }
 
 #[test]
-fn native_multiset_consumption_matches_ordered_dealing() {
-    // 3-Majority on the batched wire: ConsumeMode::Native takes the
-    // received palettes as histogram splits (hypergeometric windows in
-    // the pull gear, Mult(h, union) windows in the push gear, ordered
-    // fallback while diverse); ConsumeMode::Ordered is the PR 4
-    // Fisher–Yates dealing. Both are exactly Uniform Pull, with
-    // different randomness consumption — compare the consensus-time law.
-    let start = Configuration::uniform(192, 8);
-    let trials = 48;
-    let native = cluster_times_consume(
-        ThreeMajority,
-        &start,
-        trials,
-        8100,
-        WireMode::Batched,
-        ConsumeMode::Native,
-    );
-    let ordered = cluster_times_consume(
-        ThreeMajority,
-        &start,
-        trials,
-        8200,
-        WireMode::Batched,
-        ConsumeMode::Ordered,
-    );
-    assert_means_agree("3-Majority native vs ordered", &native, &ordered);
-}
-
-#[test]
-fn native_multiset_consumption_matches_ordered_from_singleton_start() {
-    // The k = n start walks the diverse fallback first, then the split
-    // paths as occupancy collapses — the full dispatch lifecycle.
-    let start = Configuration::singletons(96);
-    let trials = 48;
-    let native = cluster_times_consume(
-        ThreeMajority,
-        &start,
-        trials,
-        8300,
-        WireMode::Batched,
-        ConsumeMode::Native,
-    );
-    let ordered = cluster_times_consume(
-        ThreeMajority,
-        &start,
-        trials,
-        8400,
-        WireMode::Batched,
-        ConsumeMode::Ordered,
-    );
-    assert_means_agree("3-Majority singletons native vs ordered", &native, &ordered);
-}
-
-#[test]
-fn native_single_peer_consumption_matches_ordered_for_voter() {
-    // Voter's native wire path writes the dealt multiset straight into
-    // the opinion vector (no Fisher–Yates, no sample buffer); the law
-    // must match the ordered dealing and the per-entry baseline.
+fn native_single_peer_consumption_matches_vector_engine() {
+    // Voter from k = n singletons: h = 1, long trajectories, maximal
+    // color diversity. The native wire path writes the dealt multiset
+    // straight into the next state (no Fisher–Yates, no sample buffer).
     let start = Configuration::singletons(64);
     let trials = 48;
-    let native =
-        cluster_times_consume(Voter, &start, trials, 8500, WireMode::Batched, ConsumeMode::Native);
-    let ordered =
-        cluster_times_consume(Voter, &start, trials, 8600, WireMode::Batched, ConsumeMode::Ordered);
-    let per_entry =
-        cluster_times_consume(Voter, &start, trials, 8700, WireMode::PerEntry, ConsumeMode::Native);
-    assert_means_agree("Voter native vs ordered", &native, &ordered);
-    assert_means_agree("Voter native vs per-entry", &native, &per_entry);
+    let cluster = cluster_times(Voter, &start, trials, 8500);
+    let engine = engine_times(Voter, &start, trials, 8600);
+    assert_means_agree("Voter native cluster", &cluster, &engine);
 }
 
 #[test]
-fn native_undecided_consumption_matches_ordered() {
+fn native_undecided_consumption_matches_per_node_engine() {
     // The undecided dynamics is the h = 1 multiset rule: its native
     // wire path walks windows only when the pool collapses to one
     // category (including the all-UNDECIDED rounds, where the window
     // carries the UNDECIDED pseudo-opinion through update_from_counts)
-    // and deals ordered otherwise — pin the whole lifecycle's law.
-    use symbreak_core::rules::UndecidedDynamics;
+    // and deals ordered otherwise — pin the whole lifecycle's law
+    // against the literal per-node engine (the rule has no vector law).
     let start = Configuration::from_counts(vec![70, 30]);
     let trials = 48;
-    let native = cluster_times_consume(
-        UndecidedDynamics,
-        &start,
-        trials,
-        9100,
-        WireMode::Batched,
-        ConsumeMode::Native,
-    );
-    let ordered = cluster_times_consume(
-        UndecidedDynamics,
-        &start,
-        trials,
-        9200,
-        WireMode::Batched,
-        ConsumeMode::Ordered,
-    );
-    assert_means_agree("Undecided native vs ordered", &native, &ordered);
+    let cluster = cluster_times(UndecidedDynamics, &start, trials, 9100);
+    let engine = run_trials(trials, 9200, move |_t, s| {
+        let mut e = AgentEngine::with_sampling(UndecidedDynamics, &start, s, SamplingMode::PerNode);
+        run_to_consensus(&mut e, &RunOptions { max_rounds: u64::MAX, record_trace: false })
+            .consensus_round
+            .expect("consensus")
+    });
+    assert_means_agree("Undecided native cluster", &cluster, &engine);
 }
 
 #[test]
 fn native_two_median_cluster_matches_vector_engine() {
-    // 2-Median now runs multiset-native on the wire; pin it against the
+    // 2-Median runs multiset-native on the wire; pin it against the
     // exact one-step law (its own-state dependence makes it the rule
     // most sensitive to a mis-dealt window).
     let start = Configuration::from_counts(vec![40, 20, 30, 38]);
@@ -234,16 +139,4 @@ fn native_two_median_cluster_matches_vector_engine() {
     let cluster = cluster_times(TwoMedian, &start, trials, 8800);
     let engine = engine_times(TwoMedian, &start, trials, 8900);
     assert_means_agree("2-Median native cluster", &cluster, &engine);
-}
-
-#[test]
-fn batched_wire_matches_per_entry_wire_from_singleton_start() {
-    // Voter from k = n singletons: h = 1, long trajectories, maximal
-    // color diversity — the palette/shuffle path with the fattest
-    // histograms.
-    let start = Configuration::singletons(64);
-    let trials = 48;
-    let batched = cluster_times_wire(Voter, &start, trials, 7900, WireMode::Batched);
-    let per_entry = cluster_times_wire(Voter, &start, trials, 8000, WireMode::PerEntry);
-    assert_means_agree("Voter batched vs per-entry", &batched, &per_entry);
 }

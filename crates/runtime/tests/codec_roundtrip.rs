@@ -18,10 +18,9 @@ use symbreak_runtime::codec::{
     encode_report, encode_shard_message, read_frame, report_len, shard_message_len, unzigzag,
     varint_len, zigzag, FrameKind, WireError, WIRE_MAGIC, WIRE_VERSION,
 };
-use symbreak_runtime::message::{Control, Reply, ShardReport};
+use symbreak_runtime::message::{Control, ShardReport};
 use symbreak_runtime::{
-    DataFormat, OpinionPalette, PullBatch, ReportBody, ReportFormat, Request, ShardMessage,
-    TargetRun,
+    DataFormat, OpinionPalette, PullBatch, ReportBody, ReportFormat, ShardMessage, TargetRun,
 };
 
 // ---------------------------------------------------------------------
@@ -39,26 +38,12 @@ fn opinion_from(code: u64) -> Opinion {
 }
 
 /// One data-plane message from a variant selector and raw entry draws:
-/// `sel % 4` picks the variant, each `(a, b, c)` triple becomes one
+/// `sel % 2` picks the variant, each `(a, b, c)` triple becomes one
 /// entry. An empty `raw` exercises the empty batch / empty palette
 /// shapes (a crashed peer's empty answer).
 fn shard_message_from(sel: u64, origin: u32, round: u64, raw: &[(u64, u64, u64)]) -> ShardMessage {
-    match sel % 4 {
-        0 => ShardMessage::Requests(
-            raw.iter()
-                .map(|&(a, b, c)| Request { target: a as u32, requester: b as u32, slot: c as u8 })
-                .collect(),
-        ),
-        1 => ShardMessage::Replies(
-            raw.iter()
-                .map(|&(a, b, c)| Reply {
-                    requester: a as u32,
-                    slot: b as u8,
-                    opinion: opinion_from(c),
-                })
-                .collect(),
-        ),
-        2 => ShardMessage::Pull(PullBatch {
+    match sel % 2 {
+        0 => ShardMessage::Pull(PullBatch {
             origin,
             round,
             target_runs: raw
@@ -81,21 +66,17 @@ fn shard_message_from(sel: u64, origin: u32, round: u64, raw: &[(u64, u64, u64)]
     }
 }
 
-/// One control message: `sel % 8` covers all six `Round` format
-/// combinations (three report formats × two data gears), `Rejoin`, and
+/// One control message: `sel % 6` covers all four `Round` format
+/// combinations (two report formats × two data gears), `Rejoin`, and
 /// `Stop`.
 fn control_from(sel: u64, round: u64, body: &[(u64, u64)], undecided: u64) -> Control {
-    match sel % 8 {
-        s @ 0..=5 => Control::Round {
+    match sel % 6 {
+        s @ 0..=3 => Control::Round {
             round,
-            report: match s % 3 {
-                0 => ReportFormat::Sparse,
-                1 => ReportFormat::Delta,
-                _ => ReportFormat::Dense,
-            },
-            data: if s < 3 { DataFormat::Pull } else { DataFormat::Push },
+            report: [ReportFormat::Sparse, ReportFormat::Delta][s as usize % 2],
+            data: if s < 2 { DataFormat::Pull } else { DataFormat::Push },
         },
-        6 => Control::Rejoin {
+        4 => Control::Rejoin {
             round,
             body: body.iter().map(|&(slot, c)| (slot as u32, c)).collect(),
             undecided,
@@ -104,7 +85,7 @@ fn control_from(sel: u64, round: u64, body: &[(u64, u64)], undecided: u64) -> Co
     }
 }
 
-/// One shard report: `sel % 3` picks the body encoding; the delta body
+/// One shard report: `sel % 2` picks the body encoding; the delta body
 /// reinterprets the raw `u64`s through `unzigzag`, covering the full
 /// signed range including `i64::MIN`/`i64::MAX`.
 fn report_from(
@@ -115,10 +96,9 @@ fn report_from(
     tallies: (u64, u64, u64),
     extras: (u64, u64, u64),
 ) -> ShardReport {
-    let body = match sel % 3 {
+    let body = match sel % 2 {
         0 => ReportBody::Sparse(raw.iter().map(|&(s, c)| (s as u32, c)).collect()),
-        1 => ReportBody::Delta(raw.iter().map(|&(s, d)| (s as u32, unzigzag(d))).collect()),
-        _ => ReportBody::Dense(raw.iter().map(|&(_, c)| c).collect()),
+        _ => ReportBody::Delta(raw.iter().map(|&(s, d)| (s as u32, unzigzag(d))).collect()),
     };
     let (undecided, messages_sent, recovered) = tallies;
     let (changed, bytes_sent, bytes_received) = extras;
@@ -264,10 +244,47 @@ fn bad_version_is_rejected() {
 
 #[test]
 fn unknown_frame_kind_is_rejected() {
+    // 1 and 2 are the retired per-entry request/reply kinds: unassigned,
+    // never reinterpreted.
+    for kind in [1u8, 2, 0xEE] {
+        let mut buf = Vec::new();
+        encode_control(&Control::Stop, &mut buf);
+        buf[3] = kind;
+        assert!(matches!(decode_frame(&buf), Err(WireError::UnknownKind(k)) if k == kind));
+        let mut stream = std::io::Cursor::new(buf);
+        assert!(read_frame(&mut stream).is_err(), "stream reader must reject kind {kind}");
+    }
+}
+
+#[test]
+fn retired_report_tag_is_malformed() {
+    // Tag 2 was the dense report format: a `Round` command or a report
+    // body carrying it decodes to `Malformed`, without panicking.
     let mut buf = Vec::new();
-    encode_control(&Control::Stop, &mut buf);
-    buf[3] = 0xEE;
-    assert!(matches!(decode_frame(&buf), Err(WireError::UnknownKind(0xEE))));
+    let round = Control::Round { round: 3, report: ReportFormat::Sparse, data: DataFormat::Pull };
+    encode_control(&round, &mut buf);
+    let (mut frame, _) = decode_frame(&buf).expect("well-formed");
+    frame.payload[0] = 2;
+    assert!(matches!(decode_control(&frame), Err(WireError::Malformed(_))));
+
+    let report = ShardReport {
+        shard: 0,
+        round: 3,
+        body: ReportBody::Sparse(vec![(0, 4), (1, 4)]),
+        undecided: 0,
+        messages_sent: 0,
+        recovered: 0,
+        changed_slots: None,
+        bytes_sent: 0,
+        bytes_received: 0,
+    };
+    buf.clear();
+    encode_report(&report, &mut buf);
+    let (mut frame, _) = decode_frame(&buf).expect("well-formed");
+    // Payload: shard varint (one byte for shard 0), then the body tag.
+    assert_eq!(frame.payload[1], 0, "sparse tag");
+    frame.payload[1] = 2;
+    assert!(matches!(decode_report(&frame), Err(WireError::Malformed(_))));
 }
 
 #[test]

@@ -11,10 +11,10 @@
 //!   Welch-style 5-sigma band (3-Majority, Voter, Undecided Dynamics,
 //!   both dense and `k = n` singleton starts);
 //! * per-seed determinism of condensed runs;
-//! * *byte-exact* equality on the sub-paths where the arbitration
+//! * *byte-exact* equality on the sub-path where the arbitration
 //!   downgrades a `Histogram` request to agent-backed shards (ordered
-//!   windows, per-entry wire) — there the representations must coincide,
-//!   not merely agree in law;
+//!   windows) — there the representations must coincide, not merely
+//!   agree in law;
 //! * fault-layer semantics mode-identically preserved: inert plans are
 //!   trajectory-invisible, palette-loss compensation and crash-rejoin
 //!   conserve mass on histogram-backed shards.
@@ -23,9 +23,7 @@ use symbreak_core::rules::{
     HMajority, ThreeMajority, TwoChoices, TwoMedian, UndecidedDynamics, Voter,
 };
 use symbreak_core::{Configuration, UpdateRule};
-use symbreak_runtime::{
-    Cluster, ClusterConfig, ConsumeMode, CrashSpec, FaultPlan, GearMode, ShardRepr, WireMode,
-};
+use symbreak_runtime::{Cluster, ClusterConfig, CrashSpec, FaultPlan, GearMode, ShardRepr};
 use symbreak_sim::run_trials;
 use symbreak_stats::Summary;
 
@@ -281,8 +279,7 @@ fn ordered_window_downgrade_is_agent_exact() {
     // must produce byte-identical runs, not merely the same law.
     let start = Configuration::singletons(128);
     let run = |repr| {
-        let cfg =
-            ClusterConfig::new(3, 7).with_consume_mode(ConsumeMode::Ordered).with_shard_repr(repr);
+        let cfg = ClusterConfig::new(3, 7).with_shard_repr(repr);
         Cluster::new(TwoChoices, &start, cfg).run_horizon(30)
     };
     let hist = run(ShardRepr::Histogram);
@@ -291,27 +288,6 @@ fn ordered_window_downgrade_is_agent_exact() {
     assert_eq!(hist.final_config, agents.final_config);
     assert_eq!(trace_digest(&hist.trace), trace_digest(&agents.trace));
 }
-
-#[test]
-fn per_entry_wire_downgrade_is_agent_exact() {
-    // The per-entry wire serves pulls agent-by-agent; a condensed shard
-    // cannot answer it, so the arbitration keeps agents and the runs
-    // coincide exactly.
-    let start = Configuration::uniform(120, 6);
-    let run = |repr| {
-        let cfg = ClusterConfig::new(3, 9).with_wire_mode(WireMode::PerEntry).with_shard_repr(repr);
-        Cluster::new(Voter, &start, cfg).run_horizon(25)
-    };
-    let hist = run(ShardRepr::Histogram);
-    let agents = run(ShardRepr::Agents);
-    assert_eq!(hist.total_messages, agents.total_messages);
-    assert_eq!(hist.final_config, agents.final_config);
-    assert_eq!(trace_digest(&hist.trace), trace_digest(&agents.trace));
-}
-
-// ---------------------------------------------------------------------
-// Gear forcing: seed-exact pins.
-// ---------------------------------------------------------------------
 
 #[test]
 fn force_push_is_auto_exact_when_auto_arbitrates_push() {
@@ -340,10 +316,8 @@ fn ordered_window_downgrade_forced_pull_is_agent_exact() {
     // `Agents` config must still coincide byte for byte.
     let start = Configuration::singletons(128);
     let run = |repr| {
-        let cfg = ClusterConfig::new(3, 7)
-            .with_consume_mode(ConsumeMode::Ordered)
-            .with_shard_repr(repr)
-            .with_data_gear(GearMode::ForcePull);
+        let cfg =
+            ClusterConfig::new(3, 7).with_shard_repr(repr).with_data_gear(GearMode::ForcePull);
         Cluster::new(TwoChoices, &start, cfg).run_horizon(30)
     };
     let hist = run(ShardRepr::Histogram);
@@ -351,25 +325,6 @@ fn ordered_window_downgrade_forced_pull_is_agent_exact() {
     assert_eq!(hist.total_messages, agents.total_messages);
     assert_eq!(hist.final_config, agents.final_config);
     assert_eq!(trace_digest(&hist.trace), trace_digest(&agents.trace));
-}
-
-#[test]
-fn per_entry_wire_ignores_gear_force() {
-    // Gears arbitrate the *batched* data plane; the per-entry wire has
-    // no palettes to push, so forcing a gear there must change nothing.
-    let start = Configuration::uniform(120, 6);
-    let run = |gear| {
-        let cfg = ClusterConfig::new(3, 9)
-            .with_wire_mode(WireMode::PerEntry)
-            .with_shard_repr(ShardRepr::Histogram)
-            .with_data_gear(gear);
-        Cluster::new(Voter, &start, cfg).run_horizon(25)
-    };
-    let default = run(GearMode::Auto);
-    let forced = run(GearMode::ForcePush);
-    assert_eq!(default.total_messages, forced.total_messages);
-    assert_eq!(default.final_config, forced.final_config);
-    assert_eq!(trace_digest(&default.trace), trace_digest(&forced.trace));
 }
 
 #[test]

@@ -10,8 +10,8 @@ use proptest::prelude::*;
 use symbreak_core::rules::{ThreeMajority, TwoChoices, Voter};
 use symbreak_core::Configuration;
 use symbreak_runtime::{
-    ByzantineSpec, Cluster, ClusterConfig, ConsumeMode, CorruptionKind, CrashSpec, FaultKind,
-    FaultPlan, ShardRepr, StopReason, WireMode,
+    ByzantineSpec, Cluster, ClusterConfig, CorruptionKind, CrashSpec, FaultKind, FaultPlan,
+    ShardRepr, StopReason,
 };
 
 /// Strips the wire-byte counters (PR 8) off a [`FaultCounters`] so the
@@ -79,9 +79,7 @@ fn golden_two_choices_inert_plan_seed_exact() {
     // ordered window, so the arbitration downgrades to agent-backed shards
     // and the PR 6 golden must hold unchanged.
     let start = Configuration::singletons(128);
-    let config = ClusterConfig::new(3, 7)
-        .with_consume_mode(ConsumeMode::Ordered)
-        .with_fault_plan(FaultPlan::none());
+    let config = ClusterConfig::new(3, 7).with_fault_plan(FaultPlan::none());
     let out = Cluster::new(TwoChoices, &start, config).run_horizon(30);
     assert_eq!(out.final_config.num_colors(), 96);
     assert_eq!(out.total_messages, 7950);
@@ -94,17 +92,19 @@ fn golden_two_choices_inert_plan_seed_exact() {
 }
 
 #[test]
-fn golden_voter_per_entry_inert_plan_seed_exact() {
-    // Per-entry wire forces agent-backed shards regardless of the default
-    // `ShardRepr::Histogram`, so this PR 6 golden must hold unchanged.
+fn golden_voter_inert_plan_seed_exact() {
+    // Re-pinned once when the per-entry request/reply wire was deleted:
+    // the old golden (round 92, 22080 messages, digest
+    // 0x8fe0152528e7a52c) pinned that wire, which no longer exists. Same
+    // start and seed, now on the one remaining wire, where Voter runs
+    // condensed (single-peer) shards under the default representation.
     let start = Configuration::uniform(120, 6);
-    let config = ClusterConfig::new(3, 9)
-        .with_wire_mode(WireMode::PerEntry)
-        .with_fault_plan(FaultPlan::none());
+    let config = ClusterConfig::new(3, 9).with_fault_plan(FaultPlan::none());
     let out = Cluster::new(Voter, &start, config).run_to_consensus(1_000_000).expect("consensus");
-    assert_eq!(out.consensus_round, 92);
-    assert_eq!(out.total_messages, 22080);
-    assert_eq!(trace_digest(&out.trace), 0x8fe0152528e7a52c);
+    assert_eq!(out.consensus_round, 388);
+    assert_eq!(out.total_messages, 16614);
+    assert_eq!(trace_digest(&out.trace), 0x4bf1e2c02a383ae6);
+    assert_eq!(zero_bytes(out.faults), Default::default());
 }
 
 // ---------------------------------------------------------------------
@@ -422,11 +422,13 @@ proptest! {
 // ---------------------------------------------------------------------
 
 #[test]
-#[should_panic(expected = "batched wire")]
-fn active_plans_reject_per_entry_wire() {
+#[should_panic(expected = "sparse reports")]
+fn active_plans_reject_delta_reports() {
     let start = Configuration::uniform(40, 4);
     let plan = FaultPlan::none().with_palette_rates(0.1, 0.0, 0.0);
-    let config = ClusterConfig::new(2, 1).with_wire_mode(WireMode::PerEntry).with_fault_plan(plan);
+    let config = ClusterConfig::new(2, 1)
+        .with_report_mode(symbreak_runtime::ReportMode::Delta)
+        .with_fault_plan(plan);
     let _ = Cluster::new(ThreeMajority, &start, config);
 }
 

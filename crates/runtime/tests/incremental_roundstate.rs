@@ -21,18 +21,15 @@
 //!   regime's venue): in-law agreement, per-seed determinism, and the
 //!   wire collapse the deltas exist for;
 //! * on the sub-paths where the incremental gate arbitrates itself off
-//!   (per-entry wire, active fault plans) or has nothing to patch
-//!   (agent-backed pull gear) the two modes coincide byte-for-byte,
-//!   not merely in law;
+//!   (active fault plans) or has nothing to patch (agent-backed pull
+//!   gear) the two modes coincide byte-for-byte, not merely in law;
 //! * the persistent Fenwick serving sampler (the pull-gear side of the
 //!   incremental state) agrees with the rebuilt flat palette in law and
 //!   stays per-seed deterministic under pipelined serving.
 
 use symbreak_core::rules::{ThreeMajority, TwoChoices, UndecidedDynamics, Voter};
 use symbreak_core::{Configuration, UpdateRule};
-use symbreak_runtime::{
-    Cluster, ClusterConfig, ConsumeMode, FaultPlan, GearMode, RoundStateMode, ShardRepr, WireMode,
-};
+use symbreak_runtime::{Cluster, ClusterConfig, FaultPlan, GearMode, RoundStateMode, ShardRepr};
 use symbreak_sim::run_trials;
 use symbreak_stats::Summary;
 
@@ -113,9 +110,7 @@ fn golden_three_majority_forced_rebuild_seed_exact() {
 #[test]
 fn golden_two_choices_forced_rebuild_seed_exact() {
     let start = Configuration::singletons(128);
-    let config = ClusterConfig::new(3, 7)
-        .with_consume_mode(ConsumeMode::Ordered)
-        .with_round_state(RoundStateMode::Rebuild);
+    let config = ClusterConfig::new(3, 7).with_round_state(RoundStateMode::Rebuild);
     let out = Cluster::new(TwoChoices, &start, config).run_horizon(30);
     assert_eq!(out.final_config.num_colors(), 96);
     assert_eq!(out.total_messages, 7950);
@@ -124,15 +119,15 @@ fn golden_two_choices_forced_rebuild_seed_exact() {
 }
 
 #[test]
-fn golden_voter_per_entry_forced_rebuild_seed_exact() {
+fn golden_voter_forced_rebuild_seed_exact() {
+    // The batched-wire Voter golden of `fault_properties.rs` (re-pinned
+    // there when the per-entry wire was deleted).
     let start = Configuration::uniform(120, 6);
-    let config = ClusterConfig::new(3, 9)
-        .with_wire_mode(WireMode::PerEntry)
-        .with_round_state(RoundStateMode::Rebuild);
+    let config = ClusterConfig::new(3, 9).with_round_state(RoundStateMode::Rebuild);
     let out = Cluster::new(Voter, &start, config).run_to_consensus(1_000_000).expect("consensus");
-    assert_eq!(out.consensus_round, 92);
-    assert_eq!(out.total_messages, 22080);
-    assert_eq!(trace_digest(&out.trace), 0x8fe0152528e7a52c);
+    assert_eq!(out.consensus_round, 388);
+    assert_eq!(out.total_messages, 16614);
+    assert_eq!(trace_digest(&out.trace), 0x4bf1e2c02a383ae6);
 }
 
 // ---------------------------------------------------------------------
@@ -308,22 +303,6 @@ fn incremental_is_byte_invisible_on_agent_pull_gear() {
     let inc = run(RoundStateMode::Incremental);
     let reb = run(RoundStateMode::Rebuild);
     assert_eq!(inc.consensus_round, reb.consensus_round);
-    assert_eq!(inc.total_messages, reb.total_messages);
-    assert_eq!(inc.final_config, reb.final_config);
-    assert_eq!(trace_digest(&inc.trace), trace_digest(&reb.trace));
-}
-
-#[test]
-fn incremental_falls_back_byte_exact_on_per_entry_wire() {
-    // The per-entry wire serves pulls agent-by-agent — no batched
-    // palettes, nothing to patch.
-    let start = Configuration::uniform(120, 6);
-    let run = |rs| {
-        let cfg = ClusterConfig::new(3, 9).with_wire_mode(WireMode::PerEntry).with_round_state(rs);
-        Cluster::new(Voter, &start, cfg).run_horizon(25)
-    };
-    let inc = run(RoundStateMode::Incremental);
-    let reb = run(RoundStateMode::Rebuild);
     assert_eq!(inc.total_messages, reb.total_messages);
     assert_eq!(inc.final_config, reb.final_config);
     assert_eq!(trace_digest(&inc.trace), trace_digest(&reb.trace));

@@ -31,15 +31,11 @@
 //!   pooled histogram into per-(opinion-group) *blocks* of `g·h` draws
 //!   in one multivariate-hypergeometric call per block, which is what
 //!   makes condensed pull rounds `O(#occupied·h)` instead of per-node.
-//! * [`FenwickPool`] — a without-replacement dealer over category
-//!   counts (`O(log d)` bit-descended single draws, bulk removal by
-//!   conditional hypergeometrics).
-//! * [`DynamicCategorical`] / [`UpdatableSampler`] — the persistent
-//!   round-state samplers: a Fenwick-CDF categorical with `O(log k)`
-//!   single-slot updates and `O(log k)` with-replacement draws, and
-//!   the arbitration wrapper that picks per round between patching it
-//!   (`O(#changed·log k)`) and rebuilding a Vose alias over the
-//!   occupied slots (`O(#occupied)`).
+//! * [`FenwickPool`] — a Fenwick tree over category counts: `O(log d)`
+//!   single-category patches, bit-descended draws with or without
+//!   replacement, and bulk without-replacement removal by conditional
+//!   hypergeometrics. Incremental cluster shards keep one as their
+//!   persistent serving sampler, patched in `O(#changed·log d)`.
 //! * [`sample_distinct`] — Floyd's algorithm for `m` distinct indices.
 //!
 //! All samplers take any [`rand::RngCore`] (including `&mut dyn RngCore`)
@@ -1292,18 +1288,24 @@ impl<'a> GroupSplitter<'a> {
     }
 }
 
-/// A without-replacement dealer over pooled category counts: `O(d)`
-/// build, `O(log d)` per single-ball draw (Fenwick prefix sums,
-/// bit-descended), plus incremental `add`/`remove` edits and a bulk
+/// A Fenwick tree over integer category counts: `O(d)` build, `O(log d)`
+/// single-category edits ([`set`](Self::set), [`add`](Self::add),
+/// [`remove`](Self::remove)), and `O(log d)` bit-descended draws — with
+/// replacement ([`sample`](Self::sample)) or without
+/// ([`draw`](Self::draw), the same descent plus a removal) — plus a bulk
 /// [`FenwickPool::deal`] that switches to per-category conditional
 /// hypergeometrics once the requested count rivals the category count.
 ///
-/// Sequential uniform draws without replacement realize exactly the
-/// multivariate-hypergeometric block law of [`GroupSplitter`], so the
-/// two are interchangeable in law; the Fenwick form is for consumers
-/// that interleave draws with structural edits (e.g. 3-Majority's
-/// condensed pull step temporarily masking one category out of the
-/// partner pool between deals).
+/// Both draw forms invert one exact uniform in `[0, remaining)` against
+/// the prefix sums, so the pool is exact in law either way, and a round
+/// that changes `c` categories costs `O(c·log d)` in patches instead of
+/// an `O(d)` rebuild (the persistent serving sampler of incremental
+/// cluster shards). Sequential uniform draws without replacement realize
+/// exactly the multivariate-hypergeometric block law of
+/// [`GroupSplitter`], so the two are interchangeable in law; the Fenwick
+/// form is for consumers that interleave draws with structural edits
+/// (e.g. 3-Majority's condensed pull step temporarily masking one
+/// category out of the partner pool between deals).
 ///
 /// # Example
 /// ```
@@ -1314,12 +1316,16 @@ impl<'a> GroupSplitter<'a> {
 /// let mut rng = Pcg64::seed_from_u64(31);
 /// let mut pool = FenwickPool::new(&[5, 0, 3]);
 /// assert_eq!(pool.remaining(), 8);
+/// assert_ne!(pool.sample(&mut rng), 1, "empty categories are never drawn");
+/// assert_eq!(pool.remaining(), 8, "sampling does not remove");
 /// let cat = pool.draw(&mut rng);
-/// assert_ne!(cat, 1, "empty categories are never drawn");
+/// assert_ne!(cat, 1);
 /// assert_eq!(pool.remaining(), 7);
+/// pool.set(1, 90); // O(log d) patch, no rebuild
+/// assert_eq!((pool.remaining(), pool.count(1)), (97, 90));
 /// let mut dealt = 0u64;
-/// pool.deal(7, &mut rng, |_cat, c| dealt += c);
-/// assert_eq!((dealt, pool.remaining()), (7, 0));
+/// pool.deal(97, &mut rng, |_cat, c| dealt += c);
+/// assert_eq!((dealt, pool.remaining()), (97, 0));
 /// ```
 #[derive(Debug, Clone)]
 pub struct FenwickPool {
@@ -1331,16 +1337,30 @@ pub struct FenwickPool {
 }
 
 impl FenwickPool {
-    /// Builds the dealer over `counts` balls per category.
+    /// Builds the pool over `counts` balls per category, `O(d)`.
     pub fn new(counts: &[u64]) -> Self {
-        let mut pool =
-            Self { tree: Vec::new(), counts: counts.to_vec(), remaining: counts.iter().sum() };
-        pool.rebuild();
+        let mut pool = Self { tree: Vec::new(), counts: Vec::new(), remaining: 0 };
+        pool.rebuild(counts);
         pool
     }
 
+    /// An all-zero pool over `k` categories (populate via
+    /// [`set`](Self::set)).
+    pub fn with_slots(k: usize) -> Self {
+        Self { tree: vec![0; k + 1], counts: vec![0; k], remaining: 0 }
+    }
+
+    /// Replaces every category count from scratch, `O(d)`; reuses
+    /// buffers.
+    pub fn rebuild(&mut self, counts: &[u64]) {
+        self.counts.clear();
+        self.counts.extend_from_slice(counts);
+        self.remaining = counts.iter().sum();
+        self.rebuild_tree();
+    }
+
     /// Reconstructs the Fenwick tree from the count mirror, `O(d)`.
-    fn rebuild(&mut self) {
+    fn rebuild_tree(&mut self) {
         let len = self.counts.len();
         self.tree.clear();
         self.tree.resize(len + 1, 0);
@@ -1373,6 +1393,18 @@ impl FenwickPool {
         self.counts[i]
     }
 
+    /// Sets category `i` to `c` balls, patching the tree along the
+    /// Fenwick update path, `O(log d)`. A no-op when the count is
+    /// unchanged.
+    pub fn set(&mut self, i: usize, c: u64) {
+        let old = self.counts[i];
+        if c > old {
+            self.add(i, c - old);
+        } else if c < old {
+            self.remove(i, old - c);
+        }
+    }
+
     /// Adds `k` balls to category `i`, `O(log d)`.
     pub fn add(&mut self, i: usize, k: u64) {
         self.counts[i] += k;
@@ -1399,9 +1431,12 @@ impl FenwickPool {
         }
     }
 
-    /// Draws one pooled ball uniformly and removes it; returns its
-    /// 0-based category index. `O(log d)`.
-    pub fn draw<R: RngCore + ?Sized>(&mut self, rng: &mut R) -> usize {
+    /// Draws one pooled ball uniformly *with* replacement (the pool is
+    /// not mutated); returns its 0-based category index. `O(log d)`.
+    ///
+    /// # Panics
+    /// Panics (in debug builds) when the pool is empty.
+    pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> usize {
         debug_assert!(self.remaining > 0, "drew from an empty pool");
         let len = self.counts.len();
         let mut target = rng.gen_range(0..self.remaining);
@@ -1416,13 +1451,15 @@ impl FenwickPool {
             }
             step >>= 1;
         }
-        let mut i = pos + 1;
-        while i <= len {
-            self.tree[i] -= 1;
-            i += i & i.wrapping_neg();
-        }
-        self.counts[pos] -= 1;
-        self.remaining -= 1;
+        pos
+    }
+
+    /// Draws one pooled ball uniformly and removes it: the
+    /// [`sample`](Self::sample) descent plus a one-ball
+    /// [`remove`](Self::remove). `O(log d)`.
+    pub fn draw<R: RngCore + ?Sized>(&mut self, rng: &mut R) -> usize {
+        let pos = self.sample(rng);
+        self.remove(pos, 1);
         pos
     }
 
@@ -1474,340 +1511,12 @@ impl FenwickPool {
             }
             debug_assert_eq!(need, 0, "deal must drain exactly");
             self.remaining -= c;
-            self.rebuild();
+            self.rebuild_tree();
         } else {
             for _ in 0..c {
                 let cat = self.draw(rng);
                 deposit(cat, 1);
             }
-        }
-    }
-}
-
-/// With-replacement categorical over integer counts with `O(log k)`
-/// single-slot updates and `O(log k)` inversion draws.
-///
-/// The delta-updatable sibling of [`FenwickPool`] (which deals
-/// *without* replacement and mutates on every draw) and of
-/// [`Categorical`] (whose Vose table draws in `O(1)` but costs `O(k)`
-/// to rebuild after *any* weight change). The tree stores exact
-/// integer counts, draws invert an exact uniform in `[0, total)`
-/// against prefix sums, and a [`set`](Self::set) patches one slot along
-/// its Fenwick update path — so a round that changes `c` slots costs
-/// `O(c·log k)` instead of an `O(k)` rebuild, while staying exact in
-/// law. This is the patch backend behind [`UpdatableSampler`].
-///
-/// # Example
-/// ```
-/// use rand::SeedableRng;
-/// use symbreak_sim::dist::DynamicCategorical;
-/// use symbreak_sim::rng::Pcg64;
-///
-/// let mut rng = Pcg64::seed_from_u64(5);
-/// let mut cat = DynamicCategorical::new(&[4, 0, 6]);
-/// assert_eq!(cat.total(), 10);
-/// assert_ne!(cat.sample(&mut rng), 1, "empty slots are never drawn");
-/// cat.set(1, 90); // O(log k) patch, no rebuild
-/// assert_eq!((cat.total(), cat.count(1)), (100, 90));
-/// ```
-#[derive(Debug, Clone)]
-pub struct DynamicCategorical {
-    /// 1-based Fenwick tree over the slot counts.
-    tree: Vec<u64>,
-    /// Plain count mirror (`counts[i]` = weight of slot `i`).
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl DynamicCategorical {
-    /// Builds the sampler over `counts` per slot, `O(k)`.
-    pub fn new(counts: &[u64]) -> Self {
-        let mut cat = Self { tree: Vec::new(), counts: Vec::new(), total: 0 };
-        cat.rebuild(counts);
-        cat
-    }
-
-    /// An all-zero sampler over `k` slots (populate via [`set`](Self::set)).
-    pub fn with_slots(k: usize) -> Self {
-        Self { tree: vec![0; k + 1], counts: vec![0; k], total: 0 }
-    }
-
-    /// Replaces every slot count from scratch, `O(k)`; reuses buffers.
-    pub fn rebuild(&mut self, counts: &[u64]) {
-        self.counts.clear();
-        self.counts.extend_from_slice(counts);
-        self.total = counts.iter().sum();
-        let len = self.counts.len();
-        self.tree.clear();
-        self.tree.resize(len + 1, 0);
-        self.tree[1..].copy_from_slice(&self.counts);
-        for i in 1..=len {
-            let j = i + (i & i.wrapping_neg());
-            if j <= len {
-                self.tree[j] += self.tree[i];
-            }
-        }
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Whether the sampler has no slots at all.
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-
-    /// Sum of all slot counts.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Current count of slot `i`.
-    pub fn count(&self, i: usize) -> u64 {
-        self.counts[i]
-    }
-
-    /// Sets slot `i` to `c`, patching the tree along the Fenwick update
-    /// path, `O(log k)`. A no-op when the count is unchanged.
-    pub fn set(&mut self, i: usize, c: u64) {
-        let old = self.counts[i];
-        if c == old {
-            return;
-        }
-        self.counts[i] = c;
-        let mut j = i + 1;
-        if c > old {
-            let delta = c - old;
-            self.total += delta;
-            while j < self.tree.len() {
-                self.tree[j] += delta;
-                j += j & j.wrapping_neg();
-            }
-        } else {
-            let delta = old - c;
-            self.total -= delta;
-            while j < self.tree.len() {
-                self.tree[j] -= delta;
-                j += j & j.wrapping_neg();
-            }
-        }
-    }
-
-    /// Draws one slot with probability proportional to its count,
-    /// *with* replacement (the tree is not mutated). `O(log k)`.
-    ///
-    /// # Panics
-    /// Panics (in debug builds) when every count is zero.
-    pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> usize {
-        debug_assert!(self.total > 0, "sampled from an all-zero DynamicCategorical");
-        let len = self.counts.len();
-        let mut target = rng.gen_range(0..self.total);
-        // Descend to the largest index whose prefix sum is ≤ target.
-        let mut pos = 0usize;
-        let mut step = len.next_power_of_two();
-        while step > 0 {
-            let next = pos + step;
-            if next <= len && self.tree[next] <= target {
-                target -= self.tree[next];
-                pos = next;
-            }
-            step >>= 1;
-        }
-        pos
-    }
-}
-
-/// Per-round arbitration between Fenwick patching and a Vose rebuild.
-///
-/// Sites that redraw from a slowly-changing count vector face a choice
-/// each round: patch a [`DynamicCategorical`] in `O(#changed·log k)`
-/// and pay `O(log k)` per draw, or rebuild a [`Categorical`] alias
-/// table over the occupied slots in `O(#occupied)` and draw in `O(1)`.
-/// Neither dominates — patching wins in the stalled regime
-/// (`#changed ≪ #occupied`, few draws), the alias wins when a round
-/// draws far more often than the occupancy. This wrapper takes the
-/// updates unconditionally into the Fenwick tree (that is the
-/// unavoidable `#changed·log k` bookkeeping), tracks the occupied set,
-/// and lets [`prepare`](Self::prepare) pick the draw backend per round
-/// from the deterministic cost comparison — mirroring the
-/// expected-visits arbitration the window samplers use. All backends
-/// realize the identical categorical law; they consume the generator
-/// differently, so callers that pin byte-exact trajectories must pin
-/// the backend too (the engines do, via their round-state mode).
-///
-/// # Example
-/// ```
-/// use rand::SeedableRng;
-/// use symbreak_sim::dist::UpdatableSampler;
-/// use symbreak_sim::rng::Pcg64;
-///
-/// let mut rng = Pcg64::seed_from_u64(12);
-/// let mut s = UpdatableSampler::with_slots(1024);
-/// s.set(3, 900);
-/// s.set(700, 100);
-/// s.prepare(64); // 64 draws over 2 occupied slots: patching wins
-/// let x = s.sample(&mut rng);
-/// assert!(x == 3 || x == 700);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct UpdatableSampler {
-    fen: DynamicCategorical,
-    /// Occupied slots in insertion order (`swap_remove` on death).
-    occupied: Vec<u32>,
-    /// Dense slot → index into `occupied` (`u32::MAX` = unoccupied).
-    pos: Vec<u32>,
-    alias: Option<Categorical>,
-    alias_weights: Vec<f64>,
-    /// Alias category → slot (the alias runs over occupied slots only).
-    alias_slots: Vec<u32>,
-    /// Whether `alias` still reflects the current counts.
-    alias_fresh: bool,
-    backend: UpdatableBackend,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-enum UpdatableBackend {
-    #[default]
-    Fenwick,
-    Alias,
-    Constant(u32),
-}
-
-impl Default for DynamicCategorical {
-    fn default() -> Self {
-        Self::with_slots(0)
-    }
-}
-
-impl UpdatableSampler {
-    /// An all-zero sampler over `k` slots.
-    pub fn with_slots(k: usize) -> Self {
-        Self { fen: DynamicCategorical::with_slots(k), pos: vec![u32::MAX; k], ..Self::default() }
-    }
-
-    /// Replaces every slot count from scratch, `O(k)`; reuses buffers.
-    pub fn reset(&mut self, counts: &[u64]) {
-        self.fen.rebuild(counts);
-        self.occupied.clear();
-        self.pos.clear();
-        self.pos.resize(counts.len(), u32::MAX);
-        for (i, &c) in counts.iter().enumerate() {
-            if c > 0 {
-                self.pos[i] = self.occupied.len() as u32;
-                self.occupied.push(i as u32);
-            }
-        }
-        self.alias_fresh = false;
-        self.backend = UpdatableBackend::Fenwick;
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.fen.len()
-    }
-
-    /// Whether the sampler has no slots at all.
-    pub fn is_empty(&self) -> bool {
-        self.fen.is_empty()
-    }
-
-    /// Sum of all slot counts.
-    pub fn total(&self) -> u64 {
-        self.fen.total()
-    }
-
-    /// Current count of slot `i`.
-    pub fn count(&self, i: usize) -> u64 {
-        self.fen.count(i)
-    }
-
-    /// Number of slots with a positive count.
-    pub fn occupied_len(&self) -> usize {
-        self.occupied.len()
-    }
-
-    /// Sets slot `i` to `c`: one `O(log k)` tree patch plus `O(1)`
-    /// occupied-set upkeep. Marks any built alias table stale.
-    pub fn set(&mut self, i: usize, c: u64) {
-        let old = self.fen.count(i);
-        if c == old {
-            return;
-        }
-        self.fen.set(i, c);
-        self.alias_fresh = false;
-        if old == 0 {
-            self.pos[i] = self.occupied.len() as u32;
-            self.occupied.push(i as u32);
-        } else if c == 0 {
-            let at = self.pos[i] as usize;
-            self.occupied.swap_remove(at);
-            if let Some(&moved) = self.occupied.get(at) {
-                self.pos[moved as usize] = at as u32;
-            }
-            self.pos[i] = u32::MAX;
-        }
-    }
-
-    /// Picks the draw backend for a round of `draws` samples.
-    ///
-    /// Deterministic in `(draws, #occupied, k)`: a single occupied slot
-    /// short-circuits to a constant; otherwise patched draws cost
-    /// `draws·⌈log₂ k⌉` tree descents against `#occupied + draws` for a
-    /// Vose rebuild plus `O(1)` draws, and the cheaper side wins (a
-    /// still-fresh alias from an unchanged round is free and always
-    /// wins). Call once per round, after the updates and before the
-    /// draws.
-    pub fn prepare(&mut self, draws: u64) {
-        if self.occupied.len() == 1 {
-            self.backend = UpdatableBackend::Constant(self.occupied[0]);
-            return;
-        }
-        if self.alias_fresh {
-            self.backend = UpdatableBackend::Alias;
-            return;
-        }
-        let lg = (usize::BITS - self.fen.len().leading_zeros()).max(1) as u64;
-        if draws.saturating_mul(lg) <= (self.occupied.len() as u64).saturating_add(draws) {
-            self.backend = UpdatableBackend::Fenwick;
-            return;
-        }
-        self.alias_weights.clear();
-        self.alias_slots.clear();
-        for &slot in &self.occupied {
-            self.alias_weights.push(self.fen.count(slot as usize) as f64);
-            self.alias_slots.push(slot);
-        }
-        match &mut self.alias {
-            Some(alias) => alias.rebuild(&self.alias_weights),
-            None => self.alias = Some(Categorical::new(&self.alias_weights)),
-        }
-        self.alias_fresh = true;
-        self.backend = UpdatableBackend::Alias;
-    }
-
-    /// The single occupied slot, when the last
-    /// [`prepare`](Self::prepare) short-circuited to the constant
-    /// backend — callers hoist the draw loop entirely on absorbed
-    /// rounds.
-    pub fn constant(&self) -> Option<usize> {
-        match self.backend {
-            UpdatableBackend::Constant(slot) => Some(slot as usize),
-            _ => None,
-        }
-    }
-
-    /// Draws one slot with probability proportional to its count, via
-    /// whichever backend the last [`prepare`](Self::prepare) picked.
-    pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> usize {
-        match self.backend {
-            UpdatableBackend::Fenwick => self.fen.sample(rng),
-            UpdatableBackend::Alias => {
-                let alias = self.alias.as_ref().expect("prepare built the alias backend");
-                self.alias_slots[alias.sample(rng)] as usize
-            }
-            UpdatableBackend::Constant(slot) => slot as usize,
         }
     }
 }
@@ -2177,12 +1886,12 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_categorical_patched_matches_rebuilt() {
-        // A storm of single-slot patches must leave the tree, counts and
-        // total identical to a from-scratch build over the final counts —
-        // and hence the same draws from the same stream.
+    fn fenwick_pool_patched_matches_rebuilt() {
+        // A storm of single-category patches must leave the tree, counts
+        // and total identical to a from-scratch build over the final
+        // counts — and hence the same draws from the same stream.
         let k = 37usize;
-        let mut patched = DynamicCategorical::with_slots(k);
+        let mut patched = FenwickPool::with_slots(k);
         let mut dense = vec![0u64; k];
         let mut seq = Pcg64::seed_from_u64(77);
         for _ in 0..400 {
@@ -2191,10 +1900,10 @@ mod tests {
             patched.set(slot, c);
             dense[slot] = c;
         }
-        let fresh = DynamicCategorical::new(&dense);
+        let fresh = FenwickPool::new(&dense);
         assert_eq!(patched.tree, fresh.tree);
         assert_eq!(patched.counts, fresh.counts);
-        assert_eq!(patched.total(), fresh.total());
+        assert_eq!(patched.remaining(), fresh.remaining());
         let mut a = Pcg64::seed_from_u64(31);
         let mut b = Pcg64::seed_from_u64(31);
         for _ in 0..500 {
@@ -2203,88 +1912,40 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_categorical_frequencies_match_counts() {
+    fn fenwick_pool_sample_frequencies_match_counts() {
         let mut rng = Pcg64::seed_from_u64(51);
         let counts = [30u64, 0, 50, 20];
-        let cat = DynamicCategorical::new(&counts);
+        let pool = FenwickPool::new(&counts);
         let trials = 50_000u64;
         let mut hits = [0u64; 4];
         for _ in 0..trials {
-            hits[cat.sample(&mut rng)] += 1;
+            hits[pool.sample(&mut rng)] += 1;
         }
-        assert_eq!(hits[1], 0, "zero-count slot must never be drawn");
+        assert_eq!(hits[1], 0, "zero-count category must never be drawn");
         for i in [0usize, 2, 3] {
             let freq = hits[i] as f64 / trials as f64;
             let expect = counts[i] as f64 / 100.0;
             let sd = (expect * (1.0 - expect) / trials as f64).sqrt();
-            assert!((freq - expect).abs() < 6.0 * sd, "slot {i}: {freq} vs {expect}");
+            assert!((freq - expect).abs() < 6.0 * sd, "category {i}: {freq} vs {expect}");
         }
     }
 
     #[test]
-    fn updatable_sampler_backend_arbitration_and_bookkeeping() {
-        let mut rng = Pcg64::seed_from_u64(52);
-        let mut s = UpdatableSampler::with_slots(256);
-        s.set(10, 5);
-        s.set(200, 3);
-        s.set(10, 0); // kill + swap_remove bookkeeping
-        s.set(17, 2);
-        s.set(10, 4); // revive
-        assert_eq!(s.occupied_len(), 3);
-        assert_eq!((s.total(), s.count(10)), (9, 4));
-        // Narrow occupancy: the Vose rebuild is nearly free, alias wins.
-        s.prepare(1 << 20);
-        assert!(matches!(s.backend, UpdatableBackend::Alias));
-        for _ in 0..200 {
-            assert!(matches!(s.sample(&mut rng), 10 | 17 | 200));
+    fn fenwick_pool_draw_is_sample_plus_removal() {
+        // Same stream, same descent: a draw lands where a sample would,
+        // and leaves the pool one ball lighter in exactly that category.
+        let mut pool = FenwickPool::new(&[4, 0, 6, 1]);
+        let mut a = Pcg64::seed_from_u64(9);
+        let mut b = Pcg64::seed_from_u64(9);
+        while pool.remaining() > 0 {
+            let before = pool.clone();
+            let expect = before.sample(&mut b);
+            let got = pool.draw(&mut a);
+            assert_eq!(got, expect);
+            assert_eq!(pool.count(got) + 1, before.count(got));
+            assert_eq!(pool.remaining() + 1, before.remaining());
         }
-        // Unchanged counts: the fresh alias is free and always picked.
-        s.prepare(1);
-        assert!(matches!(s.backend, UpdatableBackend::Alias));
-        // Wide occupancy, few draws: patching wins (100·1 tree descents
-        // beat a 100-slot rebuild); a patch staleness-marked the alias.
-        for slot in 100..200 {
-            s.set(slot, 1);
-        }
-        s.prepare(2);
-        assert!(matches!(s.backend, UpdatableBackend::Fenwick));
-        assert!(matches!(s.sample(&mut rng), 10 | 17 | (100..=200)));
-        // Down to a single survivor: constant short-circuit.
-        for slot in 100..200 {
-            s.set(slot, 0);
-        }
-        s.set(17, 0);
-        s.set(200, 0);
-        s.prepare(1 << 20);
-        assert!(matches!(s.backend, UpdatableBackend::Constant(10)));
-        assert_eq!(s.sample(&mut rng), 10);
-    }
-
-    #[test]
-    fn updatable_sampler_backends_share_one_law() {
-        // Fenwick vs alias backend over the same counts: marginal
-        // frequencies must agree with the exact distribution.
-        let counts = [0u64, 40, 0, 10, 50];
-        let trials = 40_000u64;
-        for force_alias in [false, true] {
-            let mut s = UpdatableSampler::with_slots(counts.len());
-            s.reset(&counts);
-            s.prepare(if force_alias { u64::MAX } else { 1 });
-            let mut rng = Pcg64::seed_from_u64(53);
-            let mut hits = [0u64; 5];
-            for _ in 0..trials {
-                hits[s.sample(&mut rng)] += 1;
-            }
-            for i in 0..counts.len() {
-                let freq = hits[i] as f64 / trials as f64;
-                let expect = counts[i] as f64 / 100.0;
-                let sd = (expect * (1.0 - expect) / trials as f64).sqrt() + 1e-9;
-                assert!(
-                    (freq - expect).abs() < 6.0 * sd,
-                    "slot {i} (alias={force_alias}): {freq} vs {expect}"
-                );
-            }
-        }
+        assert_eq!(pool.tree, FenwickPool::new(&[0, 0, 0, 0]).tree);
     }
 
     #[test]

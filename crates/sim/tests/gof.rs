@@ -3,8 +3,7 @@
 
 use rand::SeedableRng;
 use symbreak_sim::dist::{
-    Binomial, Categorical, DynamicCategorical, FenwickPool, Geometric, GroupSplitter,
-    Hypergeometric,
+    Binomial, Categorical, FenwickPool, Geometric, GroupSplitter, Hypergeometric,
 };
 use symbreak_sim::rng::Pcg64;
 use symbreak_stats::infer::chi_square_gof;
@@ -356,15 +355,16 @@ fn fenwick_pool_deal_matches_pool_composition() {
     }
 }
 
-/// Chi-square of the Fenwick sampler's draw frequencies against its own
-/// count vector (the exact categorical law it claims to realize).
-fn dynamic_categorical_chi_square(cat: &DynamicCategorical, draws: u64, seed: u64) -> bool {
+/// Chi-square of the Fenwick pool's with-replacement draw frequencies
+/// against its own count vector (the exact categorical law it claims to
+/// realize).
+fn fenwick_sample_chi_square(cat: &FenwickPool, draws: u64, seed: u64) -> bool {
     let mut rng = Pcg64::seed_from_u64(seed);
     let mut observed = vec![0u64; cat.len()];
     for _ in 0..draws {
         observed[cat.sample(&mut rng)] += 1;
     }
-    let total = cat.total() as f64;
+    let total = cat.remaining() as f64;
     // Drop structural zeros (their expected count is 0 and they must
     // never be drawn — asserted slot by slot).
     let mut obs = Vec::new();
@@ -382,32 +382,32 @@ fn dynamic_categorical_chi_square(cat: &DynamicCategorical, draws: u64, seed: u6
 }
 
 #[test]
-fn dynamic_categorical_fresh_matches_counts_chi_square() {
+fn fenwick_pool_fresh_matches_counts_chi_square() {
     // Built in one shot over a count vector with interior zeros: the
     // bit-descended draw must realize exactly the counts' law.
     let counts = [5u64, 0, 1, 17, 3, 0, 8, 2, 40, 0, 11];
-    let cat = DynamicCategorical::new(&counts);
-    assert_eq!(cat.total(), counts.iter().sum::<u64>());
-    assert!(dynamic_categorical_chi_square(&cat, 400_000, 41));
+    let cat = FenwickPool::new(&counts);
+    assert_eq!(cat.remaining(), counts.iter().sum::<u64>());
+    assert!(fenwick_sample_chi_square(&cat, 400_000, 41));
 }
 
 #[test]
-fn dynamic_categorical_after_update_storm_matches_counts_chi_square() {
+fn fenwick_pool_after_update_storm_matches_counts_chi_square() {
     // Grown from all-zero through a randomized storm of `set`s that
     // flips occupancy both ways: the patched tree must sample exactly
     // like a fresh build over the final counts — same law, not merely
     // close.
     use rand::Rng as _;
     let k = 64usize;
-    let mut cat = DynamicCategorical::with_slots(k);
+    let mut cat = FenwickPool::with_slots(k);
     let mut storm = Pcg64::seed_from_u64(42);
     for _ in 0..10_000 {
         let i = storm.gen_range(0..k);
         let c = if storm.gen_bool(0.3) { 0 } else { storm.gen_range(1..50u64) };
         cat.set(i, c);
     }
-    assert!(cat.total() > 0, "storm left the sampler empty");
-    assert!(dynamic_categorical_chi_square(&cat, 400_000, 43));
+    assert!(cat.remaining() > 0, "storm left the pool empty");
+    assert!(fenwick_sample_chi_square(&cat, 400_000, 43));
 }
 
 #[test]

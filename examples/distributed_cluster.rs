@@ -30,7 +30,7 @@ fn main() {
         outcome.final_config.plurality()
     );
     println!(
-        "wire entries: {} total, {:.0}/round (batched wire; the per-entry model is {}/round)",
+        "wire entries: {} total, {:.0}/round (one request + one reply per pull would be {}/round)",
         outcome.total_messages,
         outcome.total_messages as f64 / outcome.consensus_round as f64,
         n * 3 * 2

@@ -22,14 +22,17 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 echo "==> docs: cargo test --doc"
 cargo test -q --doc --workspace
 
-echo "==> tier-1: cargo build --release && cargo test -q"
-cargo build --release --workspace
-cargo test -q --workspace
+echo "==> tier-1: cargo build --release && cargo test -q (default-members: the workspace)"
+cargo build --release
+cargo test -q
 
-echo "==> runtime smoke: batched/delta cluster, singleton start k = n = 4096, ~50 rounds"
+echo "==> benchmark crate smoke: perfbench builds against the public API and passes its checks"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "==> runtime smoke: delta-report cluster, singleton start k = n = 4096, ~50 rounds"
 SYMBREAK_SCALE=0.004096 cargo run --release -p symbreak-bench --bin exp_e20_cluster_theorem5
 
-echo "==> consumption smoke: multiset/single-peer native wire vs ordered dealing, k = n = 4096"
+echo "==> consumption smoke: multiset/single-peer native wire vs the VectorEngine law, k = n = 4096"
 SYMBREAK_SCALE=0.04096 cargo run --release -p symbreak-bench --bin exp_e21_multiset_wire
 
 echo "==> fault smoke: quorum-relaxed cluster under drop/crash/Byzantine injection"
@@ -44,7 +47,7 @@ SYMBREAK_SCALE=0.04096 cargo run --release -p symbreak-bench --bin exp_e24_trans
 echo "==> grouped pull smoke: forced-gear bands + paired k = n singleton rows"
 SYMBREAK_SCALE=0.001 cargo run --release -p symbreak-bench --bin exp_e25_grouped_pull
 
-echo "==> incremental round-state smoke: sampler flat band + paired stalled-regime cluster runs"
+echo "==> incremental round-state smoke: Fenwick-pool flat band + paired stalled-regime cluster runs"
 SYMBREAK_SCALE=0.04096 cargo run --release -p symbreak-bench --bin exp_e26_incremental_rounds
 
 echo "==> experiment smoke (SYMBREAK_SCALE=${SYMBREAK_SCALE:-0.25})"
