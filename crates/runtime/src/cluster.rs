@@ -25,21 +25,23 @@
 //! Per-round observables ([`Trace`]) read off the merged
 //! configuration's `O(1)` cached observables.
 //!
-//! Under an **active [`FaultPlan`]** the coordinator swaps the strict
-//! barrier for a quorum-relaxed one: it sizes each round's report
-//! collection exactly from the plan's stateless fault hashes (see
-//! [`crate::fault`]), proceeds once fresh *valid* attendance reaches
-//! the integer-exact `N − F` quorum
-//! ([`symbreak_adversary::quorum_threshold`]), folds stale straggler
-//! reports as re-syncs, rejects mass-violating (Byzantine) bodies by
-//! the same `Σ counts + undecided = local_n` identity the lossless
-//! merge paths assert, replays snapshots to rejoining crashed shards
-//! ([`crate::message::Control::Rejoin`]), and detects consensus on the
-//! *honest* view — the non-Byzantine shards' last accepted bodies,
-//! rebuilt revival-tolerantly via [`Configuration::rebuild_sparse`]
-//! (stale straggler bodies can re-light colors the merged view had
-//! retired). Inert plans ([`FaultPlan::none`]) take the exact lockstep
-//! coordinator, byte-identical per seed to the pre-fault runtime.
+//! There is **one coordinator loop**, a quorum barrier over a
+//! [`FaultPlan`]: it sizes each round's report collection exactly from
+//! the plan's stateless fault hashes (see [`crate::fault`]), proceeds
+//! once fresh *valid* attendance reaches the integer-exact `N − F`
+//! quorum ([`symbreak_adversary::quorum_threshold`]), folds stale
+//! straggler reports as re-syncs, and replays snapshots to rejoining
+//! crashed shards ([`crate::message::Control::Rejoin`]). The inert plan
+//! ([`FaultPlan::none`]) is the `F = 0` case: every shard reports once
+//! per round, the quorum is the whole fleet, and the barrier is strict
+//! lockstep. The plan changes one thing, the fold. Inert plans fold
+//! each round's complete reports losslessly into the merged view, as
+//! above. Active plans reject mass-violating (Byzantine) bodies by the
+//! same `Σ counts + undecided = local_n` identity the lossless merge
+//! paths assert, and detect consensus on the *honest* view — the
+//! non-Byzantine shards' last accepted bodies, rebuilt
+//! revival-tolerantly via [`Configuration::rebuild_sparse`] (stale
+//! straggler bodies can re-light colors the merged view had retired).
 
 use std::sync::mpsc;
 
@@ -167,7 +169,7 @@ pub struct ClusterConfig {
     /// the byte-exact per-round arbitration).
     pub data_gear: GearMode,
     /// Deterministic fault schedule (defaults to the inert
-    /// [`FaultPlan::none`], which keeps the exact fault-free paths).
+    /// [`FaultPlan::none`], the `F = 0` case of the fault-aware paths).
     pub fault_plan: FaultPlan,
     /// Per-round sampler lifecycle (defaults to
     /// [`RoundStateMode::Rebuild`], the byte-exact default).
@@ -352,14 +354,10 @@ impl<R: UpdateRule + Clone + Send> Cluster<R> {
     /// support-cap series over an `Ω(n / log n)` horizon, not about
     /// reaching consensus.
     pub fn run_horizon(self, rounds: u64) -> HorizonOutcome {
-        let n = self.n;
-        let k_slots = self.start.num_slots();
-        let shards = self.config.shards;
-        let report_mode = self.config.report_mode;
-        let data_gear = self.config.data_gear;
-        let round_state = self.config.round_state;
-        let plan = self.config.fault_plan;
-        let partition = Partition::new(n, shards);
+        let boot = self.boot();
+        let Self { rule, start, config, .. } = self;
+        let shards = config.shards;
+        let k_slots = start.num_slots();
 
         // Wire the topology: one inbox per shard, everyone holds senders
         // to everyone; a control channel per shard; one report channel.
@@ -379,31 +377,19 @@ impl<R: UpdateRule + Clone + Send> Cluster<R> {
         }
         let (report_tx, report_rx) = mpsc::channel::<ShardReport>();
 
-        // Per-shard sparse seed bodies (no O(n) opinion expansion); the
-        // worker asserts the condensed predicate against its init.
-        let bodies = shard_bodies(&self.start, &partition);
-        let condensed = shard_is_condensed(self.config.shard_repr, self.rule.sample_access());
-        let h = self.rule.sample_count() as u64;
-        let rule = self.rule;
-        let seed = self.config.seed;
-        let shard_repr = self.config.shard_repr;
-        // The persistent merged configuration the sparse and delta
-        // reports fold into; occupancy only ever shrinks (dead colors
-        // stay dead).
-        let merged = self.start;
-
         crossbeam::thread::scope(|scope| {
             for (shard_id, (inbox, control)) in inboxes.into_iter().zip(control_rxs).enumerate() {
-                let init = if condensed {
-                    ShardInit::Histogram(bodies[shard_id].clone())
+                let body = &boot.bodies[shard_id];
+                let init = if boot.condensed {
+                    ShardInit::Histogram(body.clone())
                 } else {
                     // Expand the shard's body into its agent vector:
                     // colors lie ascending and contiguous (exactly how
                     // `to_opinions` lays agents out), so this equals
                     // slicing the global expansion.
-                    let range = partition.range(shard_id);
+                    let range = boot.partition.range(shard_id);
                     let mut opinions = Vec::with_capacity(range.len());
-                    for &(slot, count) in &bodies[shard_id] {
+                    for &(slot, count) in body {
                         opinions.extend(std::iter::repeat_n(Opinion::new(slot), count as usize));
                     }
                     debug_assert_eq!(opinions.len(), range.len());
@@ -413,13 +399,13 @@ impl<R: UpdateRule + Clone + Send> Cluster<R> {
                     ChannelTransport::new(inbox, peer_senders.clone(), control, report_tx.clone());
                 let rule = rule.clone();
                 let spec = ShardSpec {
-                    partition,
+                    partition: boot.partition,
                     k_slots,
-                    report_mode,
-                    repr: shard_repr,
-                    master_seed: seed,
-                    plan: plan.clone(),
-                    round_state,
+                    report_mode: config.report_mode,
+                    repr: config.shard_repr,
+                    master_seed: config.seed,
+                    plan: config.fault_plan.clone(),
+                    round_state: config.round_state,
                 };
                 scope.spawn(move |_| {
                     run_shard(shard_id, spec, rule, init, transport);
@@ -430,48 +416,8 @@ impl<R: UpdateRule + Clone + Send> Cluster<R> {
             drop(peer_senders);
             drop(report_tx);
 
-            // Condensed fleets boot in whatever gear the start
-            // configuration arbitrates to: a forced pull first round
-            // would pay per-node window splits — the one cost
-            // condensation exists to avoid — before the first report
-            // could flip the gear, and the coordinator holds the
-            // merged start state before round 1 anyway. Agent-backed
-            // fleets keep the pull-first boot: their round 1 is
-            // `O(local_n)` in either gear, and holding it fixed
-            // preserves the pre-condensation trajectories
-            // byte-for-byte (the `fault_properties` goldens pin them).
-            // A forced gear overrides both.
-            let auto =
-                if condensed { arbitrate_gear(&merged, shards, n, h) } else { DataFormat::Pull };
-            let initial_data = resolve_gear(data_gear, auto);
             let mut link = ChannelLink::new(control_txs, report_rx);
-            let out = if plan.is_active() {
-                run_coordinator_faulty(
-                    rounds,
-                    n,
-                    h,
-                    k_slots,
-                    partition,
-                    &bodies,
-                    merged,
-                    &plan,
-                    initial_data,
-                    data_gear,
-                    &mut link,
-                )
-            } else {
-                run_coordinator_exact(
-                    rounds,
-                    n,
-                    h,
-                    shards,
-                    report_mode,
-                    merged,
-                    initial_data,
-                    data_gear,
-                    &mut link,
-                )
-            };
+            let out = run_coordinator(rounds, &boot, &config, start, &mut link);
             // Shut the shards down (crash-stopped shards included: they
             // are blocked on their control channels).
             for s in 0..shards {
@@ -484,7 +430,7 @@ impl<R: UpdateRule + Clone + Send> Cluster<R> {
     }
 }
 
-/// Socket-backed entry points: the same coordinator loops driven over a
+/// Socket-backed entry points: the same coordinator loop driven over a
 /// fleet of shard *processes* (one per shard, spawned from the worker
 /// binary) instead of in-process threads. Requires [`WireRule`] so the
 /// rule instance can be serialized into each worker's init frame.
@@ -501,62 +447,22 @@ impl<R: WireRule> Cluster<R> {
     /// *after* launch is not a panic: the run aborts with
     /// [`StopReason::TransportLost`].
     pub fn run_horizon_socket(self, rounds: u64, socket: &SocketConfig) -> HorizonOutcome {
-        let n = self.n;
-        let k_slots = self.start.num_slots();
-        let shards = self.config.shards;
-        let report_mode = self.config.report_mode;
-        let data_gear = self.config.data_gear;
-        let plan = self.config.fault_plan;
-        let partition = Partition::new(n, shards);
-        let bodies = shard_bodies(&self.start, &partition);
-        // The workers re-derive and assert the predicate against their
-        // init.
-        let condensed = shard_is_condensed(self.config.shard_repr, self.rule.sample_access());
-        let h = self.rule.sample_count() as u64;
-        let merged = self.start;
-        let auto = if condensed { arbitrate_gear(&merged, shards, n, h) } else { DataFormat::Pull };
-        let initial_data = resolve_gear(data_gear, auto);
+        let boot = self.boot();
         let spec = FleetSpec {
-            n,
-            shards,
-            k_slots,
-            report_mode,
+            n: self.n,
+            shards: self.config.shards,
+            k_slots: self.start.num_slots(),
+            report_mode: self.config.report_mode,
             repr: self.config.shard_repr,
             master_seed: self.config.seed,
-            plan: plan.clone(),
+            plan: self.config.fault_plan.clone(),
             round_state: self.config.round_state,
             rule: self.rule.spec(),
-            condensed,
-            bodies: bodies.clone(),
+            condensed: boot.condensed,
+            bodies: boot.bodies.clone(),
         };
         let mut fleet = SocketFleet::launch(&spec, socket).expect("socket fleet launch");
-        let out = if plan.is_active() {
-            run_coordinator_faulty(
-                rounds,
-                n,
-                h,
-                k_slots,
-                partition,
-                &bodies,
-                merged,
-                &plan,
-                initial_data,
-                data_gear,
-                fleet.link_mut(),
-            )
-        } else {
-            run_coordinator_exact(
-                rounds,
-                n,
-                h,
-                shards,
-                report_mode,
-                merged,
-                initial_data,
-                data_gear,
-                fleet.link_mut(),
-            )
-        };
+        let out = run_coordinator(rounds, &boot, &self.config, self.start, fleet.link_mut());
         fleet.shutdown();
         out
     }
@@ -582,6 +488,54 @@ impl<R: WireRule> Cluster<R> {
             None => Err(out),
         }
     }
+}
+
+impl<R: UpdateRule> Cluster<R> {
+    /// What both backends derive from the cluster before round 1: the
+    /// partition, the per-shard sparse seed bodies (no `O(n)` opinion
+    /// expansion), the condensed predicate, and the boot gear.
+    ///
+    /// Condensed fleets boot in whatever gear the start configuration
+    /// arbitrates to: a forced pull first round would pay per-node
+    /// window splits — the one cost condensation exists to avoid —
+    /// before the first report could flip the gear, and the coordinator
+    /// holds the merged start state before round 1 anyway. Agent-backed
+    /// fleets keep the pull-first boot: their round 1 is `O(local_n)` in
+    /// either gear, and holding it fixed preserves the
+    /// pre-condensation trajectories byte-for-byte (the
+    /// `fault_properties` goldens pin them). A forced gear overrides
+    /// both.
+    fn boot(&self) -> Boot {
+        let shards = self.config.shards;
+        let partition = Partition::new(self.n, shards);
+        let condensed = shard_is_condensed(self.config.shard_repr, self.rule.sample_access());
+        let h = self.rule.sample_count() as u64;
+        let auto = if condensed {
+            arbitrate_gear(&self.start, shards, self.n, h)
+        } else {
+            DataFormat::Pull
+        };
+        Boot {
+            partition,
+            bodies: shard_bodies(&self.start, &partition),
+            condensed,
+            h,
+            initial_data: resolve_gear(self.config.data_gear, auto),
+        }
+    }
+}
+
+/// The pre-round-1 state both backends share (see [`Cluster::boot`]).
+struct Boot {
+    partition: Partition,
+    bodies: Vec<Vec<(u32, u64)>>,
+    /// Whether the shards run condensed; the workers re-derive the
+    /// predicate and assert it against their init.
+    condensed: bool,
+    /// The rule's per-node sample count.
+    h: u64,
+    /// Round 1's data-plane gear.
+    initial_data: DataFormat,
 }
 
 /// Splits the start configuration into per-shard sparse seed bodies by
@@ -632,127 +586,6 @@ fn resolve_gear(gear: GearMode, auto: DataFormat) -> DataFormat {
     }
 }
 
-/// The strict-barrier coordinator (inert fault plans): every shard
-/// reports every round, the formats are arbitrated round-by-round, and
-/// the merged configuration folds lossless reports. This is the
-/// pre-fault lockstep loop, byte-identical per seed.
-#[allow(clippy::too_many_arguments)]
-fn run_coordinator_exact(
-    rounds: u64,
-    n: u32,
-    h: u64,
-    shards: usize,
-    report_mode: ReportMode,
-    mut merged: Configuration,
-    initial_data: DataFormat,
-    data_gear: GearMode,
-    link: &mut dyn CoordinatorLink,
-) -> HorizonOutcome {
-    let mut trace = Trace::new();
-    let mut consensus_round = None;
-    let mut rounds_run = 0u64;
-    let mut total_messages = 0u64;
-    let mut report_entries = Vec::new();
-    let mut reports: Vec<ShardReport> = Vec::with_capacity(shards);
-    let mut stop = StopReason::HorizonExhausted;
-    // Per-shard high-water marks of the cumulative wire-byte counters
-    // the reports carry. Each report samples its shard's transport
-    // *before* its own framing, so the last report read is one round
-    // stale on the report-frame bytes; the max over all accepted
-    // reports closes everything but that tail.
-    let mut shard_sent = vec![0u64; shards];
-    let mut shard_received = vec![0u64; shards];
-    // The per-round report format: always sparse in Sparse mode,
-    // arbitrated on the reported changed-slot counts in Delta mode
-    // (start absolute; switch once the changed set is small, switch
-    // back if churn returns).
-    let mut format = ReportFormat::Sparse;
-    // The data-plane format: pull/reply
-    // until the occupancy concentrates enough that pushing
-    // whole histograms is cheaper than answering pulls
-    // (`occ · shards² ≤ n·h`), then histogram push — and back,
-    // should occupancy ever rise (it cannot for the paper's
-    // processes, but the protocol does not rely on that).
-    // Round 1's gear is the caller's: start-arbitrated for
-    // condensed fleets, pull-first for agent-backed ones.
-    let mut data = initial_data;
-    'rounds: for round in 1..=rounds {
-        for s in 0..shards {
-            if link.send_control(s, Control::Round { round, report: format, data }).is_err() {
-                stop = StopReason::TransportLost;
-                break 'rounds;
-            }
-        }
-        reports.clear();
-        let mut undecided = 0u64;
-        let mut entries = 0u64;
-        for _ in 0..shards {
-            let Ok(report) = link.recv_report() else {
-                stop = StopReason::TransportLost;
-                break 'rounds;
-            };
-            undecided += report.undecided;
-            total_messages += report.messages_sent;
-            entries += report.body.entries();
-            shard_sent[report.shard] = shard_sent[report.shard].max(report.bytes_sent);
-            shard_received[report.shard] = shard_received[report.shard].max(report.bytes_received);
-            reports.push(report);
-        }
-        rounds_run = round;
-        report_entries.push(entries);
-        match format {
-            ReportFormat::Sparse => {
-                merged.merge_sparse(reports.iter().map(|r| match &r.body {
-                    ReportBody::Sparse(pairs) => pairs.as_slice(),
-                    _ => unreachable!("sparse round, non-sparse report"),
-                }));
-            }
-            ReportFormat::Delta => {
-                merged.apply_deltas(reports.iter().map(|r| match &r.body {
-                    ReportBody::Delta(pairs) => pairs.as_slice(),
-                    _ => unreachable!("delta round, non-delta report"),
-                }));
-            }
-        }
-        if report_mode == ReportMode::Delta {
-            let changed: u64 = reports.iter().map(|r| r.changed_slots.unwrap_or(0)).sum();
-            format = if changed * 2 <= merged.num_colors() as u64 {
-                ReportFormat::Delta
-            } else {
-                ReportFormat::Sparse
-            };
-        }
-        data = resolve_gear(data_gear, arbitrate_gear(&merged, shards, n, h));
-        trace.push(RoundStats {
-            round,
-            num_colors: merged.num_colors(),
-            max_support: merged.max_support(),
-            bias: merged.bias(),
-        });
-        if undecided == 0 && merged.is_consensus() {
-            consensus_round = Some(round);
-            stop = StopReason::Consensus;
-            break;
-        }
-    }
-    let faults = FaultCounters {
-        bytes_sent: shard_sent.iter().sum::<u64>() + link.bytes_sent(),
-        bytes_received: shard_received.iter().sum::<u64>() + link.bytes_received(),
-        ..FaultCounters::default()
-    };
-    HorizonOutcome {
-        stop,
-        consensus_round,
-        rounds_run,
-        final_config: merged,
-        trace,
-        total_messages,
-        report_entries,
-        wire_bytes: faults.bytes_sent,
-        faults,
-    }
-}
-
 /// Validates a sparse report body against the shard's node budget: in-
 /// range slots and the same mass identity (`Σ counts + undecided =
 /// local_n`) the lossless merge paths assert, applied as a rejection
@@ -767,46 +600,82 @@ fn accept_body(rep: &ShardReport, k_slots: usize, local_n: u64) -> Option<&[(u32
     (mass == u128::from(local_n)).then_some(pairs.as_slice())
 }
 
-/// The quorum-relaxed coordinator for active fault plans.
+/// An active plan's view of the fleet: each shard's last accepted
+/// report — seeded from the start configuration's per-shard bodies, so
+/// a crash in round 1 still has a snapshot to rejoin from — and the
+/// honest (non-Byzantine) view rebuilt from them.
+struct LastAccepted {
+    body: Vec<Vec<(u32, u64)>>,
+    undecided: Vec<u64>,
+    round: Vec<u64>,
+    honest: Configuration,
+}
+
+impl LastAccepted {
+    /// Validates `rep` ([`accept_body`]) and, if it passes, makes it
+    /// its shard's last accepted state.
+    fn accept(&mut self, rep: &ShardReport, k_slots: usize, partition: &Partition) -> bool {
+        let s = rep.shard;
+        let Some(pairs) = accept_body(rep, k_slots, partition.range(s).len() as u64) else {
+            return false;
+        };
+        self.body[s] = pairs.to_vec();
+        self.undecided[s] = rep.undecided;
+        self.round[s] = rep.round;
+        true
+    }
+}
+
+/// The one coordinator loop: an `await(≥ N − F)` barrier over the
+/// shards' reports, for every fault plan.
 ///
 /// Each round it commands the live shards (replaying a snapshot to any
-/// shard whose rejoin is due), sizes the report collection *exactly*
+/// shard whose rejoin is due) and sizes the report collection *exactly*
 /// from the plan's stateless hashes — fresh copies per fault kind plus
 /// last round's delayed stragglers, so the blocking receive needs no
-/// timeout — and keeps a per-shard last-accepted body. Fresh valid
-/// attendance must reach the `N − F` quorum or the run aborts with
-/// [`StopReason::TooManyFaults`]. The merged (all shards) and honest
-/// (non-Byzantine shards) views are rebuilt from the last-accepted
-/// bodies each round; consensus is detected on the honest view, which
-/// makes the coordinator a sound measurement harness under up to `F`
-/// plausible liars — the lie lands in the *trace*, never in the
-/// consensus verdict.
-#[allow(clippy::too_many_arguments)]
-fn run_coordinator_faulty(
+/// timeout. Fresh valid attendance must reach the integer-exact `N − F`
+/// quorum or the run aborts with [`StopReason::TooManyFaults`]. An
+/// inert plan is `F = 0`: every shard reports exactly once per round
+/// and the quorum is all of them.
+///
+/// Whether the plan is active decides only how reports fold. Under an
+/// inert plan every round's reports are complete and current, so they
+/// fold losslessly into the persistent merged view, whose occupancy
+/// only ever shrinks ([`Configuration::merge_sparse`], or
+/// [`Configuration::apply_deltas`] once [`ReportMode::Delta`]
+/// arbitration switches the format), and consensus is read off it. Under an active plan reports can be
+/// missing, stale, or lies, so the merged (all shards) and honest
+/// (non-Byzantine shards) views are rebuilt from each shard's last
+/// accepted body every round, revival-tolerantly via
+/// [`Configuration::rebuild_sparse`] (stale straggler bodies can
+/// re-light colors the merged view had retired). Consensus is detected
+/// on the honest view, which makes the coordinator a sound measurement
+/// harness under up to `F` plausible liars — the lie lands in the
+/// *trace*, never in the consensus verdict.
+fn run_coordinator(
     rounds: u64,
-    n: u32,
-    h: u64,
-    k_slots: usize,
-    partition: Partition,
-    seed_bodies: &[Vec<(u32, u64)>],
+    boot: &Boot,
+    config: &ClusterConfig,
     mut merged: Configuration,
-    plan: &FaultPlan,
-    initial_data: DataFormat,
-    data_gear: GearMode,
     link: &mut dyn CoordinatorLink,
 ) -> HorizonOutcome {
-    let shards = partition.shards;
-    let quorum =
-        quorum_threshold(shards as u64, (shards - plan.max_faulty) as f64 / shards as f64) as usize;
-
-    // Per-shard last accepted report state, seeded from the start
-    // configuration's per-shard bodies (already ascending, identical to
-    // the old dense tally) so a crash in round 1 still has a snapshot
-    // to rejoin from.
-    let mut last_body: Vec<Vec<(u32, u64)>> = seed_bodies.to_vec();
-    let mut last_undecided = vec![0u64; shards];
-    let mut last_round = vec![0u64; shards];
-    let mut honest = merged.clone();
+    let Boot { partition, h, initial_data, .. } = *boot;
+    let ClusterConfig { report_mode, data_gear, fault_plan: ref plan, .. } = *config;
+    let (n, shards) = (partition.n, partition.shards);
+    let k_slots = merged.num_slots();
+    let quorum = quorum_threshold(
+        shards as u64,
+        shards.saturating_sub(plan.max_faulty) as f64 / shards as f64,
+    ) as usize;
+    // `None` under an inert plan: the round's fresh reports (`fresh`)
+    // fold losslessly instead.
+    let mut last = plan.is_active().then(|| LastAccepted {
+        body: boot.bodies.clone(),
+        undecided: vec![0; shards],
+        round: vec![0; shards],
+        honest: merged.clone(),
+    });
+    let mut fresh: Vec<ShardReport> = Vec::with_capacity(shards);
 
     let mut trace = Trace::new();
     let mut consensus_round = None;
@@ -816,11 +685,24 @@ fn run_coordinator_faulty(
     let mut faults = FaultCounters::default();
     let mut stop = StopReason::HorizonExhausted;
     let mut seen = vec![false; shards];
-    // High-water marks of the cumulative wire-byte counters (sampled
-    // pre-framing by every report, including duplicates and
-    // stragglers — the max absorbs them all).
+    // Per-shard high-water marks of the cumulative wire-byte counters
+    // the reports carry. Each report samples its shard's transport
+    // *before* its own framing, so the last report read is one round
+    // stale on the report-frame bytes; the max over all reports
+    // (duplicates and stragglers included) closes everything but that
+    // tail.
     let mut shard_sent = vec![0u64; shards];
     let mut shard_received = vec![0u64; shards];
+    // The per-round report format: always sparse in Sparse mode,
+    // arbitrated on the reported changed-slot counts in Delta mode
+    // (start absolute; switch once the changed set is small, switch
+    // back if churn returns).
+    let mut format = ReportFormat::Sparse;
+    // The data-plane gear: round 1's is the caller's (start-arbitrated
+    // for condensed fleets, pull-first for agent-backed ones); after
+    // that, push once the occupancy concentrates enough that
+    // broadcasting whole histograms is cheaper than answering pulls
+    // (`occ · shards² ≤ n·h`) — and back, should occupancy ever rise.
     let mut data = initial_data;
     'rounds: for round in 1..=rounds {
         // Command the round. A shard whose rejoin is due gets the
@@ -833,25 +715,18 @@ fn run_coordinator_faulty(
             }
             if plan.crashes.iter().any(|c| c.shard == s && c.rejoin_round == Some(round)) {
                 faults.rejoins += 1;
-                if link
-                    .send_control(
-                        s,
-                        Control::Rejoin {
-                            round,
-                            body: last_body[s].clone(),
-                            undecided: last_undecided[s],
-                        },
-                    )
-                    .is_err()
-                {
+                let last = last.as_ref().expect("crash plans are active");
+                let rejoin = Control::Rejoin {
+                    round,
+                    body: last.body[s].clone(),
+                    undecided: last.undecided[s],
+                };
+                if link.send_control(s, rejoin).is_err() {
                     stop = StopReason::TransportLost;
                     break 'rounds;
                 }
             }
-            if link
-                .send_control(s, Control::Round { round, report: ReportFormat::Sparse, data })
-                .is_err()
-            {
+            if link.send_control(s, Control::Round { round, report: format, data }).is_err() {
                 stop = StopReason::TransportLost;
                 break 'rounds;
             }
@@ -877,10 +752,10 @@ fn run_coordinator_faulty(
             }
         }
 
-        // Size the relaxed barrier: exactly how many report messages
-        // arrive this round — fresh copies by fault kind, plus last
-        // round's delayed reports flushed by their shards' round-
-        // command (a shard that crashed since voids its stash).
+        // Size the barrier: exactly how many report messages arrive
+        // this round — fresh copies by fault kind, plus last round's
+        // delayed reports flushed by their shards' round-command (a
+        // shard that crashed since voids its stash).
         let mut expected = 0usize;
         for s in 0..shards {
             if plan.is_crashed(s, round) {
@@ -910,6 +785,7 @@ fn run_coordinator_faulty(
         }
 
         seen.iter_mut().for_each(|b| *b = false);
+        fresh.clear();
         let mut attendance = 0usize;
         let mut entries = 0u64;
         for _ in 0..expected {
@@ -917,30 +793,31 @@ fn run_coordinator_faulty(
                 stop = StopReason::TransportLost;
                 break 'rounds;
             };
+            // A report the barrier cannot have asked for — from a
+            // future round, or stale under a plan that delays nothing —
+            // means a broken worker: abort like a lost link.
+            let straggler = rep.round < round;
+            if rep.round > round || (straggler && last.is_none()) {
+                stop = StopReason::TransportLost;
+                break 'rounds;
+            }
             let s = rep.shard;
-            assert!(rep.round <= round, "report from the future");
             entries += rep.body.entries();
             shard_sent[s] = shard_sent[s].max(rep.bytes_sent);
             shard_received[s] = shard_received[s].max(rep.bytes_received);
             if plan.byzantine_spec(s).is_some() {
                 faults.byzantine_reports += 1;
             }
-            if rep.round < round {
+            if straggler {
                 // A straggler's delayed report: fold it as a re-sync if
                 // it is newer than the shard's last accepted state (its
                 // fresh successor may already have landed).
+                let last = last.as_mut().expect("stragglers imply an active plan");
                 faults.straggler_resyncs += 1;
                 total_messages += rep.messages_sent;
                 faults.recovered_samples += rep.recovered;
-                if rep.round > last_round[s] {
-                    match accept_body(&rep, k_slots, partition.range(s).len() as u64) {
-                        Some(pairs) => {
-                            last_body[s] = pairs.to_vec();
-                            last_undecided[s] = rep.undecided;
-                            last_round[s] = rep.round;
-                        }
-                        None => faults.rejected_reports += 1,
-                    }
+                if rep.round > last.round[s] && !last.accept(&rep, k_slots, &partition) {
+                    faults.rejected_reports += 1;
                 }
                 continue;
             }
@@ -954,61 +831,75 @@ fn run_coordinator_faulty(
             seen[s] = true;
             total_messages += rep.messages_sent;
             faults.recovered_samples += rep.recovered;
-            match accept_body(&rep, k_slots, partition.range(s).len() as u64) {
-                Some(pairs) => {
-                    attendance += 1;
-                    last_body[s] = pairs.to_vec();
-                    last_undecided[s] = rep.undecided;
-                    last_round[s] = round;
+            let valid = match last.as_mut() {
+                Some(last) => last.accept(&rep, k_slots, &partition),
+                None => {
+                    fresh.push(rep);
+                    true
                 }
-                None => faults.rejected_reports += 1,
+            };
+            if valid {
+                attendance += 1;
+            } else {
+                faults.rejected_reports += 1;
             }
         }
         rounds_run = round;
         report_entries.push(entries);
 
-        // Rebuild the merged (all shards) and honest (non-Byzantine)
-        // views from the last accepted bodies. Stale straggler bodies
-        // can re-light colors the merged view had retired, hence the
-        // revival-tolerant rebuild.
-        merged.rebuild_sparse(last_body.iter().map(|b| b.as_slice()));
-        honest.rebuild_sparse(
-            last_body
-                .iter()
-                .enumerate()
-                .filter(|&(s, _)| plan.byzantine_spec(s).is_none())
-                .map(|(_, b)| b.as_slice()),
-        );
-        let honest_undecided: u64 = (0..shards)
-            .filter(|&s| plan.byzantine_spec(s).is_none())
-            .map(|s| last_undecided[s])
-            .sum();
-
-        if attendance < quorum {
-            // The round degraded past the plan's tolerance: record the
-            // round and abort rather than fold a minority view.
-            stop = StopReason::TooManyFaults;
-            trace.push(RoundStats {
-                round,
-                num_colors: merged.num_colors(),
-                max_support: merged.max_support(),
-                bias: merged.bias(),
-            });
-            break;
-        }
-        if attendance < shards {
-            faults.quorum_rounds += 1;
-        }
-        // Pull/push arbitration over the merged view, exactly as on
-        // the strict path.
-        data = resolve_gear(data_gear, arbitrate_gear(&merged, shards, n, h));
+        // The fold, and the view consensus is read off.
+        let agreed = match last.as_mut() {
+            None => {
+                match format {
+                    ReportFormat::Sparse => {
+                        merged.merge_sparse(fresh.iter().map(|r| match &r.body {
+                            ReportBody::Sparse(pairs) => pairs.as_slice(),
+                            _ => unreachable!("sparse round, non-sparse report"),
+                        }));
+                    }
+                    ReportFormat::Delta => {
+                        merged.apply_deltas(fresh.iter().map(|r| match &r.body {
+                            ReportBody::Delta(pairs) => pairs.as_slice(),
+                            _ => unreachable!("delta round, non-delta report"),
+                        }));
+                    }
+                }
+                if report_mode == ReportMode::Delta {
+                    let changed: u64 = fresh.iter().map(|r| r.changed_slots.unwrap_or(0)).sum();
+                    format = if changed * 2 <= merged.num_colors() as u64 {
+                        ReportFormat::Delta
+                    } else {
+                        ReportFormat::Sparse
+                    };
+                }
+                fresh.iter().all(|r| r.undecided == 0) && merged.is_consensus()
+            }
+            Some(last) => {
+                let honest = |s: &usize| plan.byzantine_spec(*s).is_none();
+                merged.rebuild_sparse(last.body.iter().map(Vec::as_slice));
+                last.honest
+                    .rebuild_sparse((0..shards).filter(honest).map(|s| last.body[s].as_slice()));
+                (0..shards).filter(honest).all(|s| last.undecided[s] == 0)
+                    && last.honest.is_consensus()
+            }
+        };
         trace.push(RoundStats {
             round,
             num_colors: merged.num_colors(),
             max_support: merged.max_support(),
             bias: merged.bias(),
         });
-        if honest_undecided == 0 && honest.is_consensus() {
+        if attendance < quorum {
+            // The round degraded past the plan's tolerance: record the
+            // round and abort rather than fold a minority view.
+            stop = StopReason::TooManyFaults;
+            break;
+        }
+        if attendance < shards {
+            faults.quorum_rounds += 1;
+        }
+        data = resolve_gear(data_gear, arbitrate_gear(&merged, shards, n, h));
+        if agreed {
             consensus_round = Some(round);
             stop = StopReason::Consensus;
             break;
@@ -1032,6 +923,7 @@ fn run_coordinator_faulty(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::TransportLost;
     use symbreak_core::rules::{ThreeMajority, TwoChoices, UndecidedDynamics, Voter};
 
     #[test]
@@ -1273,6 +1165,42 @@ mod tests {
             let out = cluster.run_to_consensus(100_000).expect("consensus");
             assert!(out.final_config.is_consensus());
         }
+    }
+
+    #[test]
+    fn report_from_a_future_round_aborts_as_transport_lost() {
+        // A link whose every report claims round 99: the coordinator
+        // must end the run with a typed stop, not panic.
+        struct FutureLink;
+        impl CoordinatorLink for FutureLink {
+            fn send_control(&mut self, _: usize, _: Control) -> Result<(), TransportLost> {
+                Ok(())
+            }
+            fn recv_report(&mut self) -> Result<ShardReport, TransportLost> {
+                Ok(ShardReport {
+                    shard: 0,
+                    round: 99,
+                    body: ReportBody::Sparse(vec![(0, 32)]),
+                    undecided: 0,
+                    messages_sent: 0,
+                    recovered: 0,
+                    changed_slots: None,
+                    bytes_sent: 0,
+                    bytes_received: 0,
+                })
+            }
+            fn bytes_sent(&self) -> u64 {
+                0
+            }
+            fn bytes_received(&self) -> u64 {
+                0
+            }
+        }
+        let start = Configuration::uniform(64, 2);
+        let cluster = Cluster::new(Voter, &start, ClusterConfig::new(2, 0));
+        let out = run_coordinator(5, &cluster.boot(), &cluster.config, start, &mut FutureLink);
+        assert_eq!(out.stop, StopReason::TransportLost);
+        assert_eq!(out.rounds_run, 0);
     }
 
     #[test]

@@ -368,8 +368,16 @@ pub fn read_frame(stream: &mut impl Read) -> io::Result<Option<Frame>> {
         FrameKind::from_u8(head[3]).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
     let round = read_varint(stream)?;
     let len = read_varint(stream)?;
-    let mut payload = vec![0u8; len as usize];
-    stream.read_exact(&mut payload)?;
+    // The length is untrusted wire data: reserve at most a bounded
+    // prefix up front and read through a `take`, so the buffer grows
+    // only with bytes that actually arrive (a corrupt length near
+    // `u64::MAX` must fail, not allocate).
+    const PREALLOC_CAP: u64 = 1 << 20;
+    let mut payload = Vec::with_capacity(len.min(PREALLOC_CAP) as usize);
+    stream.take(len).read_to_end(&mut payload)?;
+    if (payload.len() as u64) < len {
+        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "truncated payload"));
+    }
     Ok(Some(Frame { kind, round, payload }))
 }
 

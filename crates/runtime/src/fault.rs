@@ -27,10 +27,11 @@
 //! itself models function calls, not a network.
 //!
 //! A plan with every rate zero and no crash/Byzantine entries
-//! ([`FaultPlan::none`], the default) is **inert**: the cluster takes
-//! the exact fault-free code paths and realizes the identical
-//! trajectory, trace, and message counts per seed (pinned by the
-//! seed-exactness tests).
+//! ([`FaultPlan::none`], the default) is **inert**: it runs the same
+//! fault-aware exchange and coordinator loops as any other plan, with
+//! every decision the identity (`F = 0`), and realizes the identical
+//! trajectory, trace, and message counts per seed as the fault-free
+//! protocol (pinned by the seed-exactness tests).
 //!
 //! The layer is **representation-agnostic**: fault decisions hash wire
 //! coordinates, never shard internals, so condensed (histogram-backed)
@@ -190,7 +191,7 @@ const REPORT_SALT: u64 = 0x3C3C_C3C3_69AA_5596;
 pub(crate) const BYZANTINE_SALT: u64 = 0x517C_C1B7_2722_0A95;
 
 impl FaultPlan {
-    /// The inert plan: no faults, exact fault-free code paths.
+    /// The inert plan: no faults (`F = 0`).
     pub fn none() -> Self {
         Self {
             seed: 0,
@@ -246,8 +247,9 @@ impl FaultPlan {
         self
     }
 
-    /// Whether the plan injects anything at all. Inert plans take the
-    /// exact fault-free cluster code paths.
+    /// Whether the plan injects anything at all. Inert plans fold
+    /// reports losslessly and may use incremental round state; active
+    /// ones cannot.
     pub fn is_active(&self) -> bool {
         self.palette_drop > 0.0
             || self.palette_duplicate > 0.0

@@ -12,9 +12,10 @@
 //! In the *push* gear (concentrated regime) there are no pulls: every
 //! shard broadcasts its opinion histogram and the union of the
 //! received histograms is the global round-start distribution — see
-//! [`DataFormat::Push`]. The coordinator's report barrier keeps the
-//! fleet in round lockstep, so every message a shard receives belongs
-//! to its current round (asserted, not assumed).
+//! [`DataFormat::Push`]. Under an inert fault plan the coordinator's
+//! report barrier keeps the fleet in round lockstep, so every message a
+//! shard receives belongs to its current round (see below for the
+//! relaxed barrier of an active plan).
 //!
 //! How the received aggregates become node updates is dispatched on
 //! the rule's [`SampleAccess`]:
@@ -61,22 +62,23 @@
 //! verifies them in `O(#occupied)` with no dense recount. The
 //! agent-backed paths are untouched (byte-identical per seed).
 //!
-//! Under an **active [`FaultPlan`]** the worker
-//! runs fault-aware exchange variants: fault decisions are stateless
-//! hashes shared with every peer and the coordinator (see
-//! [`crate::fault`]), so senders intercept their own transmissions
-//! (drop / duplicate / delay-by-one-round), receivers compute exactly
-//! which messages will arrive — round tags park messages from peers
-//! that ran ahead of the relaxed barrier until their round starts —
-//! and lost or late pull palettes are compensated by
-//! re-sampling the requested draws from the shard's own round-start
-//! snapshot (counted as `recovered`). Crash-stopped shards simply
-//! receive no round commands; on [`Control::Rejoin`] the worker
-//! rebuilds its opinions from the coordinator snapshot and verifies
-//! the reconstruction with a dense recount. Byzantine shards corrupt
-//! their report bodies through the adversary crate's strategies on a
-//! dedicated RNG stream. The fault-free paths are byte-identical to
-//! the inert-plan cluster.
+//! There is one exchange per gear, and it is **fault-aware**: fault
+//! decisions are stateless hashes of a [`FaultPlan`] shared with every
+//! peer and the coordinator (see [`crate::fault`]), so senders
+//! intercept their own transmissions (drop / duplicate /
+//! delay-by-one-round), receivers compute exactly which messages will
+//! arrive — round tags park messages from peers that ran ahead of the
+//! relaxed barrier until their round starts — and lost or late pull
+//! palettes are compensated by re-sampling the requested draws from the
+//! shard's own round-start snapshot (counted as `recovered`).
+//! Crash-stopped shards simply receive no round commands; on
+//! [`Control::Rejoin`] the worker rebuilds its opinions from the
+//! coordinator snapshot and verifies the reconstruction with a dense
+//! recount. Byzantine shards corrupt their report bodies through the
+//! adversary crate's strategies on a dedicated RNG stream. The inert
+//! plan ([`FaultPlan::none`]) is the `F = 0` case of the same loops:
+//! every peer is live, every message arrives exactly once, nothing is
+//! compensated or corrupted, and the fleet runs in strict lockstep.
 
 use rand::{Rng, SeedableRng};
 
@@ -456,7 +458,7 @@ struct Worker<R, T> {
     prev_counts: Vec<u64>,
     prev_touched: Vec<u32>,
 
-    // Fault-injection state (inert unless `plan.is_active()`).
+    // Fault-injection state (idle under an inert plan).
     plan: FaultPlan,
     /// The round currently being executed (from the last round command).
     round_no: u64,
@@ -561,7 +563,7 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             serve_flat_fresh: false,
             groups: Vec::new(),
             step_out: Vec::new(),
-            dest_theta: (0..shards).map(|d| partition.range(d).len() as f64).collect(),
+            dest_theta: vec![0.0; shards],
             dest_counts: vec![0; shards],
             // A distinct stream per (server, origin) pair, salted so it
             // never collides with the shard round streams.
@@ -791,18 +793,11 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         data: DataFormat,
     ) -> Result<(), TransportLost> {
         self.round_no = round;
-        let faulty = self.plan.is_active();
         let mut messages_sent = std::mem::take(&mut self.carry_messages);
-        if faulty {
-            self.flush_delayed();
-        }
+        self.flush_delayed();
         match data {
             DataFormat::Pull => {
-                if faulty {
-                    self.pull_exchange_faulty(&mut messages_sent)?;
-                } else {
-                    self.pull_exchange(&mut messages_sent)?;
-                }
+                self.pull_exchange(&mut messages_sent)?;
                 match (self.condensed, self.access) {
                     (false, SampleAccess::OrderedWindow) => {
                         self.deal_palettes_ordered();
@@ -818,11 +813,7 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
                 }
             }
             DataFormat::Push => {
-                if faulty {
-                    self.push_exchange_faulty(&mut messages_sent)?;
-                } else {
-                    self.push_exchange(&mut messages_sent)?;
-                }
+                self.push_exchange(&mut messages_sent)?;
                 match (self.condensed, self.access) {
                     (false, SampleAccess::OrderedWindow) => {
                         self.sample_push_ordered();
@@ -855,9 +846,7 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         let wire_sent = self.transport.bytes_sent();
         let wire_received = self.transport.bytes_received();
         let (mut body, undecided, changed_slots) = self.build_report(format);
-        if faulty {
-            self.corrupt_report_if_byzantine(&mut body);
-        }
+        self.corrupt_report_if_byzantine(&mut body);
         let report = ShardReport {
             shard: self.shard_id,
             round,
@@ -869,10 +858,6 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             bytes_sent: wire_sent,
             bytes_received: wire_received,
         };
-        if !faulty {
-            self.send_report_pooled(report);
-            return Ok(());
-        }
         match self.plan.report_fault(round, self.shard_id) {
             None => self.send_report_pooled(report),
             Some(FaultKind::Drop) => {
@@ -1008,13 +993,28 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         }
     }
 
-    /// The pull gear's exchange phase: one [`PullBatch`] and
-    /// one [`OpinionPalette`] per peer per round. Ends with this round's
+    /// The pull gear's exchange phase: one [`PullBatch`] and one
+    /// [`OpinionPalette`] per live peer per round. Ends with this round's
     /// palettes parked in `recv_palettes`, consumption left to the
     /// [`SampleAccess`]-dispatched caller.
+    ///
+    /// Pull batches are never faulted (they are the round's control
+    /// skeleton) and are served the moment they arrive — each origin has
+    /// its own serving RNG stream, so the trajectory does not depend on
+    /// the (nondeterministic) arrival order. Palette responses pass
+    /// through the plan's per-edge decisions on both sides: the server
+    /// intercepts its own transmissions, the requester knows exactly how
+    /// many copies will arrive, and every palette it will never see —
+    /// dropped, late, or owed by a crashed peer — is compensated by
+    /// re-sampling the requested draw count from this shard's own
+    /// round-start opinions (counted as `recovered`), so the sample mass
+    /// stays exact and every consumption path runs unchanged. Under an
+    /// inert plan every peer is live, every palette lands exactly once
+    /// and nothing is compensated: the strict lockstep exchange.
     fn pull_exchange(&mut self, messages_sent: &mut u64) -> Result<(), TransportLost> {
         let local_n = self.local_n;
         let shards = self.partition.shards;
+        let round = self.round_no;
         let total = (local_n * self.h) as u64;
 
         // Round-start local opinion histogram: what the palettes this
@@ -1022,54 +1022,125 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         self.snapshot_round_start();
 
         // Split the round's `local_n · h` uniform pulls over the
-        // destination shards: a multinomial on the range sizes.
-        sample_multinomial_into(total, &self.dest_theta, &mut self.rng, &mut self.dest_counts);
+        // destination shards: a multinomial on the range sizes, with
+        // crashed peers masked out so every pull targets a live node.
         for dest in 0..shards {
+            self.dest_theta[dest] = if self.plan.is_crashed(dest, round) {
+                0.0
+            } else {
+                self.partition.range(dest).len() as f64
+            };
+        }
+        sample_multinomial_into(total, &self.dest_theta, &mut self.rng, &mut self.dest_counts);
+
+        // Every live peer (including self) sends us one pull batch and
+        // owes us its palette copies through the `peer → self` edge.
+        let mut expected_pulls = 0usize;
+        let expected_palettes = self.expected_palettes();
+        for peer in 0..shards {
+            if self.plan.is_crashed(peer, round) {
+                continue;
+            }
+            expected_pulls += 1;
             let mut runs = self.run_pool.pop().unwrap_or_default();
             runs.clear();
-            let m = self.dest_counts[dest];
+            let m = self.dest_counts[peer];
             if m > 0 {
-                let len = self.partition.range(dest).len() as u32;
+                let len = self.partition.range(peer).len() as u32;
                 runs.push(TargetRun { start: 0, len, count: m });
             }
             *messages_sent += runs.len() as u64;
             self.transport.send(
-                dest,
+                peer,
                 ShardMessage::Pull(PullBatch {
                     origin: self.shard_id as u32,
-                    round: self.round_no,
+                    round,
                     target_runs: runs,
                 }),
             );
         }
 
-        // Absorb this round's pulls and palettes. Pull batches are
-        // served the moment they arrive — each origin has its own
-        // serving RNG stream, so the trajectory does not depend on the
-        // (nondeterministic) arrival order. Every message received here
-        // belongs to this round: the coordinator's report barrier keeps
-        // the fleet in lockstep (a shard reports only after consuming
-        // exactly `shards` pulls and `shards` palettes, and no shard
-        // starts round r+1 before every round-r report is in).
         let mut pulls = 0usize;
         let mut palettes = 0usize;
-        while pulls < shards || palettes < shards {
-            match self.transport.recv()? {
+        while pulls < expected_pulls || palettes < expected_palettes {
+            match self.recv_current()? {
                 ShardMessage::Pull(batch) => {
-                    assert!(pulls < shards, "round lockstep: unexpected extra pull batch");
                     pulls += 1;
-                    self.serve_batch(&batch, messages_sent);
+                    let origin = batch.origin as usize;
+                    let palette = self.build_palette(&batch);
+                    self.send_palette(origin, palette, messages_sent);
                     self.run_pool.push(batch.target_runs);
                 }
                 ShardMessage::Palette(p) => {
-                    assert!(
-                        palettes < shards && self.recv_palettes[p.origin as usize].is_none(),
-                        "round lockstep: unexpected extra palette"
-                    );
-                    self.recv_palettes[p.origin as usize] = Some((p.palette, p.runs));
                     palettes += 1;
+                    self.absorb_palette(p);
                 }
             }
+        }
+
+        // Compensate the palettes that never landed: re-sample the
+        // requested draw count from this shard's own round-start
+        // opinions (the lost server's law is out of reach; the local
+        // stand-in keeps the sample mass exact). Crashed peers were
+        // masked to zero draws, so their slots fill with empty
+        // palettes and recover nothing.
+        for origin in 0..shards {
+            if self.recv_palettes[origin].is_some() {
+                continue;
+            }
+            let m = self.dest_counts[origin];
+            let (mut palette, mut runs) = self.palette_pool.pop().unwrap_or_default();
+            palette.clear();
+            runs.clear();
+            debug_assert!(m == 0 || local_n > 0, "draws need a non-empty shard");
+            if self.condensed {
+                // The same self-compensation law off the histogram — a
+                // binomial undecided split plus a sparse multinomial
+                // over the round-start snapshot, emitted runs-encoded
+                // — on the same round RNG the agent path's per-draw
+                // reads consume.
+                if m > 0 {
+                    let undec = if self.snap_undecided > 0 {
+                        Binomial::new(m, self.snap_undecided as f64 / local_n as f64)
+                            .sample(&mut self.rng)
+                    } else {
+                        0
+                    };
+                    let rest = m - undec;
+                    if rest > 0 {
+                        self.theta_scratch.clear();
+                        self.theta_scratch.extend(
+                            self.snap_touched.iter().map(|&i| self.snap_counts[i as usize] as f64),
+                        );
+                        sample_multinomial_sparse_into(
+                            rest,
+                            &self.theta_scratch,
+                            &self.snap_touched,
+                            &mut self.rng,
+                            &mut self.serve_counts,
+                        );
+                    }
+                    for &i in &self.snap_touched {
+                        let c = self.serve_counts[i as usize];
+                        if c > 0 {
+                            runs.push((palette.len() as u32, c));
+                            palette.push(Opinion::new(i));
+                            self.serve_counts[i as usize] = 0;
+                        }
+                    }
+                    if undec > 0 {
+                        runs.push((palette.len() as u32, undec));
+                        palette.push(Opinion::UNDECIDED);
+                    }
+                }
+            } else {
+                palette.reserve(m as usize);
+                for _ in 0..m {
+                    palette.push(self.opinions[self.rng.gen_range(0..local_n)]);
+                }
+            }
+            self.recovered += m;
+            self.recv_palettes[origin] = Some((palette, runs));
         }
 
         // Serving is done for the round: clear the snapshot histogram.
@@ -1582,25 +1653,26 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
 
     /// The push data plane's exchange phase for the concentrated
     /// regime: no pulls at all. Every shard broadcasts its round-start
-    /// opinion histogram; each requester unions the `shards` received
+    /// opinion histogram; each requester unions the received
     /// histograms — which is exactly the global round-start opinion
     /// distribution (a uniform node is a shard ∝ size, then a uniform
     /// node within it) — into the parallel `alias_weights` /
     /// `alias_values` scratch. Sampling from the union is left to the
     /// [`SampleAccess`]-dispatched caller.
+    ///
+    /// The broadcast skips crashed peers and each copy passes through
+    /// the plan's per-edge decision; the union is built from whichever
+    /// contributions survived (see [`Worker::union_palettes`]) — push
+    /// rounds have no sample-mass contract to restore, so lost
+    /// histograms reweight rather than recover.
     fn push_exchange(&mut self, messages_sent: &mut u64) -> Result<(), TransportLost> {
         if self.inc {
             return self.push_exchange_incremental(messages_sent);
         }
-        let shards = self.partition.shards;
 
         // Round-start local opinion histogram (shared scratch with the
-        // pull path).
+        // pull path), broadcast as a histogram palette.
         self.snapshot_round_start();
-
-        // Broadcast it as a histogram palette, one copy per peer —
-        // built once, then bulk-copied per destination rather than
-        // re-pushed entry by entry `shards` times.
         let (mut body, mut bruns) = self.palette_pool.pop().unwrap_or_default();
         body.clear();
         bruns.clear();
@@ -1612,27 +1684,7 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             bruns.push((body.len() as u32, self.snap_undecided));
             body.push(Opinion::UNDECIDED);
         }
-        for dest in 0..shards {
-            let (palette, pruns) = if dest + 1 == shards {
-                // The last copy hands off the original buffers.
-                (std::mem::take(&mut body), std::mem::take(&mut bruns))
-            } else {
-                let (mut p, mut r) = self.palette_pool.pop().unwrap_or_default();
-                p.clear();
-                r.clear();
-                p.extend_from_slice(&body);
-                r.extend_from_slice(&bruns);
-                (p, r)
-            };
-            let msg = OpinionPalette {
-                origin: self.shard_id as u32,
-                round: self.round_no,
-                palette,
-                runs: pruns,
-            };
-            *messages_sent += (msg.palette.len() + msg.runs.len()) as u64;
-            self.transport.send(dest, ShardMessage::Palette(msg));
-        }
+        self.broadcast_palette(body, bruns, messages_sent);
         // Reset the scratch fully: the union merge below re-tallies
         // into it and must start from an empty touched list.
         for &i in &self.snap_touched {
@@ -1640,27 +1692,7 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         }
         self.snap_touched.clear();
 
-        // Collect the fleet's histograms. The coordinator's report
-        // barrier keeps rounds in lockstep, so exactly these `shards`
-        // palettes — and nothing else — arrive here (a push round has
-        // no pulls at all).
-        let mut palettes = 0usize;
-        while palettes < shards {
-            match self.transport.recv()? {
-                ShardMessage::Palette(p) => {
-                    assert!(
-                        self.recv_palettes[p.origin as usize].is_none(),
-                        "round lockstep: unexpected extra palette"
-                    );
-                    self.recv_palettes[p.origin as usize] = Some((p.palette, p.runs));
-                    palettes += 1;
-                }
-                ShardMessage::Pull(_) => {
-                    unreachable!("round lockstep: pull message in a push round")
-                }
-            }
-        }
-
+        self.collect_palettes()?;
         self.union_palettes();
         Ok(())
     }
@@ -1677,7 +1709,9 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
     /// the union. Sender and receivers derive the same full-vs-delta
     /// decision from the shared coordinator gear sequence (did the
     /// previous round push?), so the wire stays self-describing with
-    /// no new message type.
+    /// no new message type. A delta chain cannot span a drop or rejoin
+    /// window, so this arm runs only under inert plans (`inc` is false
+    /// otherwise); it shares the rebuild arm's broadcast and collection.
     ///
     /// Condensed shards diff their primary `hist_pairs`
     /// representation directly. Agent-backed shards — where the
@@ -1688,7 +1722,6 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
     /// copies and union re-deduplication). The union no longer routes
     /// through the snapshot scratch on either representation.
     fn push_exchange_incremental(&mut self, messages_sent: &mut u64) -> Result<(), TransportLost> {
-        let shards = self.partition.shards;
         if !self.condensed {
             // Tally the round-start opinions, then sort into the
             // ascending `hist_pairs` invariant the delta diff (and the
@@ -1761,44 +1794,8 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         self.push_sent_undecided = self.hist_undecided;
         self.push_sent_round = Some(self.round_no);
 
-        for dest in 0..shards {
-            let (palette, pruns) = if dest + 1 == shards {
-                (std::mem::take(&mut body), std::mem::take(&mut bruns))
-            } else {
-                let (mut p, mut r) = self.palette_pool.pop().unwrap_or_default();
-                p.clear();
-                r.clear();
-                p.extend_from_slice(&body);
-                r.extend_from_slice(&bruns);
-                (p, r)
-            };
-            let msg = OpinionPalette {
-                origin: self.shard_id as u32,
-                round: self.round_no,
-                palette,
-                runs: pruns,
-            };
-            *messages_sent += (msg.palette.len() + msg.runs.len()) as u64;
-            self.transport.send(dest, ShardMessage::Palette(msg));
-        }
-
-        let mut palettes = 0usize;
-        while palettes < shards {
-            match self.transport.recv()? {
-                ShardMessage::Palette(p) => {
-                    assert!(
-                        self.recv_palettes[p.origin as usize].is_none(),
-                        "round lockstep: unexpected extra palette"
-                    );
-                    self.recv_palettes[p.origin as usize] = Some((p.palette, p.runs));
-                    palettes += 1;
-                }
-                ShardMessage::Pull(_) => {
-                    unreachable!("round lockstep: pull message in a push round")
-                }
-            }
-        }
-
+        self.broadcast_palette(body, bruns, messages_sent);
+        self.collect_palettes()?;
         self.union_apply(delta_round);
         Ok(())
     }
@@ -1911,8 +1908,8 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
     /// `shards · occ` raw entries. Contributions lost to an active
     /// fault plan are simply absent: the alias table normalizes over
     /// the surviving mass, reweighting the round's samples toward the
-    /// shards that were heard (on the exact path every slot is filled,
-    /// so this is the fault-free union verbatim).
+    /// shards that were heard (under an inert plan every slot is
+    /// filled, so this is the fault-free union verbatim).
     fn union_palettes(&mut self) {
         let shards = self.partition.shards;
         let mut union_undecided = 0u64;
@@ -1979,10 +1976,10 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         }
     }
 
-    /// Absorbs one current-round palette under an active plan: the
-    /// first copy from a non-late origin fills its slot; duplicate
-    /// copies and deterministically-late deliveries are discarded
-    /// (their buffers returned to the pool).
+    /// Absorbs one current-round palette: the first copy from a non-late
+    /// origin fills its slot; duplicate copies and
+    /// deterministically-late deliveries are discarded (their buffers
+    /// returned to the pool).
     fn absorb_palette(&mut self, p: OpinionPalette) {
         let origin = p.origin as usize;
         let late =
@@ -1994,15 +1991,20 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         }
     }
 
-    /// How many palette copies this shard will receive from live peer
-    /// `from` this round (late copies still arrive — and are discarded
-    /// — so they count).
-    fn expected_palette_copies(&self, from: usize) -> usize {
-        match self.plan.palette_fault(self.round_no, from, self.shard_id) {
-            None | Some(FaultKind::Delay) => 1,
-            Some(FaultKind::Duplicate) => 2,
-            Some(FaultKind::Drop) => 0,
-        }
+    /// How many palette copies this shard receives this round: the
+    /// copies each live peer sends through its `peer → self` edge (late
+    /// copies still arrive — and are discarded — so they count). One per
+    /// peer under an inert plan.
+    fn expected_palettes(&self) -> usize {
+        let round = self.round_no;
+        (0..self.partition.shards)
+            .filter(|&peer| !self.plan.is_crashed(peer, round))
+            .map(|peer| match self.plan.palette_fault(round, peer, self.shard_id) {
+                None | Some(FaultKind::Delay) => 1,
+                Some(FaultKind::Duplicate) => 2,
+                Some(FaultKind::Drop) => 0,
+            })
+            .sum()
     }
 
     /// Transmits one palette through the plan's fault decision for the
@@ -2010,12 +2012,7 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
     /// honest: dropped copies were transmitted and lost (counted once),
     /// duplicates count twice, late copies count once and are discarded
     /// by the receiver.
-    fn send_palette_faulty(
-        &mut self,
-        dest: usize,
-        palette: OpinionPalette,
-        messages_sent: &mut u64,
-    ) {
+    fn send_palette(&mut self, dest: usize, palette: OpinionPalette, messages_sent: &mut u64) {
         let wire = (palette.palette.len() + palette.runs.len()) as u64;
         match self.plan.palette_fault(self.round_no, self.shard_id, dest) {
             None | Some(FaultKind::Delay) => {
@@ -2036,211 +2033,53 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         }
     }
 
-    /// Fault-aware pull exchange. Pull batches are never faulted (they
-    /// are the round's control skeleton); palette responses pass
-    /// through the plan's per-edge decisions on both sides: the server
-    /// intercepts its own transmissions, the requester knows exactly
-    /// how many copies will arrive, and every palette it will never
-    /// see — dropped, late, or owed by a crashed peer — is compensated
-    /// by re-sampling the requested draw count from this shard's own
-    /// round-start opinions (counted as `recovered`), so the sample
-    /// mass stays exact and every consumption path runs unchanged.
-    fn pull_exchange_faulty(&mut self, messages_sent: &mut u64) -> Result<(), TransportLost> {
-        let local_n = self.local_n;
-        let shards = self.partition.shards;
+    /// Broadcasts one push histogram to every live peer, each copy
+    /// through [`Worker::send_palette`]. Every peer but the last live
+    /// one gets a pooled copy — built once, then bulk-copied rather than
+    /// re-pushed entry by entry — and the last takes the original
+    /// buffers.
+    fn broadcast_palette(
+        &mut self,
+        mut body: Vec<Opinion>,
+        mut bruns: Vec<(u32, u64)>,
+        messages_sent: &mut u64,
+    ) {
         let round = self.round_no;
-        let total = (local_n * self.h) as u64;
-
-        self.snapshot_round_start();
-
-        // Crashed peers take no traffic: mask them out of the
-        // destination weights so every pull targets a live node.
-        for dest in 0..shards {
-            self.dest_theta[dest] = if self.plan.is_crashed(dest, round) {
-                0.0
-            } else {
-                self.partition.range(dest).len() as f64
-            };
-        }
-        sample_multinomial_into(total, &self.dest_theta, &mut self.rng, &mut self.dest_counts);
-
-        let mut expected_pulls = 0usize;
-        let mut expected_palettes = 0usize;
-        for peer in 0..shards {
+        let origin = self.shard_id as u32;
+        let last = (0..self.partition.shards)
+            .rev()
+            .find(|&peer| !self.plan.is_crashed(peer, round))
+            .expect("the broadcasting shard is live");
+        for peer in 0..=last {
             if self.plan.is_crashed(peer, round) {
                 continue;
             }
-            // Every live peer (including self) sends us one pull batch
-            // and owes us a palette through the `peer → self` edge.
-            expected_pulls += 1;
-            expected_palettes += self.expected_palette_copies(peer);
-            let mut runs = self.run_pool.pop().unwrap_or_default();
-            runs.clear();
-            let m = self.dest_counts[peer];
-            if m > 0 {
-                let len = self.partition.range(peer).len() as u32;
-                runs.push(TargetRun { start: 0, len, count: m });
-            }
-            *messages_sent += runs.len() as u64;
-            self.transport.send(
-                peer,
-                ShardMessage::Pull(PullBatch {
-                    origin: self.shard_id as u32,
-                    round,
-                    target_runs: runs,
-                }),
-            );
-        }
-
-        let mut pulls = 0usize;
-        let mut palettes = 0usize;
-        while pulls < expected_pulls || palettes < expected_palettes {
-            match self.recv_current()? {
-                ShardMessage::Pull(batch) => {
-                    pulls += 1;
-                    let origin = batch.origin as usize;
-                    let palette = self.build_palette(&batch);
-                    self.send_palette_faulty(origin, palette, messages_sent);
-                    self.run_pool.push(batch.target_runs);
-                }
-                ShardMessage::Palette(p) => {
-                    palettes += 1;
-                    self.absorb_palette(p);
-                }
-            }
-        }
-
-        // Compensate the palettes that never landed: re-sample the
-        // requested draw count from this shard's own round-start
-        // opinions (the lost server's law is out of reach; the local
-        // stand-in keeps the sample mass exact). Crashed peers were
-        // masked to zero draws, so their slots fill with empty
-        // palettes and recover nothing.
-        for origin in 0..shards {
-            if self.recv_palettes[origin].is_some() {
-                continue;
-            }
-            let m = self.dest_counts[origin];
-            let (mut palette, mut runs) = self.palette_pool.pop().unwrap_or_default();
-            palette.clear();
-            runs.clear();
-            debug_assert!(m == 0 || local_n > 0, "draws need a non-empty shard");
-            if self.condensed {
-                // The same self-compensation law off the histogram — a
-                // binomial undecided split plus a sparse multinomial
-                // over the round-start snapshot, emitted runs-encoded
-                // — on the same round RNG the agent path's per-draw
-                // reads consume.
-                if m > 0 {
-                    let undec = if self.snap_undecided > 0 {
-                        Binomial::new(m, self.snap_undecided as f64 / local_n as f64)
-                            .sample(&mut self.rng)
-                    } else {
-                        0
-                    };
-                    let rest = m - undec;
-                    if rest > 0 {
-                        self.theta_scratch.clear();
-                        self.theta_scratch.extend(
-                            self.snap_touched.iter().map(|&i| self.snap_counts[i as usize] as f64),
-                        );
-                        sample_multinomial_sparse_into(
-                            rest,
-                            &self.theta_scratch,
-                            &self.snap_touched,
-                            &mut self.rng,
-                            &mut self.serve_counts,
-                        );
-                    }
-                    for &i in &self.snap_touched {
-                        let c = self.serve_counts[i as usize];
-                        if c > 0 {
-                            runs.push((palette.len() as u32, c));
-                            palette.push(Opinion::new(i));
-                            self.serve_counts[i as usize] = 0;
-                        }
-                    }
-                    if undec > 0 {
-                        runs.push((palette.len() as u32, undec));
-                        palette.push(Opinion::UNDECIDED);
-                    }
-                }
+            let (palette, runs) = if peer == last {
+                (std::mem::take(&mut body), std::mem::take(&mut bruns))
             } else {
-                palette.reserve(m as usize);
-                for _ in 0..m {
-                    palette.push(self.opinions[self.rng.gen_range(0..local_n)]);
-                }
-            }
-            self.recovered += m;
-            self.recv_palettes[origin] = Some((palette, runs));
+                let (mut p, mut r) = self.palette_pool.pop().unwrap_or_default();
+                p.clear();
+                r.clear();
+                p.extend_from_slice(&body);
+                r.extend_from_slice(&bruns);
+                (p, r)
+            };
+            self.send_palette(peer, OpinionPalette { origin, round, palette, runs }, messages_sent);
         }
-
-        for &i in &self.snap_touched {
-            self.snap_counts[i as usize] = 0;
-        }
-        Ok(())
     }
 
-    /// Fault-aware push exchange: the broadcast skips crashed peers,
-    /// each histogram copy passes through the plan's per-edge fault
-    /// decision, and the union is built from whichever contributions
-    /// survived (see [`Worker::union_palettes`]) — push rounds have no
-    /// sample-mass contract to restore, so lost histograms reweight
-    /// rather than recover.
-    fn push_exchange_faulty(&mut self, messages_sent: &mut u64) -> Result<(), TransportLost> {
-        let shards = self.partition.shards;
-        let round = self.round_no;
-
-        self.snapshot_round_start();
-
-        let (mut body, mut bruns) = self.palette_pool.pop().unwrap_or_default();
-        body.clear();
-        bruns.clear();
-        for &i in &self.snap_touched {
-            bruns.push((body.len() as u32, self.snap_counts[i as usize]));
-            body.push(Opinion::new(i));
-        }
-        if self.snap_undecided > 0 {
-            bruns.push((body.len() as u32, self.snap_undecided));
-            body.push(Opinion::UNDECIDED);
-        }
-        let mut expected_palettes = 0usize;
-        for peer in 0..shards {
-            if self.plan.is_crashed(peer, round) {
-                continue;
-            }
-            // The live-peer loop is symmetric: `peer` is both a
-            // broadcast destination (self → peer) and a sender whose
-            // copies we must expect (peer → self).
-            expected_palettes += self.expected_palette_copies(peer);
-            let (mut palette, mut pruns) = self.palette_pool.pop().unwrap_or_default();
-            palette.clear();
-            pruns.clear();
-            palette.extend_from_slice(&body);
-            pruns.extend_from_slice(&bruns);
-            let msg = OpinionPalette { origin: self.shard_id as u32, round, palette, runs: pruns };
-            self.send_palette_faulty(peer, msg, messages_sent);
-        }
-        self.palette_pool.push((body, bruns));
-        for &i in &self.snap_touched {
-            self.snap_counts[i as usize] = 0;
-        }
-        self.snap_touched.clear();
-
-        let mut palettes = 0usize;
-        while palettes < expected_palettes {
+    /// Collects this push round's histograms into `recv_palettes`:
+    /// exactly [`Worker::expected_palettes`] copies arrive, and nothing
+    /// else (a push round has no pulls at all).
+    fn collect_palettes(&mut self) -> Result<(), TransportLost> {
+        for _ in 0..self.expected_palettes() {
             match self.recv_current()? {
-                ShardMessage::Palette(p) => {
-                    palettes += 1;
-                    self.absorb_palette(p);
-                }
+                ShardMessage::Palette(p) => self.absorb_palette(p),
                 ShardMessage::Pull(_) => {
                     unreachable!("round lockstep: pull message in a push round")
                 }
             }
         }
-
-        self.union_palettes();
         Ok(())
     }
 
@@ -2462,10 +2301,10 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         self.install_condensed(undecided);
     }
 
-    /// Serves one pull batch from the round-start state, drawing from
-    /// the origin's dedicated serving stream, choosing per batch
-    /// between two exact samplers by the draw count `m` vs the
-    /// distinct local color count `d`:
+    /// Samples the palette answering one pull batch from the round-start
+    /// state, drawing from the origin's dedicated serving stream,
+    /// choosing per batch between two exact samplers by the draw count
+    /// `m` vs the distinct local color count `d`:
     ///
     /// * **raw** (`m < 24·d`, the diverse regime) — draw `m` uniform
     ///   targets and ship their opinions verbatim (a palette with no
@@ -2481,16 +2320,9 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
     /// Both are exactly the law of `m` uniform snapshot reads; the
     /// choice depends only on deterministic per-round state, so the
     /// trajectory stays seed-reproducible.
-    fn serve_batch(&mut self, batch: &PullBatch, messages_sent: &mut u64) {
-        let palette = self.build_palette(batch);
-        *messages_sent += (palette.palette.len() + palette.runs.len()) as u64;
-        self.transport.send(batch.origin as usize, ShardMessage::Palette(palette));
-    }
-
-    /// Samples the palette answering one pull batch from the round-start
-    /// state (see [`Worker::serve_batch`] for the raw-vs-walk crossover);
-    /// sending is left to the caller so the fault path can intercept the
-    /// transmission.
+    ///
+    /// Sending is left to the caller, which routes the palette through
+    /// the plan's edge decision ([`Worker::send_palette`]).
     fn build_palette(&mut self, batch: &PullBatch) -> OpinionPalette {
         // Crossover between the raw and walk samplers: a
         // conditional-binomial step (sampler construction + draw)

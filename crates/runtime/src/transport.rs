@@ -614,6 +614,31 @@ fn spawn_peer_reader(conn: BufReader<Conn>, tx: mpsc::Sender<PeerEvent>) {
     });
 }
 
+/// Drains worker `shard`'s report frames into the coordinator's queue.
+/// `None` is a lost link: the stream closed, produced garbage, or
+/// carried a report naming another shard — a report's `shard` indexes
+/// the coordinator's per-shard state, so it must match the connection
+/// it arrived on.
+fn spawn_report_reader(
+    shard: usize,
+    mut conn: impl Read + Send + 'static,
+    tx: mpsc::Sender<Option<(ShardReport, u64)>>,
+) {
+    std::thread::spawn(move || loop {
+        let report = match read_frame(&mut conn) {
+            Ok(Some(frame)) => decode_report(&frame)
+                .ok()
+                .filter(|rep| rep.shard == shard)
+                .map(|rep| (rep, frame.wire_len())),
+            Ok(None) | Err(_) => None,
+        };
+        let lost = report.is_none();
+        if tx.send(report).is_err() || lost {
+            return;
+        }
+    });
+}
+
 /// Spawns one shard-worker OS process that will connect back to the
 /// coordinator listening at `coordinator` (a `unix:`/`tcp:` address
 /// string) and run shard `shard` of its fleet.
@@ -941,33 +966,8 @@ impl SocketFleet {
         }
 
         let (tx, reports) = mpsc::channel();
-        for r in read_halves.into_iter().flatten() {
-            let tx = tx.clone();
-            std::thread::spawn(move || {
-                let mut r = r;
-                loop {
-                    match read_frame(&mut r) {
-                        Ok(Some(frame)) => {
-                            let len = frame.wire_len();
-                            match decode_report(&frame) {
-                                Ok(rep) => {
-                                    if tx.send(Some((rep, len))).is_err() {
-                                        return;
-                                    }
-                                }
-                                Err(_) => {
-                                    let _ = tx.send(None);
-                                    return;
-                                }
-                            }
-                        }
-                        Ok(None) | Err(_) => {
-                            let _ = tx.send(None);
-                            return;
-                        }
-                    }
-                }
-            });
+        for (shard, r) in read_halves.into_iter().enumerate() {
+            spawn_report_reader(shard, r.expect("hello filled every slot"), tx.clone());
         }
         for w in write_halves {
             conns.push(w.expect("hello filled every slot"));
@@ -1013,6 +1013,35 @@ mod tests {
         }
         assert_eq!(TransportAddr::parse("udp:nope"), None);
         assert_eq!(TransportAddr::parse("bare"), None);
+    }
+
+    #[test]
+    fn report_reader_treats_a_foreign_shard_id_as_a_lost_link() {
+        let report = |shard| ShardReport {
+            shard,
+            round: 1,
+            body: ReportBody::Sparse(vec![(0, 3)]),
+            undecided: 0,
+            messages_sent: 0,
+            recovered: 0,
+            changed_slots: None,
+            bytes_sent: 0,
+            bytes_received: 0,
+        };
+        let (mut worker, coordinator) = UnixStream::pair().expect("socket pair");
+        let (tx, rx) = mpsc::channel();
+        spawn_report_reader(2, BufReader::new(coordinator), tx);
+        let mut buf = Vec::new();
+        for shard in [2, 7] {
+            buf.clear();
+            encode_report(&report(shard), &mut buf);
+            write_frame(&mut worker, &buf).expect("write report");
+        }
+        let (first, len) = rx.recv().expect("reader alive").expect("own report passes");
+        assert_eq!(first.shard, 2);
+        assert_eq!(len, report_len(&first));
+        assert!(rx.recv().expect("reader reports the loss").is_none(), "foreign shard id");
+        assert!(rx.recv().is_err(), "the reader stops after a lost link");
     }
 
     #[test]

@@ -257,6 +257,28 @@ fn unknown_frame_kind_is_rejected() {
 }
 
 #[test]
+fn oversized_length_is_an_error_not_an_allocation() {
+    // A valid header whose payload length claims ~2^63 bytes, then EOF:
+    // the stream reader must fail with `UnexpectedEof` instead of
+    // allocating the claimed length up front (a capacity-overflow panic
+    // near `u64::MAX`, a terabyte request near 2^40).
+    let mut buf = Vec::new();
+    encode_control(&Control::Stop, &mut buf);
+    buf.truncate(4); // magic, version, kind
+    buf.push(0); // round 0
+    let mut len = u64::MAX >> 1;
+    while len >= 0x80 {
+        buf.push(len as u8 | 0x80);
+        len >>= 7;
+    }
+    buf.push(len as u8);
+    buf.extend_from_slice(b"short");
+    let mut stream = std::io::Cursor::new(buf);
+    let err = read_frame(&mut stream).expect_err("the payload never arrives");
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+}
+
+#[test]
 fn retired_report_tag_is_malformed() {
     // Tag 2 was the dense report format: a `Round` command or a report
     // body carrying it decodes to `Malformed`, without panicking.

@@ -10,8 +10,8 @@ use proptest::prelude::*;
 use symbreak_core::rules::{ThreeMajority, TwoChoices, Voter};
 use symbreak_core::Configuration;
 use symbreak_runtime::{
-    ByzantineSpec, Cluster, ClusterConfig, CorruptionKind, CrashSpec, FaultKind, FaultPlan,
-    ShardRepr, StopReason,
+    ByzantineSpec, Cluster, ClusterConfig, CorruptionKind, CrashSpec, FaultCounters, FaultKind,
+    FaultPlan, GearMode, ShardRepr, StopReason,
 };
 
 /// Strips the wire-byte counters (PR 8) off a [`FaultCounters`] so the
@@ -105,6 +105,126 @@ fn golden_voter_inert_plan_seed_exact() {
     assert_eq!(out.total_messages, 16614);
     assert_eq!(trace_digest(&out.trace), 0x4bf1e2c02a383ae6);
     assert_eq!(zero_bytes(out.faults), Default::default());
+}
+
+// ---------------------------------------------------------------------
+// Seed-exactness of an active plan: one mixed plan that fires every
+// fault kind at once — palette drop, duplicate and delay, report delay,
+// a crash with rejoin, and a plausible Byzantine liar — pinned byte for
+// byte on a singleton start. The byte counters are left out: the
+// relaxed barrier lets them drift (see `socket_fleet_survives_fault_plan`).
+// ---------------------------------------------------------------------
+
+/// Runs the mixed plan and checks the pinned observables: the round,
+/// `Σ total_messages`, `Σ report_entries`, every fault counter and the
+/// trace digest.
+fn assert_mixed_plan_golden(
+    repr: ShardRepr,
+    gear: GearMode,
+    round: u64,
+    messages: u64,
+    entries: u64,
+    digest: u64,
+    faults: FaultCounters,
+) {
+    let plan = FaultPlan::none()
+        .with_seed(17)
+        .with_palette_rates(0.1, 0.1, 0.1)
+        .with_report_rates(0.0, 0.0, 0.1)
+        .with_crash(CrashSpec { shard: 2, crash_round: 3, rejoin_round: Some(6) })
+        .with_byzantine(ByzantineSpec { shard: 1, budget: 2, kind: CorruptionKind::Plausible })
+        .with_max_faulty(3);
+    let config =
+        ClusterConfig::new(4, 23).with_shard_repr(repr).with_data_gear(gear).with_fault_plan(plan);
+    let out = Cluster::new(ThreeMajority, &Configuration::singletons(256), config).run_horizon(400);
+    assert_eq!(out.stop, StopReason::Consensus);
+    assert_eq!(out.consensus_round, Some(round));
+    assert_eq!(out.rounds_run, round);
+    assert_eq!(out.total_messages, messages);
+    assert_eq!(out.report_entries.iter().sum::<u64>(), entries);
+    assert_eq!(trace_digest(&out.trace), digest);
+    assert_eq!(zero_bytes(out.faults), faults);
+}
+
+#[test]
+fn golden_mixed_plan_agents_seed_exact() {
+    // Agent-backed shards boot in the pull gear and stay there.
+    let faults = FaultCounters {
+        palettes_dropped: 40,
+        palettes_duplicated: 32,
+        palettes_delayed: 41,
+        reports_delayed: 13,
+        crash_rounds: 3,
+        rejoins: 1,
+        byzantine_reports: 30,
+        straggler_resyncs: 13,
+        recovered_samples: 1316,
+        quorum_rounds: 13,
+        ..FaultCounters::default()
+    };
+    assert_mixed_plan_golden(
+        ShardRepr::Agents,
+        GearMode::Auto,
+        30,
+        18206,
+        2527,
+        0xec5051a15e763a69,
+        faults,
+    );
+}
+
+#[test]
+fn golden_mixed_plan_histogram_seed_exact() {
+    // Condensed shards: pull from the singleton start, push once the
+    // occupancy concentrates.
+    let faults = FaultCounters {
+        palettes_dropped: 39,
+        palettes_duplicated: 31,
+        palettes_delayed: 36,
+        reports_delayed: 12,
+        crash_rounds: 3,
+        rejoins: 1,
+        byzantine_reports: 28,
+        straggler_resyncs: 12,
+        recovered_samples: 1329,
+        quorum_rounds: 12,
+        ..FaultCounters::default()
+    };
+    assert_mixed_plan_golden(
+        ShardRepr::Histogram,
+        GearMode::Auto,
+        28,
+        16982,
+        2394,
+        0xba2c36cd5b2b691b,
+        faults,
+    );
+}
+
+#[test]
+fn golden_mixed_plan_force_push_seed_exact() {
+    // Push rounds reweight lost histograms instead of recovering them.
+    let faults = FaultCounters {
+        palettes_dropped: 29,
+        palettes_duplicated: 30,
+        palettes_delayed: 33,
+        reports_delayed: 11,
+        crash_rounds: 3,
+        rejoins: 1,
+        byzantine_reports: 25,
+        straggler_resyncs: 10,
+        quorum_rounds: 11,
+        ..FaultCounters::default()
+    };
+    assert_mixed_plan_golden(
+        ShardRepr::Histogram,
+        GearMode::ForcePush,
+        25,
+        19548,
+        2106,
+        0x5aef7805852c614d,
+        faults,
+    );
 }
 
 // ---------------------------------------------------------------------

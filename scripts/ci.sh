@@ -35,7 +35,7 @@ SYMBREAK_SCALE=0.004096 cargo run --release -p symbreak-bench --bin exp_e20_clus
 echo "==> consumption smoke: multiset/single-peer native wire vs the VectorEngine law, k = n = 4096"
 SYMBREAK_SCALE=0.04096 cargo run --release -p symbreak-bench --bin exp_e21_multiset_wire
 
-echo "==> fault smoke: quorum-relaxed cluster under drop/crash/Byzantine injection"
+echo "==> fault smoke: one coordinator, inert plan = F = 0; drop/crash/Byzantine injection"
 SYMBREAK_SCALE=0.04096 cargo run --release -p symbreak-bench --bin exp_e22_cluster_faults
 
 echo "==> condensed smoke: histogram shards, Theorem-5 horizon at n = 262144, paired repr runs"
