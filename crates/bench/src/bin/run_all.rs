@@ -31,7 +31,6 @@ const EXPERIMENTS: &[&str] = &[
     "exp_e23_condensed_shards",
     "exp_e24_transport",
     "exp_e25_grouped_pull",
-    "exp_e26_incremental_rounds",
 ];
 
 fn main() {

@@ -133,26 +133,6 @@ pub enum GearMode {
     ForcePull,
 }
 
-/// How shards maintain their per-round samplers between rounds.
-///
-/// Both modes realize the identical process law. They consume the
-/// generator differently, so incremental trajectories are compared
-/// distributionally, not pathwise; the default keeps every historical
-/// trajectory byte-exact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RoundStateMode {
-    /// From-scratch per round: fresh push unions, alias tables and
-    /// serving mirrors. The byte-exact default.
-    #[default]
-    Rebuild,
-    /// Persistent round state: push rounds broadcast `O(#changed)`
-    /// histogram deltas into a persistent union, and condensed shards
-    /// patch their serving [`symbreak_sim::dist::FenwickPool`] in
-    /// `O(#changed·log k)` instead of rebuilding. Fleets with an active
-    /// fault plan keep the rebuild path regardless.
-    Incremental,
-}
-
 /// Cluster construction parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
@@ -171,9 +151,6 @@ pub struct ClusterConfig {
     /// Deterministic fault schedule (defaults to the inert
     /// [`FaultPlan::none`], the `F = 0` case of the fault-aware paths).
     pub fault_plan: FaultPlan,
-    /// Per-round sampler lifecycle (defaults to
-    /// [`RoundStateMode::Rebuild`], the byte-exact default).
-    pub round_state: RoundStateMode,
 }
 
 impl ClusterConfig {
@@ -187,7 +164,6 @@ impl ClusterConfig {
             shard_repr: ShardRepr::default(),
             data_gear: GearMode::default(),
             fault_plan: FaultPlan::none(),
-            round_state: RoundStateMode::default(),
         }
     }
 
@@ -215,14 +191,6 @@ impl ClusterConfig {
     /// relative to states the coordinator never saw.
     pub fn with_fault_plan(mut self, fault_plan: FaultPlan) -> Self {
         self.fault_plan = fault_plan;
-        self
-    }
-
-    /// Selects the per-round sampler lifecycle (persistent
-    /// delta-patched round state vs the byte-exact from-scratch
-    /// rebuild).
-    pub fn with_round_state(mut self, round_state: RoundStateMode) -> Self {
-        self.round_state = round_state;
         self
     }
 }
@@ -375,7 +343,7 @@ impl<R: UpdateRule + Clone + Send> Cluster<R> {
             control_txs.push(tx);
             control_rxs.push(rx);
         }
-        let (report_tx, report_rx) = mpsc::channel::<ShardReport>();
+        let (report_tx, report_rx) = mpsc::channel();
 
         crossbeam::thread::scope(|scope| {
             for (shard_id, (inbox, control)) in inboxes.into_iter().zip(control_rxs).enumerate() {
@@ -405,7 +373,6 @@ impl<R: UpdateRule + Clone + Send> Cluster<R> {
                     repr: config.shard_repr,
                     master_seed: config.seed,
                     plan: config.fault_plan.clone(),
-                    round_state: config.round_state,
                 };
                 scope.spawn(move |_| {
                     run_shard(shard_id, spec, rule, init, transport);
@@ -456,7 +423,6 @@ impl<R: WireRule> Cluster<R> {
             repr: self.config.shard_repr,
             master_seed: self.config.seed,
             plan: self.config.fault_plan.clone(),
-            round_state: self.config.round_state,
             rule: self.rule.spec(),
             condensed: boot.condensed,
             bodies: boot.bodies.clone(),

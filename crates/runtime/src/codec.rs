@@ -47,7 +47,7 @@ use std::io::{self, Read, Write};
 
 use symbreak_core::Opinion;
 
-use crate::cluster::{ReportMode, RoundStateMode, ShardRepr};
+use crate::cluster::{ReportMode, ShardRepr};
 use crate::fault::{ByzantineSpec, CorruptionKind, CrashSpec, FaultPlan};
 use crate::message::{
     Control, DataFormat, OpinionPalette, PullBatch, ReportBody, ReportFormat, ShardMessage,
@@ -56,9 +56,9 @@ use crate::message::{
 
 /// The two magic bytes opening every frame (`"SB"`).
 pub const WIRE_MAGIC: [u8; 2] = [0x53, 0x42];
-/// The encoding version this build speaks (version 2 changed the `Init`
-/// payload).
-pub const WIRE_VERSION: u8 = 2;
+/// The encoding version this build speaks (versions 2 and 3 changed the
+/// `Init` payload).
+pub const WIRE_VERSION: u8 = 3;
 
 /// Frame type discriminant (the `kind` header byte).
 ///
@@ -809,7 +809,6 @@ pub(crate) struct WorkerInit {
     pub repr: ShardRepr,
     pub master_seed: u64,
     pub plan: FaultPlan,
-    pub round_state: RoundStateMode,
     pub rule: crate::transport::RuleSpec,
     pub condensed: bool,
     pub body: Vec<(u32, u64)>,
@@ -817,7 +816,7 @@ pub(crate) struct WorkerInit {
     pub die_at_round: Option<u64>,
 }
 
-fn mode_codes(init: &WorkerInit) -> [u8; 3] {
+fn mode_codes(init: &WorkerInit) -> [u8; 2] {
     [
         match init.report_mode {
             ReportMode::Sparse => 0,
@@ -826,10 +825,6 @@ fn mode_codes(init: &WorkerInit) -> [u8; 3] {
         match init.repr {
             ShardRepr::Histogram => 0,
             ShardRepr::Agents => 1,
-        },
-        match init.round_state {
-            RoundStateMode::Rebuild => 0,
-            RoundStateMode::Incremental => 1,
         },
     ]
 }
@@ -935,11 +930,6 @@ pub(crate) fn decode_worker_init(frame: &Frame) -> Result<WorkerInit, WireError>
         1 => ShardRepr::Agents,
         _ => return Err(WireError::Malformed("unknown shard repr")),
     };
-    let round_state = match r.u8()? {
-        0 => RoundStateMode::Rebuild,
-        1 => RoundStateMode::Incremental,
-        _ => return Err(WireError::Malformed("unknown round-state mode")),
-    };
     let master_seed = r.varint()?;
     let plan_seed = r.varint()?;
     let mut rates = [0.0f64; 6];
@@ -1041,7 +1031,6 @@ pub(crate) fn decode_worker_init(frame: &Frame) -> Result<WorkerInit, WireError>
         repr,
         master_seed,
         plan,
-        round_state,
         rule,
         condensed,
         body,
@@ -1116,7 +1105,6 @@ mod tests {
                     kind: CorruptionKind::Plausible,
                 })
                 .with_max_faulty(2),
-            round_state: RoundStateMode::Incremental,
             rule: crate::transport::RuleSpec::LazyVoter(0.5),
             condensed: true,
             body: vec![(0, 10), (63, 990)],

@@ -248,8 +248,7 @@ impl FaultPlan {
     }
 
     /// Whether the plan injects anything at all. Inert plans fold
-    /// reports losslessly and may use incremental round state; active
-    /// ones cannot.
+    /// reports losslessly; active ones cannot.
     pub fn is_active(&self) -> bool {
         self.palette_drop > 0.0
             || self.palette_duplicate > 0.0

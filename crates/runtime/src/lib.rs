@@ -47,10 +47,6 @@
 //!   which is what makes `n ≥ 10⁸` Theorem-5 sweeps tractable.
 //!   Ordered-window rules (2-Choices) keep the per-agent vector, which
 //!   [`ShardRepr::Agents`] forces everywhere.
-//! * **Round state** ([`RoundStateMode`]) — the byte-exact default
-//!   rebuilds every per-round sampler; the incremental mode broadcasts
-//!   push-gear histogram deltas and patches persistent samplers in
-//!   `O(#changed)`.
 //! * **Fault layer** ([`FaultPlan`]) — a seeded, deterministic fault
 //!   schedule interposes on the wire path: dropped / duplicated /
 //!   delayed palettes and reports, crash-stop shards that rejoin from
@@ -70,8 +66,9 @@
 //!   pre-codec runtime) and Unix-domain/TCP sockets
 //!   ([`Cluster::run_horizon_socket`]), where the fleet runs as one OS
 //!   process per shard spawned from a worker binary
-//!   ([`transport::shard_process_main`]). A vanished peer aborts the
-//!   run with [`StopReason::TransportLost`] instead of deadlocking.
+//!   ([`transport::shard_process_main`]). A vanished peer, or a shard
+//!   whose round panics, aborts the run with
+//!   [`StopReason::TransportLost`] instead of hanging it.
 //!
 //! [`Configuration`]: symbreak_core::Configuration
 //!
@@ -119,8 +116,7 @@ pub mod shard;
 pub mod transport;
 
 pub use cluster::{
-    Cluster, ClusterConfig, ClusterOutcome, GearMode, HorizonOutcome, ReportMode, RoundStateMode,
-    ShardRepr,
+    Cluster, ClusterConfig, ClusterOutcome, GearMode, HorizonOutcome, ReportMode, ShardRepr,
 };
 pub use fault::{
     ByzantineSpec, CorruptionKind, CrashSpec, FaultCounters, FaultKind, FaultPlan, StopReason,

@@ -80,21 +80,22 @@
 //! every peer is live, every message arrives exactly once, nothing is
 //! compensated or corrupted, and the fleet runs in strict lockstep.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use rand::{Rng, SeedableRng};
 
 use symbreak_core::{Opinion, SampleAccess, UpdateRule};
 use symbreak_sim::dist::{
     expected_window_visits, expected_window_visits_counts, sample_multinomial_into,
-    sample_multinomial_sparse_into, Binomial, Categorical, FenwickPool, GroupSplitter,
-    WindowMultinomial, WindowSplitter, WALK_CANDIDATE_CAP,
+    sample_multinomial_sparse_into, Binomial, Categorical, GroupSplitter, WindowMultinomial,
+    WindowSplitter, WALK_CANDIDATE_CAP,
 };
 use symbreak_sim::rng::{trial_seed, Pcg64};
 
 use symbreak_adversary::{Adversary, RandomFlipper};
 use symbreak_core::Configuration;
 
-use crate::cluster::{shard_is_condensed, ReportMode, RoundStateMode, ShardRepr};
-use crate::codec::{unzigzag, zigzag};
+use crate::cluster::{shard_is_condensed, ReportMode, ShardRepr};
 use crate::fault::{CorruptionKind, FaultKind, FaultPlan, BYZANTINE_SALT};
 use crate::message::{
     Control, DataFormat, OpinionPalette, PullBatch, ReportBody, ReportFormat, ShardMessage,
@@ -149,7 +150,6 @@ pub(crate) struct ShardSpec {
     pub repr: ShardRepr,
     pub master_seed: u64,
     pub plan: FaultPlan,
-    pub round_state: RoundStateMode,
 }
 
 /// A shard's seed state, matching its representation: the coordinator
@@ -165,7 +165,10 @@ pub(crate) enum ShardInit {
 /// endpoint — a dead peer process, a vanished coordinator — aborts the
 /// current round and exits the worker cleanly (the loss cascades to
 /// the rest of the fleet through their own transports; see
-/// [`crate::transport`]).
+/// [`crate::transport`]). A panic inside a round or a rejoin exits the
+/// worker the same way: the panic is caught here, and dropping the
+/// transport tells the peers and the coordinator that this shard is
+/// gone.
 pub(crate) fn run_shard<R: UpdateRule, T: Transport>(
     shard_id: usize,
     spec: ShardSpec,
@@ -175,16 +178,18 @@ pub(crate) fn run_shard<R: UpdateRule, T: Transport>(
 ) {
     let mut worker = Worker::new(shard_id, spec, rule, init, transport);
     loop {
-        match worker.transport.recv_control() {
+        let alive = match worker.transport.recv_control() {
             Ok(Control::Round { round, report, data }) => {
-                if worker.round(round, report, data).is_err() {
-                    break;
-                }
+                catch_unwind(AssertUnwindSafe(|| worker.round(round, report, data).is_ok()))
+                    .unwrap_or(false)
             }
             Ok(Control::Rejoin { round, body, undecided }) => {
-                worker.rejoin(round, &body, undecided)
+                catch_unwind(AssertUnwindSafe(|| worker.rejoin(round, &body, undecided))).is_ok()
             }
-            Ok(Control::Stop) | Err(_) => break,
+            Ok(Control::Stop) | Err(_) => false,
+        };
+        if !alive {
+            break;
         }
     }
 }
@@ -192,14 +197,6 @@ pub(crate) fn run_shard<R: UpdateRule, T: Transport>(
 /// A pooled palette allocation: the distinct-opinion list plus its
 /// `(palette_idx, count)` runs.
 type PaletteBuffers = (Vec<Opinion>, Vec<(u32, u64)>);
-
-/// Applies a signed delta to an unsigned count (counts are bounded by
-/// `n ≤ u32::MAX`, so the i64 arithmetic cannot overflow).
-fn add_signed(base: u64, d: i64) -> u64 {
-    let out = base as i64 + d;
-    debug_assert!(out >= 0, "delta drove a count negative");
-    out as u64
-}
 
 /// Two-pass 16-bit LSD radix sort for the flat condensed tally: ~4
 /// sequential passes over the data plus two bucket scatters, where a
@@ -381,53 +378,6 @@ struct Worker<R, T> {
     alias_weights: Vec<f64>,
     alias_values: Vec<Opinion>,
 
-    // Incremental (delta-patched) round state. Engages only when the
-    // spec asks for [`RoundStateMode::Incremental`] on a fault-free
-    // worker — decided once at construction; every other combination
-    // keeps the rebuild paths bit-for-bit.
-    inc: bool,
-    /// Last round this shard broadcast a push histogram. Deltas are
-    /// only lawful between *consecutive* push rounds; sender and every
-    /// receiver derive the same full-vs-delta decision from the shared
-    /// coordinator gear sequence, so the wire needs no new frame kind.
-    push_sent_round: Option<u64>,
-    /// The histogram as of the last push broadcast (the sender-side
-    /// delta baseline) and its undecided mass.
-    push_sent_prev: Vec<(u32, u64)>,
-    push_sent_undecided: u64,
-    /// Persistent push-union state: dense counts over `k_slots`, the
-    /// ascending occupied-slot list, and the undecided mass. On delta
-    /// rounds it is patched from `O(#changed)` wire entries instead of
-    /// re-deduplicating `shards · #occupied` raw entries through the
-    /// snapshot scratch.
-    union_counts: Vec<u64>,
-    union_occ: Vec<u32>,
-    union_undecided: u64,
-    /// Round the persistent union reflects.
-    union_round: Option<u64>,
-    /// Slots whose union membership (zero ↔ positive) flipped while
-    /// folding this round's palettes, plus the merge scratch: the
-    /// occupied list is rebuilt by one sorted merge per round instead
-    /// of per-transition `Vec::insert` / `Vec::remove` (which is
-    /// quadratic when a round flips many slots — the condensed
-    /// closed-form step resamples every occupied slot).
-    union_trans: Vec<u32>,
-    union_occ_scratch: Vec<u32>,
-    /// Persistent push-consume alias table (incremental rounds only):
-    /// rebuilt from `alias_weights` only when the union actually
-    /// changed. A stalled round with no global switches reuses last
-    /// round's table outright — `Categorical::new` is deterministic in
-    /// its weights, so the reuse is byte-invisible, not just lawful.
-    push_cat: Option<Categorical>,
-    push_cat_stale: bool,
-    /// Persistent serving sampler over `k_slots + 1` weights (the
-    /// trailing slot carries the undecided mass): patched from the
-    /// histogram diff at each round-start snapshot, then drawn from in
-    /// `O(log k)` per pull — small raw batches skip the `O(local_n)`
-    /// flat-mirror fill entirely.
-    serve_fen: FenwickPool,
-    /// The `hist_pairs` state `serve_fen` currently reflects.
-    serve_fen_prev: Vec<(u32, u64)>,
     /// Pooled sparse report bodies, recycled by the transport after
     /// framing — the last per-round allocation in the worker loop.
     report_pool: Vec<Vec<(u32, u64)>>,
@@ -479,8 +429,7 @@ struct Worker<R, T> {
 
 impl<R: UpdateRule, T: Transport> Worker<R, T> {
     fn new(shard_id: usize, spec: ShardSpec, rule: R, init: ShardInit, transport: T) -> Self {
-        let ShardSpec { partition, k_slots, report_mode, repr, master_seed, plan, round_state } =
-            spec;
+        let ShardSpec { partition, k_slots, report_mode, repr, master_seed, plan } = spec;
         let rng = Pcg64::seed_from_u64(trial_seed(master_seed, shard_id as u64 + 1));
         let h = rule.sample_count();
         let shards = partition.shards;
@@ -498,13 +447,6 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             matches!(init, ShardInit::Histogram(_)),
             "shard init variant must match the condensed predicate"
         );
-        // Incremental round state amortizes the per-round sampler and
-        // union rebuilds: the push gear's delta broadcasts (agent-backed
-        // and condensed alike) and the condensed serving sampler. Active
-        // fault plans re-derive state across drop/rejoin windows that a
-        // delta chain cannot span, so they keep the rebuild path
-        // regardless of the knob.
-        let inc = round_state == RoundStateMode::Incremental && !plan.is_active();
         let (opinions, hist_pairs, local_n) = match init {
             ShardInit::Agents(opinions) => {
                 let local_n = opinions.len();
@@ -583,20 +525,6 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             recv_palettes: (0..shards).map(|_| None).collect(),
             alias_weights: Vec::new(),
             alias_values: Vec::new(),
-            inc,
-            push_sent_round: None,
-            push_sent_prev: Vec::new(),
-            push_sent_undecided: 0,
-            union_counts: if inc { vec![0; k_slots] } else { Vec::new() },
-            union_occ: Vec::new(),
-            union_undecided: 0,
-            union_round: None,
-            union_trans: Vec::new(),
-            union_occ_scratch: Vec::new(),
-            push_cat: None,
-            push_cat_stale: true,
-            serve_fen: FenwickPool::with_slots(if inc && condensed { k_slots + 1 } else { 0 }),
-            serve_fen_prev: Vec::new(),
             report_pool: Vec::new(),
             window: Vec::new(),
             pool_counts: Vec::new(),
@@ -664,47 +592,10 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             self.mirror_hist(Mirror::Snapshot);
             self.snap_undecided = self.hist_undecided;
             self.serve_flat_fresh = false;
-            if self.inc {
-                self.patch_serve_fen();
-            }
         } else {
             self.snap_undecided =
                 count_opinions(&self.opinions, &mut self.snap_counts, &mut self.snap_touched);
         }
-    }
-
-    /// Patches the persistent serving sampler to the current
-    /// histogram: a two-pointer walk over the (both ascending) current
-    /// and previously-reflected pair lists — `O(#occupied)` sequential
-    /// compares, but tree traffic only for the `O(#changed)` slots
-    /// whose count actually moved (`set` is a no-op on equal counts).
-    /// The trailing weight slot carries the undecided mass.
-    fn patch_serve_fen(&mut self) {
-        debug_assert!(self.inc);
-        let fen = &mut self.serve_fen;
-        let cur = &self.hist_pairs;
-        let prev = &self.serve_fen_prev;
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < cur.len() || j < prev.len() {
-            if j == prev.len() || (i < cur.len() && cur[i].0 < prev[j].0) {
-                fen.set(cur[i].0 as usize, cur[i].1);
-                i += 1;
-            } else if i == cur.len() || prev[j].0 < cur[i].0 {
-                fen.set(prev[j].0 as usize, 0);
-                j += 1;
-            } else {
-                fen.set(cur[i].0 as usize, cur[i].1);
-                i += 1;
-                j += 1;
-            }
-        }
-        fen.set(self.k_slots, self.hist_undecided);
-        self.serve_fen_prev.clone_from(&self.hist_pairs);
-        debug_assert_eq!(
-            self.serve_fen.remaining(),
-            self.local_n as u64,
-            "serving sampler must carry exactly the shard's mass"
-        );
     }
 
     /// Rebuilds the condensed own-opinion groups from the histogram:
@@ -1666,10 +1557,6 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
     /// rounds have no sample-mass contract to restore, so lost
     /// histograms reweight rather than recover.
     fn push_exchange(&mut self, messages_sent: &mut u64) -> Result<(), TransportLost> {
-        if self.inc {
-            return self.push_exchange_incremental(messages_sent);
-        }
-
         // Round-start local opinion histogram (shared scratch with the
         // pull path), broadcast as a histogram palette.
         self.snapshot_round_start();
@@ -1695,211 +1582,6 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         self.collect_palettes()?;
         self.union_palettes();
         Ok(())
-    }
-
-    /// The incremental push gear: persistent union, delta broadcasts.
-    ///
-    /// Between *consecutive* push rounds every receiver still holds
-    /// last round's union, so each shard broadcasts only its histogram
-    /// *delta* — signed per-slot changes, zigzag-encoded in the run
-    /// count field — and receivers patch their persistent union in
-    /// `O(#changed · log #occupied)` instead of re-deduplicating
-    /// `shards · #occupied` raw entries. The first push round after a
-    /// pull round (or boot) broadcasts the full histogram and resets
-    /// the union. Sender and receivers derive the same full-vs-delta
-    /// decision from the shared coordinator gear sequence (did the
-    /// previous round push?), so the wire stays self-describing with
-    /// no new message type. A delta chain cannot span a drop or rejoin
-    /// window, so this arm runs only under inert plans (`inc` is false
-    /// otherwise); it shares the rebuild arm's broadcast and collection.
-    ///
-    /// Condensed shards diff their primary `hist_pairs`
-    /// representation directly. Agent-backed shards — where the
-    /// stalled Theorem-5 regime actually lives, with `O(1)` opinion
-    /// switches per round — materialize the round-start tally into the
-    /// same sorted-pairs form first (`O(#occupied · log #occupied)`
-    /// against the rebuild path's `shards · #occupied` broadcast
-    /// copies and union re-deduplication). The union no longer routes
-    /// through the snapshot scratch on either representation.
-    fn push_exchange_incremental(&mut self, messages_sent: &mut u64) -> Result<(), TransportLost> {
-        if !self.condensed {
-            // Tally the round-start opinions, then sort into the
-            // ascending `hist_pairs` invariant the delta diff (and the
-            // next round's baseline) expects. The dense scratch is
-            // reset behind the gather, as the broadcast path does.
-            self.snapshot_round_start();
-            self.snap_touched.sort_unstable();
-            self.hist_pairs.clear();
-            for &i in &self.snap_touched {
-                self.hist_pairs.push((i, self.snap_counts[i as usize]));
-                self.snap_counts[i as usize] = 0;
-            }
-            self.hist_n = self.local_n as u64 - self.snap_undecided;
-            self.hist_undecided = self.snap_undecided;
-            self.snap_touched.clear();
-        }
-        let prev_round = self.round_no.checked_sub(1);
-        let delta_round = prev_round.is_some()
-            && self.push_sent_round == prev_round
-            && self.union_round == prev_round;
-
-        let (mut body, mut bruns) = self.palette_pool.pop().unwrap_or_default();
-        body.clear();
-        bruns.clear();
-        if delta_round {
-            // Two-pointer diff of the (ascending) current histogram
-            // against the last broadcast: O(#occupied) compares,
-            // O(#changed) emitted entries.
-            let cur = &self.hist_pairs;
-            let prev = &self.push_sent_prev;
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < cur.len() || j < prev.len() {
-                let (slot, d) = if j == prev.len() || (i < cur.len() && cur[i].0 < prev[j].0) {
-                    let (s, c) = cur[i];
-                    i += 1;
-                    (s, c as i64)
-                } else if i == cur.len() || prev[j].0 < cur[i].0 {
-                    let (s, c) = prev[j];
-                    j += 1;
-                    (s, -(c as i64))
-                } else {
-                    let (s, c) = cur[i];
-                    let p = prev[j].1;
-                    i += 1;
-                    j += 1;
-                    (s, c as i64 - p as i64)
-                };
-                if d != 0 {
-                    bruns.push((body.len() as u32, zigzag(d)));
-                    body.push(Opinion::new(slot));
-                }
-            }
-            let du = self.hist_undecided as i64 - self.push_sent_undecided as i64;
-            if du != 0 {
-                bruns.push((body.len() as u32, zigzag(du)));
-                body.push(Opinion::UNDECIDED);
-            }
-        } else {
-            for &(i, c) in &self.hist_pairs {
-                bruns.push((body.len() as u32, c));
-                body.push(Opinion::new(i));
-            }
-            if self.hist_undecided > 0 {
-                bruns.push((body.len() as u32, self.hist_undecided));
-                body.push(Opinion::UNDECIDED);
-            }
-        }
-        // Record the baseline the next round's delta is relative to.
-        self.push_sent_prev.clone_from(&self.hist_pairs);
-        self.push_sent_undecided = self.hist_undecided;
-        self.push_sent_round = Some(self.round_no);
-
-        self.broadcast_palette(body, bruns, messages_sent);
-        self.collect_palettes()?;
-        self.union_apply(delta_round);
-        Ok(())
-    }
-
-    /// Folds the received palettes into the persistent union. A full
-    /// round resets the union first; a delta round treats every entry
-    /// as a zigzag-signed count change. Slots whose membership flips
-    /// (zero ↔ positive) are collected and the ascending occupied list
-    /// is rebuilt by one sorted merge — `O(#occupied + #flips ·
-    /// log #flips)` per round regardless of how many slots flip
-    /// (per-flip `Vec::insert` would go quadratic on wide unions). The
-    /// alias scratch is materialized from it — ascending slots,
-    /// undecided last — so the push consume paths run unchanged (a
-    /// lawful ordering difference from the rebuild union's first-touch
-    /// order).
-    fn union_apply(&mut self, delta_round: bool) {
-        let shards = self.partition.shards;
-        if !delta_round {
-            for &i in &self.union_occ {
-                self.union_counts[i as usize] = 0;
-            }
-            self.union_occ.clear();
-            self.union_undecided = 0;
-        }
-        debug_assert!(self.union_trans.is_empty());
-        let mut changed = !delta_round;
-        for origin in 0..shards {
-            let Some((palette, runs)) = self.recv_palettes[origin].take() else {
-                continue;
-            };
-            changed |= !runs.is_empty();
-            for &(pi, c) in &runs {
-                let o = palette[pi as usize];
-                let d = if delta_round { unzigzag(c) } else { c as i64 };
-                if o.is_undecided() {
-                    self.union_undecided = add_signed(self.union_undecided, d);
-                } else {
-                    let slot = o.index();
-                    let old = self.union_counts[slot];
-                    let new = add_signed(old, d);
-                    self.union_counts[slot] = new;
-                    if (old == 0) != (new == 0) {
-                        self.union_trans.push(slot as u32);
-                    }
-                }
-            }
-            self.palette_pool.push((palette, runs));
-        }
-        if !self.union_trans.is_empty() {
-            // A slot can flip more than once across the fleet's deltas
-            // (in, then out again): dedup the transition list and let
-            // the merge read final membership off the counts
-            // themselves.
-            self.union_trans.sort_unstable();
-            self.union_trans.dedup();
-            let merged = &mut self.union_occ_scratch;
-            merged.clear();
-            let (mut i, mut j) = (0usize, 0usize);
-            let occ = &self.union_occ;
-            let trans = &self.union_trans;
-            while i < occ.len() || j < trans.len() {
-                let slot = if j == trans.len() || (i < occ.len() && occ[i] < trans[j]) {
-                    let s = occ[i];
-                    i += 1;
-                    s
-                } else {
-                    if i < occ.len() && occ[i] == trans[j] {
-                        i += 1;
-                    }
-                    let s = trans[j];
-                    j += 1;
-                    s
-                };
-                if self.union_counts[slot as usize] > 0 {
-                    merged.push(slot);
-                }
-            }
-            std::mem::swap(&mut self.union_occ, &mut self.union_occ_scratch);
-            self.union_trans.clear();
-        }
-        self.union_round = Some(self.round_no);
-        // An all-empty delta round left the union — and therefore the
-        // alias scratch — exactly as the previous round materialized
-        // it: skip the O(#occupied) gather and keep the consume-side
-        // table fresh.
-        if changed {
-            self.push_cat_stale = true;
-            self.alias_weights.clear();
-            self.alias_values.clear();
-            for &i in &self.union_occ {
-                self.alias_weights.push(self.union_counts[i as usize] as f64);
-                self.alias_values.push(Opinion::new(i));
-            }
-            if self.union_undecided > 0 {
-                self.alias_weights.push(self.union_undecided as f64);
-                self.alias_values.push(Opinion::UNDECIDED);
-            }
-        }
-        debug_assert_eq!(
-            self.union_occ.iter().map(|&i| self.union_counts[i as usize]).sum::<u64>()
-                + self.union_undecided,
-            self.partition.n as u64,
-            "push union must carry the whole population"
-        );
     }
 
     /// Unions the received push histograms — deduplicated through the
@@ -2121,33 +1803,15 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
 
     /// Ordered consumption of the push gear: all `local_n · h` samples
     /// drawn iid from the union alias table into the sample buffer (no
-    /// shuffle needed — iid draws are already exchangeable). On
-    /// incremental rounds the table persists and is rebuilt only when
-    /// the union changed — a stalled round with all-empty deltas draws
-    /// from last round's table verbatim.
+    /// shuffle needed — iid draws are already exchangeable).
     fn sample_push_ordered(&mut self) {
         let total = self.opinions.len() * self.h;
         if total == 0 {
             return;
         }
-        if self.inc {
-            if self.push_cat_stale || self.push_cat.is_none() {
-                match &mut self.push_cat {
-                    Some(c) => c.rebuild(&self.alias_weights),
-                    None => self.push_cat = Some(Categorical::new(&self.alias_weights)),
-                }
-                self.push_cat_stale = false;
-            }
-            let alias = self.push_cat.take().expect("alias table just ensured");
-            for pos in 0..total {
-                self.samples[pos] = self.alias_values[alias.sample(&mut self.rng)];
-            }
-            self.push_cat = Some(alias);
-        } else {
-            let alias = Categorical::new(&self.alias_weights);
-            for pos in 0..total {
-                self.samples[pos] = self.alias_values[alias.sample(&mut self.rng)];
-            }
+        let alias = Categorical::new(&self.alias_weights);
+        for pos in 0..total {
+            self.samples[pos] = self.alias_values[alias.sample(&mut self.rng)];
         }
     }
 
@@ -2193,11 +1857,9 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             }
             // The sorted weights are a valid alias source too, so the
             // ordered fallback below stays correct after this rewrite
-            // (alias_values is realigned alongside, and the persistent
-            // consume table is invalidated against the reorder).
+            // (alias_values is realigned alongside).
             self.alias_values.clear();
             self.alias_values.extend_from_slice(&self.pool_ops);
-            self.push_cat_stale = true;
             expected_window_visits(&self.alias_weights, h) <= h as f64
         };
         if !walkable {
@@ -2389,32 +2051,7 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             // batch and shared by the rest (the draws still come from
             // the per-origin serving streams, so pipelined serving
             // stays arrival-order independent).
-            //
-            // Incremental round state arbitrates per batch between the
-            // mirror and the persistent Fenwick sampler: `total` draws
-            // at `O(log k)` each against the mirror's `O(local_n)`
-            // fill. The choice reads only the batch itself (never
-            // whether another origin's batch already built the
-            // mirror), so it too is arrival-order independent.
-            let lg = u64::from((usize::BITS - (self.k_slots + 1).leading_zeros()).max(1));
-            if self.inc && total > 0 && total.saturating_mul(lg) < local_n as u64 {
-                debug_assert_eq!(self.serve_fen.remaining(), local_n as u64);
-                palette.reserve(total as usize);
-                for run in &batch.target_runs {
-                    debug_assert!(
-                        run.start == 0 && run.len as usize == local_n,
-                        "batched pulls cover whole shard ranges"
-                    );
-                    for _ in 0..run.count {
-                        let t = self.serve_fen.sample(rng);
-                        palette.push(if t == self.k_slots {
-                            Opinion::UNDECIDED
-                        } else {
-                            Opinion::new(t as u32)
-                        });
-                    }
-                }
-            } else if total > 0 {
+            if total > 0 {
                 if !self.serve_flat_fresh {
                     self.serve_flat.clear();
                     self.serve_flat.reserve(local_n);

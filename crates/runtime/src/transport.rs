@@ -49,7 +49,11 @@
 //! one of them, so the EOF reaches everyone — workers abort their
 //! round, exit, and cascade the EOF to the coordinator's report
 //! readers, which fail the blocking `recv_report` and abort the run
-//! like `TooManyFaults` (live shards get a best-effort Stop). Injected
+//! like `TooManyFaults` (live shards get a best-effort Stop). The
+//! channel backend has no socket to close, so a dropped
+//! [`ChannelTransport`] sends an explicit end-of-link marker to its
+//! peers and the coordinator instead; a worker whose round panics
+//! exits and drops its transport (see `run_shard`). Injected
 //! [`FaultPlan`] faults are unrelated: they are *decisions* shared by
 //! sender and receiver (never physical losses), so both backends
 //! degrade identically under the same plan.
@@ -69,7 +73,7 @@ use symbreak_core::rules::{
 };
 use symbreak_core::{Opinion, UpdateRule};
 
-use crate::cluster::{ReportMode, RoundStateMode, ShardRepr};
+use crate::cluster::{ReportMode, ShardRepr};
 use crate::codec::{
     control_len, decode_control, decode_hello, decode_peer_hello, decode_report,
     decode_shard_message, decode_worker_init, encode_control, encode_hello, encode_peer_hello,
@@ -152,34 +156,54 @@ pub(crate) trait CoordinatorLink {
 /// frame-length accounting bolted on. Messages are moved as enums
 /// (never serialized), so this path is byte-identical per seed to the
 /// pre-transport runtime.
+///
+/// Every shard holds clones of every inbox sender and of the report
+/// sender, so one shard exiting closes no channel. Instead, dropping a
+/// transport sends `None` down each of its channels: the channel
+/// counterpart of a socket closing. Receivers read it as
+/// [`TransportLost`], so a shard that exits early, for example
+/// because its round panicked, ends the run rather than hanging it.
 pub struct ChannelTransport {
-    inbox: mpsc::Receiver<ShardMessage>,
-    peers: Vec<mpsc::Sender<ShardMessage>>,
+    inbox: mpsc::Receiver<Option<ShardMessage>>,
+    peers: Vec<mpsc::Sender<Option<ShardMessage>>>,
     control: mpsc::Receiver<Control>,
-    report: mpsc::Sender<ShardReport>,
+    report: mpsc::Sender<Option<ShardReport>>,
+    lost: bool,
     sent: u64,
     received: u64,
 }
 
 impl ChannelTransport {
     pub(crate) fn new(
-        inbox: mpsc::Receiver<ShardMessage>,
-        peers: Vec<mpsc::Sender<ShardMessage>>,
+        inbox: mpsc::Receiver<Option<ShardMessage>>,
+        peers: Vec<mpsc::Sender<Option<ShardMessage>>>,
         control: mpsc::Receiver<Control>,
-        report: mpsc::Sender<ShardReport>,
+        report: mpsc::Sender<Option<ShardReport>>,
     ) -> Self {
-        Self { inbox, peers, control, report, sent: 0, received: 0 }
+        Self { inbox, peers, control, report, lost: false, sent: 0, received: 0 }
+    }
+}
+
+impl Drop for ChannelTransport {
+    fn drop(&mut self) {
+        for peer in &self.peers {
+            let _ = peer.send(None);
+        }
+        let _ = self.report.send(None);
     }
 }
 
 impl Transport for ChannelTransport {
     fn send(&mut self, dest: usize, msg: ShardMessage) {
         self.sent += shard_message_len(&msg);
-        self.peers[dest].send(msg).expect("peer shard alive");
+        self.lost |= self.peers[dest].send(Some(msg)).is_err();
     }
 
     fn recv(&mut self) -> Result<ShardMessage, TransportLost> {
-        let msg = self.inbox.recv().map_err(|_| TransportLost)?;
+        if self.lost {
+            return Err(TransportLost);
+        }
+        let msg = self.inbox.recv().ok().flatten().ok_or(TransportLost)?;
         self.received += shard_message_len(&msg);
         Ok(msg)
     }
@@ -188,7 +212,7 @@ impl Transport for ChannelTransport {
         self.sent += report_len(&report);
         // The coordinator consumes the report in place — the body
         // crosses the channel intact, so there is nothing to pool.
-        self.report.send(report).expect("coordinator alive");
+        self.lost |= self.report.send(Some(report)).is_err();
         None
     }
 
@@ -215,10 +239,11 @@ impl Transport for ChannelTransport {
     }
 }
 
-/// The coordinator's channel-backend link.
+/// The coordinator's channel-backend link. A `None` report is a shard
+/// transport that was dropped (see [`ChannelTransport`]).
 pub(crate) struct ChannelLink {
     control_txs: Vec<mpsc::Sender<Control>>,
-    report_rx: mpsc::Receiver<ShardReport>,
+    report_rx: mpsc::Receiver<Option<ShardReport>>,
     sent: u64,
     received: u64,
 }
@@ -226,7 +251,7 @@ pub(crate) struct ChannelLink {
 impl ChannelLink {
     pub(crate) fn new(
         control_txs: Vec<mpsc::Sender<Control>>,
-        report_rx: mpsc::Receiver<ShardReport>,
+        report_rx: mpsc::Receiver<Option<ShardReport>>,
     ) -> Self {
         Self { control_txs, report_rx, sent: 0, received: 0 }
     }
@@ -239,7 +264,7 @@ impl CoordinatorLink for ChannelLink {
     }
 
     fn recv_report(&mut self) -> Result<ShardReport, TransportLost> {
-        let rep = self.report_rx.recv().map_err(|_| TransportLost)?;
+        let rep = self.report_rx.recv().ok().flatten().ok_or(TransportLost)?;
         self.received += report_len(&rep);
         Ok(rep)
     }
@@ -743,7 +768,6 @@ pub fn shard_process_main() {
         repr: init.repr,
         master_seed: init.master_seed,
         plan: init.plan,
-        round_state: init.round_state,
     };
     let shard_init = if init.condensed {
         ShardInit::Histogram(init.body)
@@ -839,7 +863,6 @@ pub(crate) struct FleetSpec {
     pub repr: ShardRepr,
     pub master_seed: u64,
     pub plan: FaultPlan,
-    pub round_state: RoundStateMode,
     pub rule: RuleSpec,
     pub condensed: bool,
     pub bodies: Vec<Vec<(u32, u64)>>,
@@ -946,7 +969,6 @@ impl SocketFleet {
                 repr: spec.repr,
                 master_seed: spec.master_seed,
                 plan: spec.plan.clone(),
-                round_state: spec.round_state,
                 rule: spec.rule,
                 condensed: spec.condensed,
                 body: spec.bodies[s].clone(),

@@ -1,9 +1,14 @@
 //! Property-based tests of the message-passing cluster.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
+
 use proptest::prelude::*;
+use rand::RngCore;
 use symbreak_core::rules::{ThreeMajority, Voter};
-use symbreak_core::Configuration;
-use symbreak_runtime::{Cluster, ClusterConfig};
+use symbreak_core::{Configuration, Opinion, UpdateRule};
+use symbreak_runtime::{Cluster, ClusterConfig, ShardRepr, StopReason};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -59,5 +64,53 @@ proptest! {
                 .consensus_round
         };
         prop_assert_eq!(run(seed), run(seed));
+    }
+}
+
+/// Voter, except that the first `update` of a node holding `target`
+/// panics (once per run: clones share the flag).
+#[derive(Clone)]
+struct PanicsOnce {
+    target: Opinion,
+    fired: Arc<AtomicBool>,
+}
+
+impl UpdateRule for PanicsOnce {
+    fn name(&self) -> &'static str {
+        "panics-once"
+    }
+
+    fn sample_count(&self) -> usize {
+        1
+    }
+
+    fn update(&self, own: Opinion, samples: &[Opinion], _rng: &mut dyn RngCore) -> Opinion {
+        if own == self.target && !self.fired.swap(true, Ordering::SeqCst) {
+            panic!("update rule panicked on purpose");
+        }
+        samples[0]
+    }
+}
+
+/// Runs a 4-shard agent fleet from 4096 singletons whose rule panics in
+/// the shard owning node `target`, and returns the stop reason, or
+/// `None` if the run did not end within 30 s.
+fn stop_after_worker_panic(target: u32) -> Option<StopReason> {
+    let rule = PanicsOnce { target: Opinion::new(target), fired: Arc::new(AtomicBool::new(false)) };
+    let config = ClusterConfig::new(4, 3).with_shard_repr(ShardRepr::Agents);
+    let cluster = Cluster::new(rule, &Configuration::singletons(4096), config);
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(cluster.run_horizon(50).stop);
+    });
+    rx.recv_timeout(Duration::from_secs(30)).ok()
+}
+
+#[test]
+fn worker_panic_stops_the_fleet_with_transport_lost() {
+    // Node `target` holds opinion `target` at the start: node 0 lives on
+    // shard 0, node 2500 on shard 2 (nodes 2048..3072).
+    for target in [0, 2500] {
+        assert_eq!(stop_after_worker_panic(target), Some(StopReason::TransportLost), "{target}");
     }
 }

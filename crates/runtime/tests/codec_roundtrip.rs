@@ -236,10 +236,14 @@ fn bad_magic_is_rejected() {
 
 #[test]
 fn bad_version_is_rejected() {
-    let mut buf = Vec::new();
-    encode_control(&Control::Stop, &mut buf);
-    buf[2] = WIRE_VERSION + 1;
-    assert!(matches!(decode_frame(&buf), Err(WireError::BadVersion(v)) if v == WIRE_VERSION + 1));
+    // Version 2 is the previous build's `Init` layout (one more mode
+    // byte): rejected like any other mismatch.
+    for version in [2, WIRE_VERSION + 1] {
+        let mut buf = Vec::new();
+        encode_control(&Control::Stop, &mut buf);
+        buf[2] = version;
+        assert!(matches!(decode_frame(&buf), Err(WireError::BadVersion(v)) if v == version));
+    }
 }
 
 #[test]

@@ -11,7 +11,7 @@ use symbreak_core::rules::{ThreeMajority, TwoChoices, Voter};
 use symbreak_core::Configuration;
 use symbreak_runtime::{
     ByzantineSpec, Cluster, ClusterConfig, CorruptionKind, CrashSpec, FaultCounters, FaultKind,
-    FaultPlan, GearMode, ShardRepr, StopReason,
+    FaultPlan, GearMode, ReportMode, ShardRepr, StopReason,
 };
 
 /// Strips the wire-byte counters (PR 8) off a [`FaultCounters`] so the
@@ -105,6 +105,53 @@ fn golden_voter_inert_plan_seed_exact() {
     assert_eq!(out.total_messages, 16614);
     assert_eq!(trace_digest(&out.trace), 0x4bf1e2c02a383ae6);
     assert_eq!(zero_bytes(out.faults), Default::default());
+}
+
+/// Checks an inert-plan run against its pinned observables: rounds,
+/// `total_messages`, `Σ report_entries`, wire bytes (exact under the
+/// strict barrier) and the trace digest.
+fn assert_inert_push_golden(
+    out: &symbreak_runtime::HorizonOutcome,
+    rounds: u64,
+    messages: u64,
+    entries: u64,
+    wire_bytes: u64,
+    digest: u64,
+) {
+    assert_eq!(out.rounds_run, rounds);
+    assert_eq!(out.total_messages, messages);
+    assert_eq!(out.report_entries.iter().sum::<u64>(), entries);
+    assert_eq!(out.wire_bytes, wire_bytes);
+    assert_eq!(trace_digest(&out.trace), digest);
+    assert_eq!(zero_bytes(out.faults), Default::default());
+}
+
+#[test]
+fn golden_three_majority_condensed_push_seed_exact() {
+    // The condensed 3-Majority push: two histogram shards from
+    // singletons boot in pull (`occ · 4 > 3n`), and `Auto` switches to
+    // push from round 2 once about `0.63n` colors survive.
+    let start = Configuration::singletons(512);
+    let config = ClusterConfig::new(2, 11).with_fault_plan(FaultPlan::none());
+    let out = Cluster::new(ThreeMajority, &start, config).run_horizon(400);
+    assert_eq!(out.stop, StopReason::Consensus);
+    assert_eq!(out.consensus_round, Some(out.rounds_run));
+    assert_inert_push_golden(&out, 40, 18184, 4163, 49775, 0x3ce0cc55f059a164);
+}
+
+#[test]
+fn golden_two_choices_forced_push_seed_exact() {
+    // The ordered-window push on agent shards: every sample is an iid
+    // draw from the union of the broadcast histograms. This is the
+    // stalled Theorem-5 round, with delta reports.
+    let start = Configuration::singletons(256);
+    let config = ClusterConfig::new(3, 5)
+        .with_shard_repr(ShardRepr::Agents)
+        .with_data_gear(GearMode::ForcePush)
+        .with_report_mode(ReportMode::Delta);
+    let out = Cluster::new(TwoChoices, &start, config).run_horizon(40);
+    assert_eq!(out.stop, StopReason::HorizonExhausted);
+    assert_inert_push_golden(&out, 40, 59256, 336, 111005, 0x6b8cea57aa4f9812);
 }
 
 // ---------------------------------------------------------------------

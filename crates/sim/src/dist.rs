@@ -32,10 +32,10 @@
 //!   in one multivariate-hypergeometric call per block, which is what
 //!   makes condensed pull rounds `O(#occupied·h)` instead of per-node.
 //! * [`FenwickPool`] — a Fenwick tree over category counts: `O(log d)`
-//!   single-category patches, bit-descended draws with or without
+//!   single-category edits, bit-descended draws with or without
 //!   replacement, and bulk without-replacement removal by conditional
-//!   hypergeometrics. Incremental cluster shards keep one as their
-//!   persistent serving sampler, patched in `O(#changed·log d)`.
+//!   hypergeometrics. The condensed 3-Majority and 2-Median pull steps
+//!   deal their partner pools from one.
 //! * [`sample_distinct`] — Floyd's algorithm for `m` distinct indices.
 //!
 //! All samplers take any [`rand::RngCore`] (including `&mut dyn RngCore`)
@@ -1289,18 +1289,16 @@ impl<'a> GroupSplitter<'a> {
 }
 
 /// A Fenwick tree over integer category counts: `O(d)` build, `O(log d)`
-/// single-category edits ([`set`](Self::set), [`add`](Self::add),
-/// [`remove`](Self::remove)), and `O(log d)` bit-descended draws — with
+/// single-category edits ([`add`](Self::add), [`remove`](Self::remove)),
+/// and `O(log d)` bit-descended draws — with
 /// replacement ([`sample`](Self::sample)) or without
 /// ([`draw`](Self::draw), the same descent plus a removal) — plus a bulk
 /// [`FenwickPool::deal`] that switches to per-category conditional
 /// hypergeometrics once the requested count rivals the category count.
 ///
 /// Both draw forms invert one exact uniform in `[0, remaining)` against
-/// the prefix sums, so the pool is exact in law either way, and a round
-/// that changes `c` categories costs `O(c·log d)` in patches instead of
-/// an `O(d)` rebuild (the persistent serving sampler of incremental
-/// cluster shards). Sequential uniform draws without replacement realize
+/// the prefix sums, so the pool is exact in law either way. Sequential
+/// uniform draws without replacement realize
 /// exactly the multivariate-hypergeometric block law of
 /// [`GroupSplitter`], so the two are interchangeable in law; the Fenwick
 /// form is for consumers that interleave draws with structural edits
@@ -1321,11 +1319,9 @@ impl<'a> GroupSplitter<'a> {
 /// let cat = pool.draw(&mut rng);
 /// assert_ne!(cat, 1);
 /// assert_eq!(pool.remaining(), 7);
-/// pool.set(1, 90); // O(log d) patch, no rebuild
-/// assert_eq!((pool.remaining(), pool.count(1)), (97, 90));
 /// let mut dealt = 0u64;
-/// pool.deal(97, &mut rng, |_cat, c| dealt += c);
-/// assert_eq!((dealt, pool.remaining()), (97, 0));
+/// pool.deal(7, &mut rng, |_cat, c| dealt += c);
+/// assert_eq!((dealt, pool.remaining()), (7, 0));
 /// ```
 #[derive(Debug, Clone)]
 pub struct FenwickPool {
@@ -1339,24 +1335,10 @@ pub struct FenwickPool {
 impl FenwickPool {
     /// Builds the pool over `counts` balls per category, `O(d)`.
     pub fn new(counts: &[u64]) -> Self {
-        let mut pool = Self { tree: Vec::new(), counts: Vec::new(), remaining: 0 };
-        pool.rebuild(counts);
+        let mut pool =
+            Self { tree: Vec::new(), counts: counts.to_vec(), remaining: counts.iter().sum() };
+        pool.rebuild_tree();
         pool
-    }
-
-    /// An all-zero pool over `k` categories (populate via
-    /// [`set`](Self::set)).
-    pub fn with_slots(k: usize) -> Self {
-        Self { tree: vec![0; k + 1], counts: vec![0; k], remaining: 0 }
-    }
-
-    /// Replaces every category count from scratch, `O(d)`; reuses
-    /// buffers.
-    pub fn rebuild(&mut self, counts: &[u64]) {
-        self.counts.clear();
-        self.counts.extend_from_slice(counts);
-        self.remaining = counts.iter().sum();
-        self.rebuild_tree();
     }
 
     /// Reconstructs the Fenwick tree from the count mirror, `O(d)`.
@@ -1391,18 +1373,6 @@ impl FenwickPool {
     /// Balls left in category `i`.
     pub fn count(&self, i: usize) -> u64 {
         self.counts[i]
-    }
-
-    /// Sets category `i` to `c` balls, patching the tree along the
-    /// Fenwick update path, `O(log d)`. A no-op when the count is
-    /// unchanged.
-    pub fn set(&mut self, i: usize, c: u64) {
-        let old = self.counts[i];
-        if c > old {
-            self.add(i, c - old);
-        } else if c < old {
-            self.remove(i, old - c);
-        }
     }
 
     /// Adds `k` balls to category `i`, `O(log d)`.
@@ -1882,32 +1852,6 @@ mod tests {
         let mut b = Pcg64::seed_from_u64(31);
         for _ in 0..500 {
             assert_eq!(table.sample(&mut a), fresh.sample(&mut b));
-        }
-    }
-
-    #[test]
-    fn fenwick_pool_patched_matches_rebuilt() {
-        // A storm of single-category patches must leave the tree, counts
-        // and total identical to a from-scratch build over the final
-        // counts — and hence the same draws from the same stream.
-        let k = 37usize;
-        let mut patched = FenwickPool::with_slots(k);
-        let mut dense = vec![0u64; k];
-        let mut seq = Pcg64::seed_from_u64(77);
-        for _ in 0..400 {
-            let slot = seq.gen_range(0..k as u64) as usize;
-            let c = seq.gen_range(0..9u64);
-            patched.set(slot, c);
-            dense[slot] = c;
-        }
-        let fresh = FenwickPool::new(&dense);
-        assert_eq!(patched.tree, fresh.tree);
-        assert_eq!(patched.counts, fresh.counts);
-        assert_eq!(patched.remaining(), fresh.remaining());
-        let mut a = Pcg64::seed_from_u64(31);
-        let mut b = Pcg64::seed_from_u64(31);
-        for _ in 0..500 {
-            assert_eq!(patched.sample(&mut a), fresh.sample(&mut b));
         }
     }
 

@@ -392,25 +392,6 @@ fn fenwick_pool_fresh_matches_counts_chi_square() {
 }
 
 #[test]
-fn fenwick_pool_after_update_storm_matches_counts_chi_square() {
-    // Grown from all-zero through a randomized storm of `set`s that
-    // flips occupancy both ways: the patched tree must sample exactly
-    // like a fresh build over the final counts — same law, not merely
-    // close.
-    use rand::Rng as _;
-    let k = 64usize;
-    let mut cat = FenwickPool::with_slots(k);
-    let mut storm = Pcg64::seed_from_u64(42);
-    for _ in 0..10_000 {
-        let i = storm.gen_range(0..k);
-        let c = if storm.gen_bool(0.3) { 0 } else { storm.gen_range(1..50u64) };
-        cat.set(i, c);
-    }
-    assert!(cat.remaining() > 0, "storm left the pool empty");
-    assert!(fenwick_sample_chi_square(&cat, 400_000, 43));
-}
-
-#[test]
 fn geometric_matches_exact_pmf_chi_square() {
     let p = 0.23f64;
     let g = Geometric::new(p);

@@ -1,14 +1,11 @@
 #!/usr/bin/env bash
-# CI pipeline: tier-1 verify, experiment smoke, bench baseline dump.
+# CI pipeline: lint, tier-1 verify, benchmark crate smoke, experiment smoke.
+# Performance is measured by perfbench/ (`python3 perfbench/run.py`), not here.
 #
-# Usage: scripts/ci.sh [output.json]
-#   BENCH_OUT   — bench summary path (default: arg1 or BENCH_ci.json)
-#   SYMBREAK_SCALE       — experiment scale for the smoke run (default 0.25)
-#   SYMBREAK_BENCH_MS    — per-benchmark measurement budget (default 2500)
+# Usage: scripts/ci.sh
+#   SYMBREAK_SCALE — experiment scale for the smoke run (default 0.25)
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-BENCH_OUT="${BENCH_OUT:-${1:-BENCH_ci.json}}"
 
 echo "==> lint: cargo fmt --check"
 cargo fmt --all --check
@@ -47,20 +44,6 @@ SYMBREAK_SCALE=0.04096 cargo run --release -p symbreak-bench --bin exp_e24_trans
 echo "==> grouped pull smoke: forced-gear bands + paired k = n singleton rows"
 SYMBREAK_SCALE=0.001 cargo run --release -p symbreak-bench --bin exp_e25_grouped_pull
 
-echo "==> incremental round-state smoke: Fenwick-pool flat band + paired stalled-regime cluster runs"
-SYMBREAK_SCALE=0.04096 cargo run --release -p symbreak-bench --bin exp_e26_incremental_rounds
-
 echo "==> experiment smoke (SYMBREAK_SCALE=${SYMBREAK_SCALE:-0.25})"
 SYMBREAK_SCALE="${SYMBREAK_SCALE:-0.25}" \
     cargo run --release -p symbreak-bench --bin run_all
-
-echo "==> benches: samplers + engines (incl. cluster_singleton_run) -> ${BENCH_OUT}"
-JSONL="$(mktemp)"
-trap 'rm -f "$JSONL"' EXIT
-SYMBREAK_BENCH_JSON="$JSONL" cargo bench -p symbreak-bench -- samplers engines
-{
-    echo '['
-    sed 's/$/,/' "$JSONL" | sed '$ s/,$//'
-    echo ']'
-} > "$BENCH_OUT"
-echo "wrote $(grep -c ns_per_iter "$BENCH_OUT") results to ${BENCH_OUT}"
