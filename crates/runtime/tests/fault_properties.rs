@@ -110,7 +110,7 @@ fn golden_voter_inert_plan_seed_exact() {
 /// Checks an inert-plan run against its pinned observables: rounds,
 /// `total_messages`, `Σ report_entries`, wire bytes (exact under the
 /// strict barrier) and the trace digest.
-fn assert_inert_push_golden(
+fn assert_inert_golden(
     out: &symbreak_runtime::HorizonOutcome,
     rounds: u64,
     messages: u64,
@@ -136,7 +136,7 @@ fn golden_three_majority_condensed_push_seed_exact() {
     let out = Cluster::new(ThreeMajority, &start, config).run_horizon(400);
     assert_eq!(out.stop, StopReason::Consensus);
     assert_eq!(out.consensus_round, Some(out.rounds_run));
-    assert_inert_push_golden(&out, 40, 18184, 4163, 49775, 0x3ce0cc55f059a164);
+    assert_inert_golden(&out, 40, 18184, 4163, 49775, 0x3ce0cc55f059a164);
 }
 
 #[test]
@@ -151,7 +151,50 @@ fn golden_two_choices_forced_push_seed_exact() {
         .with_report_mode(ReportMode::Delta);
     let out = Cluster::new(TwoChoices, &start, config).run_horizon(40);
     assert_eq!(out.stop, StopReason::HorizonExhausted);
-    assert_inert_push_golden(&out, 40, 59256, 336, 111005, 0x6b8cea57aa4f9812);
+    assert_inert_golden(&out, 40, 59256, 336, 111005, 0x6b8cea57aa4f9812);
+}
+
+#[test]
+fn golden_two_choices_stalled_delta_seed_exact() {
+    // The stalled Theorem-5 round under `Auto`: two agent shards from
+    // singletons stay in the pull gear (raw palettes, `total < 24·d`),
+    // and every report after the first is a delta of a few entries.
+    let start = Configuration::singletons(1024);
+    let config = ClusterConfig::new(2, 1).with_report_mode(ReportMode::Delta);
+    let out = Cluster::new(TwoChoices, &start, config).run_horizon(200);
+    assert_eq!(out.stop, StopReason::HorizonExhausted);
+    assert_eq!(out.report_entries[0], 1022, "round 1 reports sparse");
+    assert_inert_golden(&out, 200, 410400, 1532, 805101, 0x65a8bc6d20c658a8);
+}
+
+#[test]
+fn golden_two_choices_uniform_delta_seed_exact() {
+    // Delta tracking on a diverse run: three colors churn every slot
+    // every round, so the coordinator never commands a delta body and
+    // each round is a tracked sparse report, mostly in the push gear.
+    let start = Configuration::uniform(4096, 3);
+    let config = ClusterConfig::new(2, 2).with_report_mode(ReportMode::Delta);
+    let out = Cluster::new(TwoChoices, &start, config).run_horizon(100_000);
+    assert_eq!(out.stop, StopReason::Consensus);
+    assert_inert_golden(&out, 22, 512, 125, 3302, 0xee13f6a180964f9d);
+}
+
+#[test]
+fn golden_two_choices_mixed_delta_seed_exact() {
+    // One shard of four large colors beside three shards of singletons:
+    // shard 0 serves walkable histogram palettes (`total ≥ 24·d`) while
+    // the others serve raw ones, reports switch sparse → delta after
+    // round 1 and back to sparse once churn outgrows half the surviving
+    // colors, and the gear moves from pull to push near the end.
+    let mut counts = vec![64u64; 4];
+    counts.extend(std::iter::repeat_n(1, 768));
+    let start = Configuration::from_counts(counts);
+    let config = ClusterConfig::new(4, 3).with_report_mode(ReportMode::Delta);
+    let out = Cluster::new(TwoChoices, &start, config).run_horizon(100_000);
+    assert_eq!(out.stop, StopReason::Consensus);
+    assert_eq!(&out.report_entries[..3], &[765, 26, 35], "sparse, then delta");
+    assert_eq!(&out.report_entries[26..], &[25, 16, 9, 4], "sparse again at the end");
+    assert_inert_golden(&out, 30, 46592, 1986, 86017, 0xc0573bdc5eb9bd0a);
 }
 
 // ---------------------------------------------------------------------
