@@ -292,22 +292,28 @@ impl Configuration {
     }
 
     /// Applies sparse signed per-slot deltas (e.g. per-shard *delta*
-    /// reports of a distributed run) to the occupied slots, in
-    /// `O(#occupied + Σ|partᵢ|)` with no allocation.
+    /// reports of a distributed run) to the occupied slots.
     ///
     /// This is the delta-control-plane sibling of
     /// [`Configuration::merge_sparse`]: where `merge_sparse` replaces the
     /// occupied supports with a sum of absolute parts, `apply_deltas`
-    /// shifts them by `Σ parts` — so a round in which almost nothing
-    /// changed costs `O(#changed)` on the wire *and* here, instead of
-    /// `O(#occupied)`. Built on [`Configuration::rewrite_occupied`]:
-    /// every part may only name slots that are currently occupied (dead
-    /// colors stay dead — an opinion with zero global support cannot be
-    /// sampled, so no delta can land on it), deltas for the same slot
-    /// accumulate, and slots whose support reaches zero drop out of the
-    /// occupancy list. The population size is re-derived, so
+    /// shifts them by `Σ parts`. Every part may only name slots that
+    /// were occupied before the call (dead colors stay dead — an opinion
+    /// with zero global support cannot be sampled, so no delta can land
+    /// on it); deltas for the same slot accumulate, so one part may
+    /// empty a slot that another refills. Slots whose support ends at
+    /// zero drop out of the occupancy list. `n` moves by `Σ deltas`, so
     /// mass-changing delta streams (undecided-dynamics shards trading
     /// decided mass against undecided nodes) are supported.
+    ///
+    /// A round in which almost nothing changed costs `O(#changed)` on
+    /// the wire *and* here. `n`, `Σ cᵢ²` and the top two supports are
+    /// updated per entry in `O(1)`; an entry on a slot at zero support
+    /// pays an `O(log #occupied)` lookup in the pre-call occupancy list.
+    /// Two things cost more: an `O(#occupied)` rescan when a top-two
+    /// support shrinks below the runner-up, and shifting the tail of the
+    /// occupancy list behind the first slot that empties. Only the slots
+    /// that empty are collected in a buffer.
     ///
     /// ```
     /// use symbreak_core::Configuration;
@@ -320,37 +326,94 @@ impl Configuration {
     /// ```
     ///
     /// # Panics
-    /// Panics if a delta drives a slot's support negative, or if a part
-    /// names a slot with no current support: debug builds pinpoint the
-    /// slot per entry; release builds catch any net resurrection through
-    /// an `O(1)`-per-entry mass identity (`new n = old n + Σ deltas`
-    /// holds exactly iff every delta landed on a live slot, because mass
-    /// written to a dead slot is invisible to the occupancy rescan).
+    /// Panics, before touching the slot, if an entry names a slot that
+    /// had no support before the call or would drive a support
+    /// negative. Entries folded before the panicking one stay applied.
     pub fn apply_deltas<'a, I>(&mut self, parts: I)
     where
         I: IntoIterator<Item = &'a [(u32, i64)]>,
     {
-        let old_n = self.n as i128;
-        let mut shift = 0i128;
-        self.rewrite_occupied(|occ, counts| {
-            for part in parts {
-                for &(slot, delta) in part {
-                    debug_assert!(
-                        occ.binary_search(&slot).is_ok(),
-                        "apply_deltas: slot {slot} has no support (dead colors stay dead)"
-                    );
-                    let c = counts[slot as usize] as i128 + i128::from(delta);
-                    assert!(c >= 0, "apply_deltas: slot {slot} support went negative ({c})");
-                    counts[slot as usize] = c as u64;
-                    shift += i128::from(delta);
+        let mut emptied: Vec<u32> = Vec::new();
+        let mut rescan = false;
+        for part in parts {
+            for &(slot, delta) in part {
+                // A slot live now was live before the fold (a dead one
+                // would have panicked here first); a zero count needs
+                // the pre-fold list to tell emptied-this-fold from dead.
+                let old = self.counts[slot as usize];
+                assert!(
+                    old > 0 || self.occupied.binary_search(&slot).is_ok(),
+                    "apply_deltas: slot {slot} has no support (dead colors stay dead)"
+                );
+                let c = i128::from(old) + i128::from(delta);
+                assert!(c >= 0, "apply_deltas: slot {slot} support went negative ({c})");
+                let new = c as u64;
+                self.counts[slot as usize] = new;
+                self.n = (i128::from(self.n) + i128::from(delta)) as u64;
+                self.sum_sq = self.sum_sq - u128::from(old) * u128::from(old)
+                    + u128::from(new) * u128::from(new);
+                if new > old {
+                    self.raise_top_two(old, new);
+                } else if new < old {
+                    rescan |= !self.lower_top_two(old, new);
+                    if new == 0 {
+                        emptied.push(slot);
+                    }
                 }
             }
-        });
-        assert_eq!(
-            self.n as i128,
-            old_n + shift,
-            "apply_deltas: a part named a slot with no support (dead colors stay dead)"
-        );
+        }
+        // A slot emptied by one part may have been refilled by a later
+        // one; the rest leave the list, its tail shifted once.
+        emptied.sort_unstable();
+        emptied.dedup();
+        emptied.retain(|&s| self.counts[s as usize] == 0);
+        if let Some(&first) = emptied.first() {
+            let len = self.occupied.len();
+            let mut read = self.occupied.partition_point(|&s| s < first);
+            let mut write = read;
+            for &dead in &emptied {
+                let at = read + self.occupied[read..].partition_point(|&s| s < dead);
+                self.occupied.copy_within(read..at, write);
+                write += at - read;
+                read = at + 1;
+            }
+            self.occupied.copy_within(read..len, write);
+            self.occupied.truncate(write + len - read);
+        }
+        if rescan {
+            self.refresh_scalars_from_occupied();
+        }
+    }
+
+    /// Updates the cached top two supports for one support rising
+    /// `old → new` (`new > old`), exactly. The caches describe the
+    /// multiset of supports, so only values matter: a support equal to
+    /// the maximum is a maximum holder whoever holds it.
+    fn raise_top_two(&mut self, old: u64, new: u64) {
+        if old == self.max_support {
+            self.max_support = new;
+        } else if new >= self.max_support {
+            self.second_support = self.max_support;
+            self.max_support = new;
+        } else if new > self.second_support {
+            self.second_support = new;
+        }
+    }
+
+    /// Updates the cached top two supports for one support falling
+    /// `old → new` (`new < old`). Returns `false` when the result
+    /// depends on the third-largest support, which the caches do not
+    /// hold: the caller must rescan.
+    fn lower_top_two(&mut self, old: u64, new: u64) -> bool {
+        if old < self.second_support {
+            true
+        } else if old > self.second_support && new >= self.second_support {
+            // The sole maximum shrinks but stays on top.
+            self.max_support = new;
+            true
+        } else {
+            false
+        }
     }
 
     /// Replaces the whole support structure with the element-wise sum of
@@ -1031,6 +1094,104 @@ mod tests {
         c.apply_deltas(std::iter::empty::<&[(u32, i64)]>());
         assert_eq!(c.counts(), &[2, 1]);
         assert_eq!(c.n(), 3);
+    }
+
+    /// Every cache of an incrementally folded configuration equals the
+    /// from-scratch build over the same counts, field by field.
+    fn assert_caches_equal_from_counts(c: &Configuration) {
+        let fresh = Configuration::from_counts(c.counts().to_vec());
+        assert_eq!(c.n, fresh.n, "n");
+        assert_eq!(c.occupied, fresh.occupied, "occupied");
+        assert_eq!(c.sum_sq, fresh.sum_sq, "sum of squares");
+        assert_eq!(c.max_support, fresh.max_support, "max support");
+        assert_eq!(c.second_support, fresh.second_support, "second support");
+    }
+
+    #[test]
+    fn apply_deltas_rescans_when_the_max_shrinks() {
+        let mut c = Configuration::from_counts(vec![5, 3, 2, 4]);
+        // The sole maximum falls below the runner-up: the new runner-up
+        // (3) is a support the caches never held.
+        c.apply_deltas([&[(0u32, -4i64), (1, 4)][..]]);
+        assert_eq!(c.counts(), &[1, 7, 2, 4]);
+        assert_caches_equal_from_counts(&c);
+        c.apply_deltas([&[(1u32, -6i64), (2, 6)][..]]);
+        assert_eq!((c.max_support(), c.bias()), (8, 4));
+        assert_caches_equal_from_counts(&c);
+        // The maximum shrinks but stays on top: no rescan is needed.
+        c.apply_deltas([&[(2u32, -3i64), (3, 1), (0, 2)][..]]);
+        assert_eq!(c.counts(), &[3, 1, 5, 5]);
+        assert_caches_equal_from_counts(&c);
+    }
+
+    #[test]
+    fn apply_deltas_handles_a_tie_at_the_max() {
+        let mut c = Configuration::from_counts(vec![5, 5, 2]);
+        // One of two tied leaders shrinks: the other still leads.
+        c.apply_deltas([&[(0u32, -1i64), (2, 1)][..]]);
+        assert_eq!((c.max_support(), c.bias()), (5, 1));
+        assert_caches_equal_from_counts(&c);
+        // A support rises to tie the leader, then past it.
+        c.apply_deltas([&[(0u32, 1i64), (2, -1)][..]]);
+        assert_eq!(c.bias(), 0);
+        assert_caches_equal_from_counts(&c);
+        c.apply_deltas([&[(1u32, 2i64), (2, -2)][..]]);
+        assert_eq!(c.counts(), &[5, 7, 0]);
+        assert_eq!((c.max_support(), c.bias()), (7, 2));
+        assert_caches_equal_from_counts(&c);
+    }
+
+    #[test]
+    fn apply_deltas_lets_one_part_refill_what_another_emptied() {
+        let mut c = Configuration::from_counts(vec![1, 3, 2, 1, 4]);
+        // Part A empties slots 0 and 3; part B refills slot 0 only. Slot
+        // 3 drops out, slot 0 stays listed.
+        c.apply_deltas([&[(0u32, -1i64), (3, -1), (1, 2)][..], &[(0, 2), (2, -2)][..]]);
+        assert_eq!(c.counts(), &[2, 5, 0, 0, 4]);
+        assert_eq!(c.occupied(), &[0, 1, 4]);
+        assert_caches_equal_from_counts(&c);
+        // The same slot emptied twice within one fold is dropped once.
+        c.apply_deltas([&[(0u32, -2i64), (1, 2)][..], &[(0, 1), (4, -1)][..], &[(0, -1)][..]]);
+        assert_eq!(c.counts(), &[0, 7, 0, 0, 3]);
+        assert_eq!(c.occupied(), &[1, 4]);
+        assert_caches_equal_from_counts(&c);
+    }
+
+    #[test]
+    fn apply_deltas_matches_from_counts_on_random_streams() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = symbreak_sim::rng::Pcg64::seed_from_u64(19);
+        for _ in 0..200 {
+            let k = rng.gen_range(1..12);
+            let counts: Vec<u64> = (0..k).map(|_| rng.gen_range(0..6)).collect();
+            let mut c = Configuration::from_counts(counts);
+            for _ in 0..8 {
+                // Random unit moves between slots live before the fold,
+                // split in order over up to three parts (the fold order
+                // is the move order, so no entry goes negative).
+                let live = c.occupied().to_vec();
+                if live.is_empty() {
+                    break;
+                }
+                let mut shadow = c.counts().to_vec();
+                let mut parts: Vec<Vec<(u32, i64)>> = vec![Vec::new(); rng.gen_range(1..4)];
+                let mut part = 0;
+                for _ in 0..rng.gen_range(0..10) {
+                    let from = live[rng.gen_range(0..live.len())];
+                    let to = live[rng.gen_range(0..live.len())];
+                    if shadow[from as usize] == 0 {
+                        continue;
+                    }
+                    shadow[from as usize] -= 1;
+                    shadow[to as usize] += 1;
+                    part = rng.gen_range(part..parts.len());
+                    parts[part].extend([(from, -1), (to, 1)]);
+                }
+                c.apply_deltas(parts.iter().map(Vec::as_slice));
+                assert_eq!(c.counts(), &shadow[..]);
+                assert_caches_equal_from_counts(&c);
+            }
+        }
     }
 
     #[test]

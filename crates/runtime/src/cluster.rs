@@ -1032,6 +1032,52 @@ mod tests {
     }
 
     #[test]
+    fn netted_agent_deltas_fold_to_the_sparse_trajectory_on_every_consume_path() {
+        // Agent shards under delta tracking net their logged opinion
+        // writes instead of recounting. Every consume path writes
+        // opinions (ordered windows, multiset windows, single-peer
+        // dealing, in both gears, with and without undecided mass), so
+        // each must fold to the trajectory the sparse recount produces.
+        // Debug builds also check every tracked sparse round's netted
+        // counts against its recount. Only the stalled 2-Choices run
+        // changes few enough slots for the coordinator to command delta
+        // bodies; the others exercise the netting under sparse bodies.
+        fn check<R: UpdateRule + Clone + Send + 'static>(
+            rule: R,
+            start: &Configuration,
+            gear: GearMode,
+            expect_delta: bool,
+        ) {
+            let run = |mode| {
+                let cfg = ClusterConfig::new(3, 21)
+                    .with_shard_repr(ShardRepr::Agents)
+                    .with_data_gear(gear)
+                    .with_report_mode(mode);
+                Cluster::new(rule.clone(), start, cfg).run_horizon(60)
+            };
+            let sparse = run(ReportMode::Sparse);
+            let delta = run(ReportMode::Delta);
+            assert_eq!(sparse.trace, delta.trace, "{gear:?}");
+            assert_eq!(sparse.final_config, delta.final_config, "{gear:?}");
+            assert_eq!(sparse.total_messages, delta.total_messages, "{gear:?}");
+            let entries = |out: &HorizonOutcome| out.report_entries.iter().sum::<u64>();
+            assert_eq!(entries(&delta) < entries(&sparse), expect_delta, "{gear:?}");
+        }
+        let stalled = {
+            let mut counts = vec![8u64; 3];
+            counts.extend(std::iter::repeat_n(1, 300));
+            Configuration::from_counts(counts)
+        };
+        let few = Configuration::from_counts(vec![120, 90, 90]);
+        for gear in [GearMode::Auto, GearMode::ForcePush, GearMode::ForcePull] {
+            check(TwoChoices, &stalled, gear, true);
+            check(ThreeMajority, &few, gear, false);
+            check(Voter, &few, gear, false);
+            check(UndecidedDynamics, &few, gear, false);
+        }
+    }
+
+    #[test]
     fn delta_reports_collapse_to_changed_set_in_stalled_regime() {
         // 2-Choices from the k = n singleton start is the Theorem-5
         // stalled regime: Θ(n) colors stay alive (absolute sparse

@@ -1086,9 +1086,8 @@ mod tests {
         assert_eq!(frame2, frame);
     }
 
-    #[test]
-    fn worker_init_round_trips() {
-        let init = WorkerInit {
+    fn sample_init() -> WorkerInit {
+        WorkerInit {
             n: 1000,
             shards: 4,
             k_slots: 64,
@@ -1110,11 +1109,279 @@ mod tests {
             body: vec![(0, 10), (63, 990)],
             peer_addrs: vec!["unix:/tmp/a".into(), "tcp:127.0.0.1:9".into()],
             die_at_round: Some(12),
-        };
+        }
+    }
+
+    #[test]
+    fn worker_init_round_trips() {
+        let init = sample_init();
         let mut bytes = Vec::new();
         encode_worker_init(&init, &mut bytes);
         let (frame, used) = decode_frame(&bytes).unwrap();
         assert_eq!(used, bytes.len());
         assert_eq!(decode_worker_init(&frame).unwrap(), init);
+    }
+
+    /// Records the largest single allocation the current thread makes
+    /// while armed, so the decode fuzz can bound what a hostile frame
+    /// makes a decoder reserve. Unarmed threads pay one thread-local
+    /// read per allocation.
+    mod alloc_probe {
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        thread_local! {
+            static LARGEST: Cell<Option<usize>> = const { Cell::new(None) };
+        }
+
+        pub struct Probe;
+
+        fn note(size: usize) {
+            let _ = LARGEST.try_with(|l| {
+                if let Some(m) = l.get() {
+                    l.set(Some(m.max(size)));
+                }
+            });
+        }
+
+        // SAFETY: every call forwards to `System` unchanged; `note` only
+        // touches a const-initialized thread-local `Cell` and never
+        // allocates.
+        unsafe impl GlobalAlloc for Probe {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                note(layout.size());
+                System.alloc(layout)
+            }
+
+            unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+                note(layout.size());
+                System.alloc_zeroed(layout)
+            }
+
+            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+                note(new_size);
+                System.realloc(ptr, layout, new_size)
+            }
+
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                System.dealloc(ptr, layout)
+            }
+        }
+
+        #[global_allocator]
+        static PROBE: Probe = Probe;
+
+        /// Runs `f`, returning its result and the largest single
+        /// allocation it made on this thread.
+        pub fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
+            LARGEST.with(|l| l.set(Some(0)));
+            let out = f();
+            let largest = LARGEST.with(|l| l.take()).unwrap_or(0);
+            (out, largest)
+        }
+    }
+
+    /// The widest item a decoder collects per counted entry (a
+    /// `CrashSpec`). Every counted entry costs at least one payload
+    /// byte, so no decode may reserve more than this many bytes per
+    /// frame byte.
+    const WIDEST_DECODED_ITEM: usize = 32;
+
+    /// One valid frame of every kind the wire carries.
+    fn corpus() -> Vec<Vec<u8>> {
+        let mut frames = Vec::new();
+        let mut push = |encode: &dyn Fn(&mut Vec<u8>)| {
+            let mut bytes = Vec::new();
+            encode(&mut bytes);
+            frames.push(bytes);
+        };
+        push(&|b| {
+            let runs = vec![TargetRun { start: 0, len: 1000, count: 4242 }; 2];
+            encode_shard_message(
+                &ShardMessage::Pull(PullBatch { origin: 3, round: 97, target_runs: runs }),
+                b,
+            )
+        });
+        for runs in [vec![], vec![(0u32, 7u64), (1, 300)]] {
+            push(&|b| {
+                let palette = vec![Opinion::new(5), Opinion::UNDECIDED, Opinion::new(70_000)];
+                let p = OpinionPalette { origin: 1, round: 4, palette, runs: runs.clone() };
+                encode_shard_message(&ShardMessage::Palette(p), b)
+            });
+        }
+        for body in [
+            ReportBody::Sparse(vec![(0, 5), (200, 1 << 40)]),
+            ReportBody::Delta(vec![(3, -2), (9, 2)]),
+        ] {
+            push(&|b| {
+                let rep = ShardReport {
+                    shard: 1,
+                    round: 300,
+                    body: body.clone(),
+                    undecided: 4,
+                    messages_sent: 1 << 33,
+                    recovered: 2,
+                    changed_slots: Some(2),
+                    bytes_sent: 99,
+                    bytes_received: 77,
+                };
+                encode_report(&rep, b)
+            });
+        }
+        push(&|b| {
+            let round =
+                Control::Round { round: 12, report: ReportFormat::Delta, data: DataFormat::Push };
+            encode_control(&round, b)
+        });
+        push(&|b| {
+            let rejoin = Control::Rejoin { round: 8, body: vec![(1, 10), (4, 20)], undecided: 3 };
+            encode_control(&rejoin, b)
+        });
+        push(&|b| encode_control(&Control::Stop, b));
+        push(&|b| encode_hello(&Hello { shard: 2, peer_addr: "unix:/tmp/s.sock".into() }, b));
+        push(&|b| encode_peer_hello(5, b));
+        push(&|b| encode_ready(b));
+        push(&|b| encode_worker_init(&sample_init(), b));
+        frames
+    }
+
+    /// Every payload decoder, run on `frame` as framed: the one its
+    /// kind names must accept a valid frame, and all must return
+    /// without panicking whatever the bytes.
+    fn decode_all(frame: &Frame) -> [bool; 6] {
+        [
+            decode_shard_message(frame).is_ok(),
+            decode_report(frame).is_ok(),
+            decode_control(frame).is_ok(),
+            decode_hello(frame).is_ok(),
+            decode_peer_hello(frame).is_ok(),
+            decode_worker_init(frame).is_ok(),
+        ]
+    }
+
+    /// Splits `bytes` into a frame and decodes it every way, asserting
+    /// the allocation bound. Returns whether the framing and the
+    /// decoder its kind names both succeeded.
+    fn fuzz_one(bytes: &[u8]) -> bool {
+        let (ok, largest) = alloc_probe::largest_allocation(|| match decode_frame(bytes) {
+            Err(_) => false,
+            Ok((frame, _)) => {
+                let oks = decode_all(&frame);
+                // The same payload read as every other kind too.
+                for kind in 3..=12 {
+                    let kind = FrameKind::from_u8(kind).expect("kinds 3-12 exist");
+                    decode_all(&Frame { kind, ..frame.clone() });
+                }
+                match frame.kind {
+                    FrameKind::Pull | FrameKind::Palette => oks[0],
+                    FrameKind::Report => oks[1],
+                    FrameKind::Round | FrameKind::Rejoin | FrameKind::Stop => oks[2],
+                    FrameKind::Hello => oks[3],
+                    FrameKind::PeerHello => oks[4],
+                    FrameKind::Init => oks[5],
+                    FrameKind::Ready => frame.payload.is_empty(),
+                }
+            }
+        });
+        assert!(
+            largest <= WIDEST_DECODED_ITEM * bytes.len().max(1),
+            "a {}-byte frame made a decoder reserve {largest} bytes: {bytes:02x?}",
+            bytes.len()
+        );
+        ok
+    }
+
+    /// Re-frames `payload` under `kind` with a correct length prefix.
+    fn framed(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_frame(&mut out, kind, 1, |b| b.extend_from_slice(payload));
+        out
+    }
+
+    #[test]
+    fn decoders_reject_truncated_frames_and_payloads() {
+        for bytes in corpus() {
+            assert!(fuzz_one(&bytes), "valid frame rejected: {bytes:02x?}");
+            for cut in 0..bytes.len() {
+                assert!(!fuzz_one(&bytes[..cut]), "frame cut at {cut}: {bytes:02x?}");
+            }
+            let (frame, _) = decode_frame(&bytes).expect("valid frame");
+            for cut in 0..frame.payload.len() {
+                let short = framed(frame.kind, &frame.payload[..cut]);
+                assert!(!fuzz_one(&short), "{:?} payload cut at {cut}", frame.kind);
+            }
+        }
+    }
+
+    #[test]
+    fn decoders_reject_oversized_counts() {
+        // Every counted field, claiming far more entries than the few
+        // bytes behind it: `prefix` is what precedes the count.
+        let init_prefix = {
+            let mut b = Vec::new();
+            encode_worker_init(&sample_init(), &mut b);
+            let (frame, _) = decode_frame(&b).expect("valid init");
+            // Skip n, shards, k_slots, the two mode bytes, both seeds
+            // and the six rates: everything before the crash count.
+            let mut r = Reader::new(&frame.payload);
+            for _ in 0..3 {
+                r.varint().expect("header varint");
+            }
+            r.pos += 2;
+            r.varint().expect("master seed");
+            r.varint().expect("plan seed");
+            r.pos += 48;
+            frame.payload[..r.pos].to_vec()
+        };
+        let cases: Vec<(FrameKind, Vec<u8>)> = vec![
+            (FrameKind::Pull, vec![3]),
+            (FrameKind::Palette, vec![1]),
+            (FrameKind::Palette, vec![1, 1, 6]),
+            (FrameKind::Report, vec![1, 0]),
+            (FrameKind::Report, vec![1, 1]),
+            (FrameKind::Rejoin, vec![]),
+            (FrameKind::Hello, vec![2]),
+            (FrameKind::Init, init_prefix.clone()),
+            (FrameKind::Init, [&init_prefix[..], &[0]].concat()),
+            (FrameKind::Init, [&init_prefix[..], &[0, 0, 0, 3, 0]].concat()),
+            (FrameKind::Init, [&init_prefix[..], &[0, 0, 0, 3, 0, 0]].concat()),
+            (FrameKind::Init, [&init_prefix[..], &[0, 0, 0, 3, 0, 0, 1]].concat()),
+        ];
+        for (kind, prefix) in cases {
+            for count in [u64::MAX, 1 << 40, u64::from(u32::MAX), 64] {
+                let mut payload = prefix.clone();
+                put_varint(&mut payload, count);
+                payload.extend_from_slice(&[1, 2, 3]);
+                let bytes = framed(kind, &payload);
+                assert!(!fuzz_one(&bytes), "{kind:?} count {count} after {prefix:?}");
+            }
+        }
+        // A header claiming a longer payload than the buffer holds.
+        let mut bytes = framed(FrameKind::Report, &[1, 0, 0]);
+        bytes.truncate(bytes.len() - 1);
+        assert_eq!(decode_frame(&bytes).unwrap_err(), WireError::Truncated);
+    }
+
+    #[test]
+    fn decoders_survive_random_and_mutated_frames() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = symbreak_sim::rng::Pcg64::seed_from_u64(0xF022);
+        let corpus = corpus();
+        for _ in 0..4000 {
+            // Random payloads under a valid header, of every kind.
+            let kind = FrameKind::from_u8(rng.gen_range(3..=12)).expect("kinds 3-12 exist");
+            let payload: Vec<u8> = (0..rng.gen_range(0..40)).map(|_| rng.gen()).collect();
+            fuzz_one(&framed(kind, &payload));
+            // Valid frames with a few bytes overwritten.
+            let mut bytes = corpus[rng.gen_range(0..corpus.len())].clone();
+            for _ in 0..rng.gen_range(1..4) {
+                let i = rng.gen_range(0..bytes.len());
+                bytes[i] = rng.gen();
+            }
+            fuzz_one(&bytes);
+            // Arbitrary bytes, magic and all.
+            let noise: Vec<u8> = (0..rng.gen_range(0..24)).map(|_| rng.gen()).collect();
+            fuzz_one(&noise);
+        }
     }
 }

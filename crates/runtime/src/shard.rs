@@ -37,11 +37,25 @@
 //!   vector: palettes (pull) or union draws (push) land straight in
 //!   `opinions`, with no sample buffer and no rule calls.
 //!
-//! Reports are counted through a reusable touched-slot scratch in
-//! `O(local_n)` instead of a fresh dense `vec![0; k]`; under
-//! [`ReportMode::Delta`] the shard additionally keeps the previous
-//! round's counts so it can emit signed `(slot, Δcount)` bodies of size
-//! `O(#changed)` when the coordinator commands [`ReportFormat::Delta`].
+//! A sparse report recounts the shard's opinions through a reusable
+//! touched-slot scratch in `O(local_n)`, instead of a fresh dense
+//! `vec![0; k]`. Under [`ReportMode::Delta`] an agent-backed shard
+//! never recounts to find what changed: every opinion write goes
+//! through one logging helper (`OpinionLog`), and the report nets the
+//! round's `(old, new)` moves into signed `(slot, Δcount)` entries,
+//! rolling the previous-round counts, the local distinct count and the
+//! undecided count forward in place. A [`ReportFormat::Delta`] round
+//! therefore costs `O(#moves)` to report; a sparse round still
+//! recounts for its body. Condensed shards mirror their histogram
+//! instead (below) and compare it against the previous counts.
+//!
+//! The round-start snapshot the pull palettes are served from is built
+//! lazily, on the first batch that needs it: a histogram-walk batch, or
+//! any batch on a condensed shard. A raw batch off an agent vector
+//! reads the opinions directly, so in the diverse regime an
+//! agent-backed shard never tallies a snapshot in the pull gear. The
+//! walk-or-raw choice reads the distinct count the last report left
+//! behind.
 //!
 //! Under [`crate::cluster::ShardRepr::Histogram`] (multiset or
 //! single-peer rule, see `cluster::shard_is_condensed`) the worker is
@@ -266,6 +280,25 @@ fn count_opinions(opinions: &[Opinion], counts: &mut [u64], touched: &mut Vec<u3
     undecided
 }
 
+/// The one write path for agent-shard opinions during a round. With
+/// `on` (delta tracking on an agent-backed shard) every write that
+/// changes an opinion is logged as `(old, new)`, so the report can net
+/// the round's moves instead of recounting the shard.
+struct OpinionLog {
+    on: bool,
+    moves: Vec<(Opinion, Opinion)>,
+}
+
+impl OpinionLog {
+    #[inline]
+    fn write(&mut self, slot: &mut Opinion, next: Opinion) {
+        if self.on && *slot != next {
+            self.moves.push((*slot, next));
+        }
+        *slot = next;
+    }
+}
+
 /// Which dense scratch a condensed worker mirrors its histogram into.
 enum Mirror {
     /// Round-start snapshot (`snap_counts` / `snap_touched`).
@@ -289,7 +322,13 @@ struct Worker<R, T> {
     rule: R,
     /// The materialized agent vector — empty on a condensed shard,
     /// which holds its whole state in `hist` + `hist_undecided`.
+    /// Rounds write it only through `log`.
     opinions: Vec<Opinion>,
+    log: OpinionLog,
+    /// Agent shards: the distinct decided opinions and the undecided
+    /// nodes in `opinions` as of the last report (so at round start).
+    distinct: usize,
+    undecided: u64,
     transport: T,
     rng: Pcg64,
     h: usize,
@@ -363,10 +402,13 @@ struct Worker<R, T> {
     run_pool: Vec<Vec<TargetRun>>,
     palette_pool: Vec<PaletteBuffers>,
     /// Round-start local opinion histogram (dense, zero outside
-    /// `snap_touched`) the palettes are sampled from.
+    /// `snap_touched`) the palettes are sampled from. Pull rounds build
+    /// it on first use ([`Worker::ensure_snapshot`]); `snap_ready` says
+    /// whether this round's is built.
     snap_counts: Vec<u64>,
     snap_touched: Vec<u32>,
     snap_undecided: u64,
+    snap_ready: bool,
     /// Per-origin draw aggregation buffer (zero between serves).
     serve_counts: Vec<u64>,
     theta_scratch: Vec<f64>,
@@ -404,8 +446,11 @@ struct Worker<R, T> {
     // Report state.
     count_scratch: Vec<u64>,
     touched: Vec<u32>,
-    /// Previous round's counts, kept only under [`ReportMode::Delta`].
+    /// Previous round's counts, kept only under [`ReportMode::Delta`]:
+    /// rolled forward in place by the netted moves on agent shards,
+    /// swapped with the fresh mirror on condensed ones.
     prev_counts: Vec<u64>,
+    /// The occupied slots of `prev_counts` (condensed shards only).
     prev_touched: Vec<u32>,
 
     // Fault-injection state (idle under an inert plan).
@@ -520,6 +565,7 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             snap_counts: vec![0; k_slots],
             snap_touched: Vec::new(),
             snap_undecided: 0,
+            snap_ready: false,
             serve_counts: vec![0; k_slots],
             theta_scratch: Vec::new(),
             recv_palettes: (0..shards).map(|_| None).collect(),
@@ -551,17 +597,48 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             },
             plan,
             opinions,
+            log: OpinionLog { on: tracking && !condensed, moves: Vec::new() },
+            distinct: 0,
+            undecided: 0,
             transport,
         };
-        if tracking {
-            // The round-0 baseline the first delta report is relative to.
-            if worker.condensed {
+        // The round-0 baseline the first report (and, under delta
+        // tracking, the first delta) is relative to.
+        if worker.condensed {
+            if tracking {
                 worker.mirror_hist(Mirror::Prev);
-            } else {
-                count_opinions(&worker.opinions, &mut worker.prev_counts, &mut worker.prev_touched);
             }
+        } else {
+            worker.baseline_agents();
         }
         worker
+    }
+
+    /// Tallies the agent opinions as the report baseline: `distinct`,
+    /// `undecided` and, under delta tracking, `prev_counts` (which must
+    /// be zero). `O(local_n)`; runs at construction and on rejoin.
+    fn baseline_agents(&mut self) {
+        debug_assert!(!self.condensed);
+        self.touched.clear();
+        self.undecided = count_opinions(&self.opinions, &mut self.count_scratch, &mut self.touched);
+        self.distinct = self.touched.len();
+        if self.log.on {
+            std::mem::swap(&mut self.prev_counts, &mut self.count_scratch);
+        } else {
+            for &i in &self.touched {
+                self.count_scratch[i as usize] = 0;
+            }
+        }
+        self.touched.clear();
+    }
+
+    /// The distinct decided opinions the shard holds at round start.
+    fn local_distinct(&self) -> usize {
+        if self.condensed {
+            self.hist_pairs.len()
+        } else {
+            self.distinct
+        }
     }
 
     /// Copies the condensed histogram into one of the dense scratches
@@ -585,7 +662,7 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
     /// scratch. Agent-backed shards tally their opinions (first-touch
     /// order, byte-identical to the pre-condensed runtime); condensed
     /// shards mirror `hist` (ascending slot order — a lawful wire-order
-    /// difference) and invalidate the per-round serving alias.
+    /// difference) and invalidate the per-round serving mirror.
     fn snapshot_round_start(&mut self) {
         self.snap_touched.clear();
         if self.condensed {
@@ -595,6 +672,17 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         } else {
             self.snap_undecided =
                 count_opinions(&self.opinions, &mut self.snap_counts, &mut self.snap_touched);
+        }
+    }
+
+    /// Builds this pull round's snapshot if nothing has yet. Opinions do
+    /// not change during the exchange, and the snapshot draws no
+    /// randomness, so building it late serves exactly what an eager
+    /// snapshot would.
+    fn ensure_snapshot(&mut self) {
+        if !self.snap_ready {
+            self.snapshot_round_start();
+            self.snap_ready = true;
         }
     }
 
@@ -862,13 +950,14 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             self.count_scratch[i as usize] = 0;
         }
         self.touched.clear();
-        if self.report_mode == ReportMode::Delta {
+        // The verified tally is the new report baseline.
+        self.distinct = body.len();
+        self.undecided = undecided;
+        self.log.moves.clear();
+        if self.log.on {
             // Re-baseline the delta tracking against the rejoined state.
-            for &i in &self.prev_touched {
-                self.prev_counts[i as usize] = 0;
-            }
-            self.prev_touched.clear();
-            count_opinions(&self.opinions, &mut self.prev_counts, &mut self.prev_touched);
+            self.prev_counts.fill(0);
+            self.baseline_agents();
         }
     }
 
@@ -880,7 +969,8 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         for local in 0..local_n {
             let own = self.opinions[local];
             let window = &self.samples[local * self.h..(local + 1) * self.h];
-            self.opinions[local] = self.rule.update(own, window, &mut self.rng);
+            let next = self.rule.update(own, window, &mut self.rng);
+            self.log.write(&mut self.opinions[local], next);
         }
     }
 
@@ -907,10 +997,6 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         let shards = self.partition.shards;
         let round = self.round_no;
         let total = (local_n * self.h) as u64;
-
-        // Round-start local opinion histogram: what the palettes this
-        // shard serves are sampled from.
-        self.snapshot_round_start();
 
         // Split the round's `local_n · h` uniform pulls over the
         // destination shards: a multinomial on the range sizes, with
@@ -991,6 +1077,7 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
                 // — on the same round RNG the agent path's per-draw
                 // reads consume.
                 if m > 0 {
+                    self.ensure_snapshot();
                     let undec = if self.snap_undecided > 0 {
                         Binomial::new(m, self.snap_undecided as f64 / local_n as f64)
                             .sample(&mut self.rng)
@@ -1034,10 +1121,14 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             self.recv_palettes[origin] = Some((palette, runs));
         }
 
-        // Serving is done for the round: clear the snapshot histogram.
+        // Serving is done for the round: clear the snapshot histogram
+        // if one was built.
         for &i in &self.snap_touched {
             self.snap_counts[i as usize] = 0;
         }
+        self.snap_touched.clear();
+        self.snap_ready = false;
+        self.serve_flat_fresh = false;
         Ok(())
     }
 
@@ -1096,13 +1187,15 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         for origin in 0..shards {
             let (palette, runs) = self.recv_palettes[origin].take().expect("one palette per peer");
             if runs.is_empty() {
-                self.opinions[pos..pos + palette.len()].copy_from_slice(&palette);
-                pos += palette.len();
+                for &o in &palette {
+                    self.log.write(&mut self.opinions[pos], o);
+                    pos += 1;
+                }
             } else {
                 for &(pi, c) in &runs {
                     let o = palette[pi as usize];
                     for _ in 0..c {
-                        self.opinions[pos] = o;
+                        self.log.write(&mut self.opinions[pos], o);
                         pos += 1;
                     }
                 }
@@ -1225,7 +1318,8 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             let window = &mut self.window;
             splitter.draw_window(h, &mut self.rng, |cat, x| window.push((ops[cat], x as u32)));
             let own = self.opinions[local];
-            self.opinions[local] = msr.update_from_counts(own, &self.window, &mut self.rng);
+            let next = msr.update_from_counts(own, &self.window, &mut self.rng);
+            self.log.write(&mut self.opinions[local], next);
         }
         debug_assert_eq!(splitter.remaining(), 0, "the pool must be dealt exactly");
     }
@@ -1825,7 +1919,8 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         }
         let alias = Categorical::new(&self.alias_weights);
         for pos in 0..self.opinions.len() {
-            self.opinions[pos] = self.alias_values[alias.sample(&mut self.rng)];
+            let next = self.alias_values[alias.sample(&mut self.rng)];
+            self.log.write(&mut self.opinions[pos], next);
         }
     }
 
@@ -1875,7 +1970,8 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             let window = &mut self.window;
             walk.sample_window(&mut self.rng, |j, x| window.push((ops[j], x as u32)));
             let own = self.opinions[local];
-            self.opinions[local] = msr.update_from_counts(own, &self.window, &mut self.rng);
+            let next = msr.update_from_counts(own, &self.window, &mut self.rng);
+            self.log.write(&mut self.opinions[local], next);
         }
     }
 
@@ -1992,16 +2088,21 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         const WALK_FACTOR: u64 = 24;
         let local_n = self.local_n;
         let origin = batch.origin as usize;
-        let rng = &mut self.serve_rngs[origin];
-        let d = self.snap_touched.len() as u64 + 1;
+        let d = self.local_distinct() as u64 + 1;
         let total: u64 = batch.target_runs.iter().map(|r| r.count).sum();
+        let walkable = total >= WALK_FACTOR * d
+            && batch.target_runs.iter().all(|r| r.start == 0 && r.len as usize == local_n);
+        // A raw batch off the agent vector reads the opinions directly;
+        // everything else samples the round-start snapshot.
+        if walkable || (self.condensed && total > 0) {
+            self.ensure_snapshot();
+        }
+        let rng = &mut self.serve_rngs[origin];
 
         let (mut palette, mut pruns) = self.palette_pool.pop().unwrap_or_default();
         palette.clear();
         pruns.clear();
 
-        let walkable = total >= WALK_FACTOR * d
-            && batch.target_runs.iter().all(|r| r.start == 0 && r.len as usize == local_n);
         if walkable {
             let mut served_undecided = 0u64;
             for run in &batch.target_runs {
@@ -2089,12 +2190,15 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         OpinionPalette { origin: self.shard_id as u32, round: self.round_no, palette, runs: pruns }
     }
 
-    /// Counts the post-update opinions and builds the commanded report
-    /// body; under [`ReportMode::Delta`] also rolls the previous-round
-    /// counts forward and reports the changed-slot count.
+    /// Builds the commanded report body; under [`ReportMode::Delta`]
+    /// also rolls the previous-round counts forward and reports the
+    /// changed-slot count.
     fn build_report(&mut self, format: ReportFormat) -> (ReportBody, u64, Option<u64>) {
+        if !self.condensed {
+            return self.build_agent_report(format);
+        }
         let tracking = self.report_mode == ReportMode::Delta;
-        if self.condensed && self.report_pairs_fresh {
+        if self.report_pairs_fresh {
             self.report_pairs_fresh = false;
             if !tracking && format == ReportFormat::Sparse {
                 // Flat-tally install: `hist_pairs` *is* the sparse
@@ -2112,24 +2216,16 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             self.mirror_hist(Mirror::Report);
             self.report_fresh = true;
         }
-        let undecided = if self.condensed {
-            // The post-step histogram *is* the count. Right after a
-            // condensed consume the tally it was installed from is
-            // still sitting in the scratch — report straight off it;
-            // otherwise (round-0 style calls) mirror the histogram
-            // (`O(#occupied)`, no recount). Either way the body
-            // builders below run unchanged.
-            if self.report_fresh {
-                self.report_fresh = false;
-            } else {
-                self.touched.clear();
-                self.mirror_hist(Mirror::Report);
-            }
-            self.hist_undecided
+        // The post-step histogram *is* the count. Right after a condensed
+        // consume the tally it was installed from is still sitting in the
+        // scratch — report straight off it; otherwise (round-0 style
+        // calls) mirror the histogram (`O(#occupied)`, no recount).
+        if self.report_fresh {
+            self.report_fresh = false;
         } else {
             self.touched.clear();
-            count_opinions(&self.opinions, &mut self.count_scratch, &mut self.touched)
-        };
+            self.mirror_hist(Mirror::Report);
+        }
 
         let changed_slots = if tracking {
             let mut changed = 0u64;
@@ -2149,15 +2245,7 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         };
 
         let body = match format {
-            ReportFormat::Sparse => {
-                let mut pairs = self.report_pool.pop().unwrap_or_default();
-                pairs.clear();
-                pairs.reserve(self.touched.len());
-                for &i in &self.touched {
-                    pairs.push((i, self.count_scratch[i as usize]));
-                }
-                ReportBody::Sparse(pairs)
-            }
+            ReportFormat::Sparse => self.sparse_body_from_scratch(),
             ReportFormat::Delta => {
                 assert!(tracking, "delta reports need ReportMode::Delta tracking");
                 let mut pairs = Vec::with_capacity(changed_slots.unwrap_or(0) as usize);
@@ -2187,7 +2275,98 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             self.count_scratch[i as usize] = 0;
         }
         self.touched.clear();
-        (body, undecided, changed_slots)
+        (body, self.hist_undecided, changed_slots)
+    }
+
+    /// The sparse body of the tally in `count_scratch` / `touched`, in
+    /// touched order. Leaves the scratch as it is.
+    fn sparse_body_from_scratch(&mut self) -> ReportBody {
+        let mut pairs = self.report_pool.pop().unwrap_or_default();
+        pairs.clear();
+        pairs.reserve(self.touched.len());
+        for &i in &self.touched {
+            pairs.push((i, self.count_scratch[i as usize]));
+        }
+        ReportBody::Sparse(pairs)
+    }
+
+    /// The agent-backed report. Under delta tracking the round's logged
+    /// moves are netted first, in `O(#moves)`: they are the delta body
+    /// and the changed-slot count, and they roll `prev_counts`,
+    /// `distinct` and `undecided` forward. A sparse body recounts the
+    /// opinions in first-touch order, `O(local_n)`.
+    fn build_agent_report(&mut self, format: ReportFormat) -> (ReportBody, u64, Option<u64>) {
+        let deltas = self.log.on.then(|| self.net_moves());
+        let changed_slots = deltas.as_ref().map(|d| d.len() as u64);
+        let body = match format {
+            ReportFormat::Delta => {
+                ReportBody::Delta(deltas.expect("delta reports need ReportMode::Delta tracking"))
+            }
+            ReportFormat::Sparse => {
+                self.touched.clear();
+                let undecided =
+                    count_opinions(&self.opinions, &mut self.count_scratch, &mut self.touched);
+                debug_assert!(
+                    !self.log.on
+                        || (undecided == self.undecided && self.touched.len() == self.distinct),
+                    "netted moves must agree with the recount"
+                );
+                self.undecided = undecided;
+                self.distinct = self.touched.len();
+                let body = self.sparse_body_from_scratch();
+                for &i in &self.touched {
+                    self.count_scratch[i as usize] = 0;
+                }
+                self.touched.clear();
+                body
+            }
+        };
+        (body, self.undecided, changed_slots)
+    }
+
+    /// Nets this round's logged moves into signed `(slot, Δcount)`
+    /// entries, one per slot whose count changed, in first-move order.
+    /// Rolls `prev_counts`, `distinct` and `undecided` forward and
+    /// clears the log. `count_scratch` (zero between reports) holds each
+    /// touched slot's running net change as a wrapping `i64`.
+    fn net_moves(&mut self) -> Vec<(u32, i64)> {
+        self.touched.clear();
+        let mut undecided_shift = 0i64;
+        for &(old, new) in &self.log.moves {
+            for (o, step) in [(old, -1i64), (new, 1)] {
+                if o.is_undecided() {
+                    undecided_shift += step;
+                    continue;
+                }
+                let i = o.index();
+                // A slot whose net returned to zero may be listed twice;
+                // the emission below skips the second copy.
+                if self.count_scratch[i] == 0 {
+                    self.touched.push(i as u32);
+                }
+                self.count_scratch[i] = self.count_scratch[i].wrapping_add(step as u64);
+            }
+        }
+        self.log.moves.clear();
+        let mut pairs = Vec::new();
+        for &i in &self.touched {
+            let net = self.count_scratch[i as usize] as i64;
+            if net == 0 {
+                continue;
+            }
+            self.count_scratch[i as usize] = 0;
+            let prev = self.prev_counts[i as usize];
+            let next = prev.checked_add_signed(net).expect("a slot cannot lose more than it held");
+            self.prev_counts[i as usize] = next;
+            self.distinct = self.distinct + usize::from(prev == 0) - usize::from(next == 0);
+            pairs.push((i, net));
+        }
+        self.touched.clear();
+        self.undecided = self
+            .undecided
+            .checked_add_signed(undecided_shift)
+            .expect("undecided count cannot go negative");
+        pairs
     }
 }
 

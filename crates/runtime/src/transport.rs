@@ -157,6 +157,9 @@ pub(crate) trait CoordinatorLink {
 /// (never serialized), so this path is byte-identical per seed to the
 /// pre-transport runtime.
 ///
+/// Each message travels with its frame length, computed once by the
+/// sender, so the receiver counts it without walking the message again.
+///
 /// Every shard holds clones of every inbox sender and of the report
 /// sender, so one shard exiting closes no channel. Instead, dropping a
 /// transport sends `None` down each of its channels: the channel
@@ -164,10 +167,10 @@ pub(crate) trait CoordinatorLink {
 /// [`TransportLost`], so a shard that exits early, for example
 /// because its round panicked, ends the run rather than hanging it.
 pub struct ChannelTransport {
-    inbox: mpsc::Receiver<Option<ShardMessage>>,
-    peers: Vec<mpsc::Sender<Option<ShardMessage>>>,
+    inbox: mpsc::Receiver<Option<(ShardMessage, u64)>>,
+    peers: Vec<mpsc::Sender<Option<(ShardMessage, u64)>>>,
     control: mpsc::Receiver<Control>,
-    report: mpsc::Sender<Option<ShardReport>>,
+    report: mpsc::Sender<Option<(ShardReport, u64)>>,
     lost: bool,
     sent: u64,
     received: u64,
@@ -175,10 +178,10 @@ pub struct ChannelTransport {
 
 impl ChannelTransport {
     pub(crate) fn new(
-        inbox: mpsc::Receiver<Option<ShardMessage>>,
-        peers: Vec<mpsc::Sender<Option<ShardMessage>>>,
+        inbox: mpsc::Receiver<Option<(ShardMessage, u64)>>,
+        peers: Vec<mpsc::Sender<Option<(ShardMessage, u64)>>>,
         control: mpsc::Receiver<Control>,
-        report: mpsc::Sender<Option<ShardReport>>,
+        report: mpsc::Sender<Option<(ShardReport, u64)>>,
     ) -> Self {
         Self { inbox, peers, control, report, lost: false, sent: 0, received: 0 }
     }
@@ -195,24 +198,26 @@ impl Drop for ChannelTransport {
 
 impl Transport for ChannelTransport {
     fn send(&mut self, dest: usize, msg: ShardMessage) {
-        self.sent += shard_message_len(&msg);
-        self.lost |= self.peers[dest].send(Some(msg)).is_err();
+        let len = shard_message_len(&msg);
+        self.sent += len;
+        self.lost |= self.peers[dest].send(Some((msg, len))).is_err();
     }
 
     fn recv(&mut self) -> Result<ShardMessage, TransportLost> {
         if self.lost {
             return Err(TransportLost);
         }
-        let msg = self.inbox.recv().ok().flatten().ok_or(TransportLost)?;
-        self.received += shard_message_len(&msg);
+        let (msg, len) = self.inbox.recv().ok().flatten().ok_or(TransportLost)?;
+        self.received += len;
         Ok(msg)
     }
 
     fn send_report(&mut self, report: ShardReport) -> Option<Vec<(u32, u64)>> {
-        self.sent += report_len(&report);
+        let len = report_len(&report);
+        self.sent += len;
         // The coordinator consumes the report in place — the body
         // crosses the channel intact, so there is nothing to pool.
-        self.lost |= self.report.send(Some(report)).is_err();
+        self.lost |= self.report.send(Some((report, len))).is_err();
         None
     }
 
@@ -243,7 +248,7 @@ impl Transport for ChannelTransport {
 /// transport that was dropped (see [`ChannelTransport`]).
 pub(crate) struct ChannelLink {
     control_txs: Vec<mpsc::Sender<Control>>,
-    report_rx: mpsc::Receiver<Option<ShardReport>>,
+    report_rx: mpsc::Receiver<Option<(ShardReport, u64)>>,
     sent: u64,
     received: u64,
 }
@@ -251,7 +256,7 @@ pub(crate) struct ChannelLink {
 impl ChannelLink {
     pub(crate) fn new(
         control_txs: Vec<mpsc::Sender<Control>>,
-        report_rx: mpsc::Receiver<Option<ShardReport>>,
+        report_rx: mpsc::Receiver<Option<(ShardReport, u64)>>,
     ) -> Self {
         Self { control_txs, report_rx, sent: 0, received: 0 }
     }
@@ -264,8 +269,8 @@ impl CoordinatorLink for ChannelLink {
     }
 
     fn recv_report(&mut self) -> Result<ShardReport, TransportLost> {
-        let rep = self.report_rx.recv().ok().flatten().ok_or(TransportLost)?;
-        self.received += report_len(&rep);
+        let (rep, len) = self.report_rx.recv().ok().flatten().ok_or(TransportLost)?;
+        self.received += len;
         Ok(rep)
     }
 
@@ -512,15 +517,16 @@ struct SocketTransport {
 
 impl Transport for SocketTransport {
     fn send(&mut self, dest: usize, msg: ShardMessage) {
-        let len = shard_message_len(&msg);
-        self.sent += len;
         if dest == self.shard_id {
+            let len = shard_message_len(&msg);
+            self.sent += len;
             self.self_queue.push_back((msg, len));
             return;
         }
+        // The encoded frame is its own length: no separate walk.
         self.scratch.clear();
         encode_shard_message(&msg, &mut self.scratch);
-        debug_assert_eq!(self.scratch.len() as u64, len, "encoded_len must match the encoder");
+        self.sent += self.scratch.len() as u64;
         let conn = self.peer_w[dest].as_mut().expect("mesh covers every non-self peer");
         if write_frame(conn, &self.scratch).is_err() {
             // The loss surfaces from the next recv; the round cannot
@@ -550,9 +556,9 @@ impl Transport for SocketTransport {
     }
 
     fn send_report(&mut self, report: ShardReport) -> Option<Vec<(u32, u64)>> {
-        self.sent += report_len(&report);
         self.scratch.clear();
         encode_report(&report, &mut self.scratch);
+        self.sent += self.scratch.len() as u64;
         if write_frame(&mut self.coord_w, &self.scratch).is_err() {
             self.lost = true;
         }
@@ -881,9 +887,9 @@ pub(crate) struct SocketLink {
 
 impl CoordinatorLink for SocketLink {
     fn send_control(&mut self, shard: usize, ctrl: Control) -> Result<(), TransportLost> {
-        self.sent += control_len(&ctrl);
         self.scratch.clear();
         encode_control(&ctrl, &mut self.scratch);
+        self.sent += self.scratch.len() as u64;
         write_frame(&mut self.conns[shard], &self.scratch).map_err(|_| TransportLost)
     }
 

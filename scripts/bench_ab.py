@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""A/B-compares two checkouts on one perfbench workload.
+
+Usage:
+
+    python3 scripts/bench_ab.py <parent-dir> <change-dir> --workload W \\
+        --pairs N --seconds S [--seed SEED]
+
+Runs `python3 perfbench/run.py` untraced in each checkout, N pairs of
+runs of S seconds each, alternating which side runs first. For every
+end-to-end metric that `BENCHMARK.json` (of the parent) declares, prints
+each side's median and quartiles, the change's win fraction (ties count
+for neither side) and whether the change clears the gain rule: it wins
+at least nine tenths of the pairs, and the medians differ by more than
+the parent's interquartile distance.
+
+Both checkouts must build their own benchmark (perfbench writes into
+`.bench_build` under each). Their absolute paths must have equal length:
+the path is part of the command line, and argv length alone moves
+`setup_s` by up to ~17%, so unequal paths are refused.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+
+def run_once(root, workload, seed, seconds):
+    """One untraced perfbench run; returns its result dict, or None."""
+    cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                         text=True)
+    lines = out.stdout.strip().splitlines()
+    if out.returncode != 0 or not lines:
+        return None
+    result = json.loads(lines[-1])
+    if not result.get("correct") or result.get("failed"):
+        return None
+    return result
+
+
+def quartiles(values):
+    """(first quartile, median, third quartile) of `values`."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", help="checkout of the parent commit")
+    parser.add_argument("change", help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", required=True, type=int)
+    parser.add_argument("--seconds", required=True, type=float)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args()
+
+    roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    if len(roots["parent"]) != len(roots["change"]):
+        sys.exit(f"bench_ab: paths differ in length ({roots['parent']!r} vs {roots['change']!r}); "
+                 "argv length moves setup_s, so use equal-length directories")
+    with open(os.path.join(roots["parent"], "BENCHMARK.json")) as f:
+        metrics = json.load(f)["end_to_end"]
+
+    rows = []
+    failed = {side: 0 for side in roots}
+    for pair in range(args.pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        row = {}
+        for side in order:
+            result = run_once(roots[side], args.workload, args.seed, args.seconds)
+            if result is None:
+                failed[side] += 1
+                continue
+            row[side] = {name: m["value"] for name, m in result["metrics"].items()}
+        rows.append(row)
+        shown = "  ".join(
+            f"{side} {row[side][metrics[0]['name']]:.4g}" if side in row else f"{side} failed"
+            for side in order)
+        print(f"pair {pair + 1}/{args.pairs} ({order[0]} first): {shown}", flush=True)
+
+    print(f"\n{args.workload}, {args.pairs} pairs of {args.seconds:g} s, seed {args.seed}; "
+          f"failed runs: parent {failed['parent']}, change {failed['change']}")
+    for m in metrics:
+        name, lower = m["name"], m["better"] == "lower"
+        p = [row["parent"][name] for row in rows if "parent" in row]
+        c = [row["change"][name] for row in rows if "change" in row]
+        if not p or not c:
+            print(f"{name}: no successful runs to compare")
+            continue
+        pq, cq = quartiles(p), quartiles(c)
+        # Only pairs where both sides ran count.
+        both = [(row["parent"][name], row["change"][name]) for row in rows if len(row) == 2]
+        wins = sum((b < a) if lower else (b > a) for a, b in both)
+        losses = sum((b > a) if lower else (b < a) for a, b in both)
+        # A failed run loses its pair: the rule counts every pair run.
+        gain = (cq[1] < pq[1]) if lower else (cq[1] > pq[1])
+        clears = wins >= 0.9 * args.pairs and gain and abs(cq[1] - pq[1]) > pq[2] - pq[0]
+        print(f"{name} ({m['unit']}, {m['better']} is better):"
+              f" parent median {pq[1]:.4g} [q1 {pq[0]:.4g}, q3 {pq[2]:.4g}],"
+              f" change median {cq[1]:.4g} [q1 {cq[0]:.4g}, q3 {cq[2]:.4g}],"
+              f" change/parent {cq[1] / pq[1]:.3f},"
+              f" change wins {wins}/{args.pairs} (losses {losses}, both ran {len(both)}),"
+              f" gain rule {'met' if clears else 'not met'}")
+
+
+if __name__ == "__main__":
+    main()
