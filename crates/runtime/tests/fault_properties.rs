@@ -7,7 +7,9 @@
 //! digest mismatch rather than a silent drift.
 
 use proptest::prelude::*;
-use symbreak_core::rules::{ThreeMajority, TwoChoices, Voter};
+use symbreak_core::rules::{
+    HMajority, ThreeMajority, TwoChoices, TwoMedian, UndecidedDynamics, Voter,
+};
 use symbreak_core::Configuration;
 use symbreak_runtime::{
     ByzantineSpec, Cluster, ClusterConfig, CorruptionKind, CrashSpec, FaultCounters, FaultKind,
@@ -137,6 +139,45 @@ fn golden_three_majority_condensed_push_seed_exact() {
     assert_eq!(out.stop, StopReason::Consensus);
     assert_eq!(out.consensus_round, Some(out.rounds_run));
     assert_inert_golden(&out, 40, 18184, 4163, 49775, 0x3ce0cc55f059a164);
+}
+
+#[test]
+fn golden_undecided_condensed_push_seed_exact() {
+    // The undecided dynamics on three histogram shards, push forced from
+    // round 1: after the first step every shard holds undecided nodes,
+    // so every broadcast palette ends in an undecided tail and the union
+    // carries undecided mass from all three.
+    let start = Configuration::uniform(600, 12);
+    let config = ClusterConfig::new(3, 13).with_data_gear(GearMode::ForcePush);
+    let out = Cluster::new(UndecidedDynamics, &start, config).run_horizon(400);
+    assert_eq!(out.stop, StopReason::Consensus);
+    assert_inert_golden(&out, 29, 5298, 791, 14082, 0x2cc9d7a2f4c145af);
+}
+
+#[test]
+fn golden_two_median_condensed_push_seed_exact() {
+    // 2-Median is own-sensitive: its push step runs one CDF cascade per
+    // own-opinion group, so the step output repeats colors across
+    // groups and the install must coalesce them.
+    let start = Configuration::uniform(512, 24);
+    let config = ClusterConfig::new(2, 19).with_data_gear(GearMode::ForcePush);
+    let out = Cluster::new(TwoMedian, &start, config).run_horizon(400);
+    assert_eq!(out.stop, StopReason::Consensus);
+    assert_inert_golden(&out, 13, 856, 191, 2778, 0xeb46036a6ee8aa01);
+}
+
+#[test]
+fn golden_h_majority_condensed_push_seed_exact() {
+    // h-Majority at h = 5 has no closed-form push step: the generic
+    // per-node `condensed_push_step` walks one window per node. Delta
+    // reports pin the tracked condensed report off the installed pairs.
+    let start = Configuration::uniform(300, 20);
+    let config = ClusterConfig::new(3, 29)
+        .with_data_gear(GearMode::ForcePush)
+        .with_report_mode(ReportMode::Delta);
+    let out = Cluster::new(HMajority::new(5), &start, config).run_horizon(400);
+    assert_eq!(out.stop, StopReason::Consensus);
+    assert_inert_golden(&out, 9, 2292, 363, 5529, 0x2194d8cd7c280578);
 }
 
 #[test]
