@@ -46,8 +46,9 @@
 //! rolling the previous-round counts, the local distinct count and the
 //! undecided count forward in place. A [`ReportFormat::Delta`] round
 //! therefore costs `O(#moves)` to report; a sparse round still
-//! recounts for its body. Condensed shards mirror their histogram
-//! instead (below) and compare it against the previous counts.
+//! recounts for its body. Condensed shards clone or mirror their
+//! histogram instead (below), and compare it against the previous
+//! counts when tracking.
 //!
 //! The round-start snapshot the pull palettes are served from is built
 //! lazily, on the first batch that needs it: a histogram-walk batch, or
@@ -60,21 +61,23 @@
 //! Under [`crate::cluster::ShardRepr::Histogram`] (multiset or
 //! single-peer rule, see `cluster::shard_is_condensed`) the worker is
 //! **condensed**: it never materializes a per-agent opinion vector at
-//! all. Its only state is a [`Configuration`]-backed local histogram
-//! plus the undecided count. The round-start snapshot mirrors the
-//! histogram (ascending slot order), pull palettes are served from a
-//! per-round cached alias table over it, received palettes and push
-//! unions are consumed as mass moved between histograms — grouped
-//! hypergeometric blocks in the pull gear (one
-//! [`symbreak_core::MultisetRule`] `condensed_window_step` call per
-//! occupied opinion group, or a single mega-block call for
-//! own-insensitive rules, with a flat Fisher–Yates dealing fallback in
-//! the diverse regime), and one `condensed_push_step` call per round
-//! in the push gear — so in both gears the per-round compute drops
-//! from `O(local_n · h)` to `O(#occupied · h)` — and reports mirror
-//! the histogram straight into the touched-slot scratch. Rejoin copies the snapshot counts and
-//! verifies them in `O(#occupied)` with no dense recount. The
-//! agent-backed paths are untouched (byte-identical per seed).
+//! all. Its only state is the local histogram as sorted `(slot, count)`
+//! pairs plus the undecided count. A pull round's snapshot mirrors the
+//! pairs and pull palettes are sampled from it; a push round broadcasts
+//! the pairs as they stand and merges the peers' sorted palettes into
+//! the union. Received palettes and push unions are consumed as mass
+//! moved between histograms — grouped hypergeometric blocks in the pull
+//! gear (one [`symbreak_core::MultisetRule`] `condensed_window_step`
+//! call per occupied opinion group, or a single mega-block call for
+//! own-insensitive rules, with flat dealing in the diverse regime), and
+//! one `condensed_push_step` call per round in the push gear — so in
+//! both gears the per-round compute drops from `O(local_n · h)` to
+//! `O(#occupied · h)`. Every consume installs its output straight into
+//! the sorted pairs (one sort-and-coalesce pass), and a sparse report
+//! clones them: a condensed push round never touches a `k_slots`-wide
+//! scratch. Rejoin copies the snapshot counts and verifies them in
+//! `O(#occupied)` with no dense recount. The agent-backed paths are
+//! untouched (byte-identical per seed).
 //!
 //! There is one exchange per gear, and it is **fault-aware**: fault
 //! decisions are stateless hashes of a [`FaultPlan`] shared with every
@@ -94,6 +97,8 @@
 //! every peer is live, every message arrives exactly once, nothing is
 //! compensated or corrupted, and the fleet runs in strict lockstep.
 
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use rand::{Rng, SeedableRng};
@@ -211,6 +216,113 @@ pub(crate) fn run_shard<R: UpdateRule, T: Transport>(
 /// A pooled palette allocation: the distinct-opinion list plus its
 /// `(palette_idx, count)` runs.
 type PaletteBuffers = (Vec<Opinion>, Vec<(u32, u64)>);
+
+/// The min-heap of [`merge_palettes`]: `(head opinion, origin, run index)`
+/// per present palette.
+type MergeHeads = BinaryHeap<Reverse<(Opinion, usize, usize)>>;
+
+/// Unions condensed push histograms into `values` / `weights`, strictly
+/// ascending by opinion with the undecided mass last. Every condensed
+/// palette is `hist_pairs` plus an undecided tail, already ascending
+/// ([`Opinion::UNDECIDED`] orders above every color), so the union is a
+/// merge of sorted runs: a min-heap over the present palettes' heads
+/// costs `O(log S)` per entry and touches no `k_slots`-wide scratch.
+/// Absent palettes (lost under an active fault plan) are skipped. Node
+/// counts stay below 2^32, so the `f64` sums are exact: the weights
+/// equal the dense tally's bit for bit.
+fn merge_palettes(
+    palettes: &[Option<PaletteBuffers>],
+    heads: &mut MergeHeads,
+    values: &mut Vec<Opinion>,
+    weights: &mut Vec<f64>,
+) {
+    values.clear();
+    weights.clear();
+    heads.clear();
+    for (origin, present) in palettes.iter().enumerate() {
+        if let Some((palette, runs)) = present {
+            if let Some(&(pi, _)) = runs.first() {
+                heads.push(Reverse((palette[pi as usize], origin, 0)));
+            }
+        }
+    }
+    while let Some(mut head) = heads.peek_mut() {
+        let Reverse((o, origin, j)) = *head;
+        let (palette, runs) = palettes[origin].as_ref().expect("heads name present palettes");
+        let c = runs[j].1 as f64;
+        match runs.get(j + 1) {
+            Some(&(pi, _)) => *head = Reverse((palette[pi as usize], origin, j + 1)),
+            None => {
+                PeekMut::pop(head);
+            }
+        }
+        if values.last() == Some(&o) {
+            *weights.last_mut().expect("aligned with values") += c;
+        } else {
+            values.push(o);
+            weights.push(c);
+        }
+    }
+}
+
+/// Tallies the present palettes into the dense `counts` scratch (zero
+/// outside `touched`) origin by origin, recording first-touched slots,
+/// and returns the undecided mass. A palette without runs is raw: one
+/// draw per entry.
+fn tally_palettes(
+    palettes: &[Option<PaletteBuffers>],
+    counts: &mut [u64],
+    touched: &mut Vec<u32>,
+) -> u64 {
+    let mut undecided = 0u64;
+    let mut tally = |o: Opinion, c: u64| {
+        if o.is_undecided() {
+            undecided += c;
+        } else {
+            let i = o.index();
+            if counts[i] == 0 {
+                touched.push(i as u32);
+            }
+            counts[i] += c;
+        }
+    };
+    for (palette, runs) in palettes.iter().flatten() {
+        if runs.is_empty() {
+            palette.iter().for_each(|&o| tally(o, 1));
+        } else {
+            runs.iter().for_each(|&(pi, c)| tally(palette[pi as usize], c));
+        }
+    }
+    undecided
+}
+
+/// Unions push histograms in first-touch order (origin by origin, each
+/// palette in its own order) with the undecided mass last, deduplicated
+/// through the dense `counts` scratch (zero outside `touched`, and left
+/// so). Agent shards broadcast in first-touch tally order, and the
+/// condensed single-peer multinomial walks the union in this order, so
+/// both keep it for their seed-exact trajectories.
+fn dense_union(
+    palettes: &[Option<PaletteBuffers>],
+    counts: &mut [u64],
+    touched: &mut Vec<u32>,
+    values: &mut Vec<Opinion>,
+    weights: &mut Vec<f64>,
+) {
+    let undecided = tally_palettes(palettes, counts, touched);
+    values.clear();
+    weights.clear();
+    for &i in touched.iter() {
+        weights.push(counts[i as usize] as f64);
+        values.push(Opinion::new(i));
+        counts[i as usize] = 0;
+    }
+    touched.clear();
+    if undecided > 0 {
+        weights.push(undecided as f64);
+        values.push(Opinion::UNDECIDED);
+    }
+}
 
 /// Two-pass 16-bit LSD radix sort for the flat condensed tally: ~4
 /// sequential passes over the data plus two bucket scatters, where a
@@ -345,25 +457,22 @@ struct Worker<R, T> {
     local_n: usize,
     /// Condensed local state: the decided counts as sorted
     /// `(slot, count)` pairs — ascending slots, positive counts,
-    /// `O(#occupied)` memory. Kept sparse on purpose: rebuilding a
-    /// dense [`Configuration`] every round costs three extra
-    /// scatter/gather passes over the `k_slots` array, which is
-    /// exactly the `O(local_n)`-class work condensation exists to
-    /// avoid when `#occupied ≈ local_n`.
+    /// `O(#occupied)` memory. Every condensed consume installs its
+    /// output straight into it, a push round broadcasts it as the
+    /// palette, and a sparse untracked report clones it: a round never
+    /// scatters it into a `k_slots`-wide array, which is the
+    /// `O(local_n)`-class work condensation exists to avoid when
+    /// `#occupied ≈ local_n`.
     hist_pairs: Vec<(u32, u64)>,
     /// Decided mass of `hist_pairs` (`Σ count`).
     hist_n: u64,
     /// Condensed local state: undecided node count.
     hist_undecided: u64,
-    /// Whether `count_scratch` / `touched` still hold the post-step
-    /// tally `hist` was just rebuilt from — [`Self::build_report`] then
-    /// reports straight off them instead of re-mirroring the histogram
-    /// (one fewer `O(#occupied)` scatter pass per condensed round).
-    report_fresh: bool,
-    /// Whether `hist_pairs` was just installed straight from the flat
-    /// per-draw tally ([`Self::install_condensed_from_flat`]) — the
-    /// dense scratch was never written, so a sparse untracked report is
-    /// a clone of the pairs and every other report shape mirrors first.
+    /// Whether this round's consume installed `hist_pairs`
+    /// ([`Self::install_condensed`] or
+    /// [`Self::install_condensed_from_flat`]) — the dense scratch was
+    /// never written, so a sparse untracked report is a clone of the
+    /// pairs and every other report shape mirrors them first.
     report_pairs_fresh: bool,
     /// Flat per-draw tally for condensed paths that decide one node at
     /// a time (single-peer pulls, flat dealing): raw slot indices with
@@ -388,8 +497,11 @@ struct Worker<R, T> {
     /// Condensed own-opinion groups `(opinion, count)`, ascending with
     /// undecided last — the `condensed_push_step` contract order.
     groups: Vec<(Opinion, u64)>,
-    /// Condensed push-step output scratch (entries may repeat).
+    /// Condensed step output `(opinion, count)` (entries may repeat or
+    /// be zero), installed by [`Self::install_condensed`].
     step_out: Vec<(Opinion, u64)>,
+    /// Heap scratch of [`merge_palettes`].
+    merge_heads: MergeHeads,
 
     // Data-plane state.
     dest_theta: Vec<f64>,
@@ -419,6 +531,8 @@ struct Worker<R, T> {
     /// weights and the opinions they stand for.
     alias_weights: Vec<f64>,
     alias_values: Vec<Opinion>,
+    /// The agent multiset push's union, re-sorted by decreasing weight.
+    union_by_weight: Vec<(f64, Opinion)>,
 
     /// Pooled sparse report bodies, recycled by the transport after
     /// framing — the last per-round allocation in the worker loop.
@@ -541,7 +655,6 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             hist_n: local_n as u64,
             hist_undecided: 0,
             hist_pairs,
-            report_fresh: false,
             report_pairs_fresh: false,
             consumed_flat: Vec::new(),
             radix_tmp: Vec::new(),
@@ -550,6 +663,7 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             serve_flat_fresh: false,
             groups: Vec::new(),
             step_out: Vec::new(),
+            merge_heads: BinaryHeap::new(),
             dest_theta: vec![0.0; shards],
             dest_counts: vec![0; shards],
             // A distinct stream per (server, origin) pair, salted so it
@@ -571,6 +685,7 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             recv_palettes: (0..shards).map(|_| None).collect(),
             alias_weights: Vec::new(),
             alias_values: Vec::new(),
+            union_by_weight: Vec::new(),
             report_pool: Vec::new(),
             window: Vec::new(),
             pool_counts: Vec::new(),
@@ -661,8 +776,9 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
     /// Freezes the round-start local histogram into the snapshot
     /// scratch. Agent-backed shards tally their opinions (first-touch
     /// order, byte-identical to the pre-condensed runtime); condensed
-    /// shards mirror `hist` (ascending slot order — a lawful wire-order
-    /// difference) and invalidate the per-round serving mirror.
+    /// shards (pull rounds only) mirror `hist_pairs` (ascending slot
+    /// order — a lawful wire-order difference) and invalidate the
+    /// per-round serving mirror.
     fn snapshot_round_start(&mut self) {
         self.snap_touched.clear();
         if self.condensed {
@@ -701,68 +817,58 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         }
     }
 
-    /// Installs a condensed round's post-step tally — accumulated in
-    /// `count_scratch` / `touched` — as the new histogram: one sort of
-    /// the touched slots plus one gather pass, `O(#occupied ·
-    /// log #occupied)` with no dense traffic. The scratch is
-    /// deliberately left holding the tally and flagged fresh: the
-    /// round's report reads it directly ([`Self::build_report`] zeroes
-    /// it behind the report, as it always has).
-    fn install_condensed(&mut self, undecided: u64) {
-        debug_assert!(self.condensed);
-        // The sorted-pairs invariant; also canonicalizes the report
-        // body order downstream of the first-touch tally.
-        self.touched.sort_unstable();
+    /// Installs a condensed round's `step_out` as the new histogram:
+    /// one sort plus one coalescing pass straight into the sorted
+    /// `hist_pairs`, with the undecided mass (which orders last) split
+    /// off and zero counts dropped. `O(#entries · log #entries)`; the
+    /// dense scratch is never written.
+    fn install_condensed(&mut self) {
+        self.step_out.sort_unstable_by_key(|&(o, _)| o);
         self.hist_pairs.clear();
-        let mut mass = 0u64;
-        for &i in &self.touched {
-            let c = self.count_scratch[i as usize];
-            debug_assert!(c > 0, "tallies only ever touch slots they increment");
-            mass += c;
-            self.hist_pairs.push((i, c));
+        let (mut mass, mut undecided) = (0u64, 0u64);
+        for &(o, c) in &self.step_out {
+            if o.is_undecided() {
+                undecided += c;
+            } else if c > 0 {
+                mass += c;
+                let i = o.index() as u32;
+                match self.hist_pairs.last_mut() {
+                    Some(last) if last.0 == i => last.1 += c,
+                    _ => self.hist_pairs.push((i, c)),
+                }
+            }
         }
-        self.hist_n = mass;
-        self.hist_undecided = undecided;
-        self.report_fresh = true;
-        debug_assert_eq!(
-            mass + undecided,
-            self.local_n as u64,
-            "condensed step must conserve the shard's mass"
-        );
+        self.finish_install(mass, undecided);
     }
 
     /// Installs the post-step histogram from the flat per-draw tally
     /// (`consumed_flat`): sort the raw slot indices, then run-length
     /// encode the runs straight into the sorted `hist_pairs`. The
     /// sentinel `u32::MAX` entries (UNDECIDED) sort to the tail and
-    /// become the undecided mass. The dense scratch is never touched,
-    /// so the report is flagged `report_pairs_fresh` instead of
-    /// `report_fresh`.
+    /// become the undecided mass.
     fn install_condensed_from_flat(&mut self) {
-        debug_assert!(self.condensed);
         radix_sort_u32(&mut self.consumed_flat, &mut self.radix_tmp, &mut self.radix_counts);
         let dec_end = self.consumed_flat.partition_point(|&s| s != u32::MAX);
         let undecided = (self.consumed_flat.len() - dec_end) as u64;
         self.hist_pairs.clear();
-        let mut i = 0;
-        while i < dec_end {
-            let s = self.consumed_flat[i];
-            let mut j = i + 1;
-            while j < dec_end && self.consumed_flat[j] == s {
-                j += 1;
-            }
-            self.hist_pairs.push((s, (j - i) as u64));
-            i = j;
-        }
+        let runs = self.consumed_flat[..dec_end].chunk_by(|a, b| a == b);
+        self.hist_pairs.extend(runs.map(|run| (run[0], run.len() as u64)));
         self.consumed_flat.clear();
-        self.hist_n = dec_end as u64;
-        self.hist_undecided = undecided;
-        self.report_pairs_fresh = true;
+        self.finish_install(dec_end as u64, undecided);
+    }
+
+    /// Records a condensed install's masses and flags the pairs fresh
+    /// for the round's report.
+    fn finish_install(&mut self, mass: u64, undecided: u64) {
+        debug_assert!(self.condensed);
         debug_assert_eq!(
-            self.hist_n + undecided,
+            mass + undecided,
             self.local_n as u64,
             "condensed step must conserve the shard's mass"
         );
+        self.hist_n = mass;
+        self.hist_undecided = undecided;
+        self.report_pairs_fresh = true;
     }
 
     fn round(
@@ -809,12 +915,18 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             }
         }
         if self.condensed {
-            // The condensed contract: no per-agent state, ever — a
-            // round that materialized opinions or samples has silently
-            // fallen off the O(#occupied) path.
+            // The condensed contract: no per-agent state, ever, and the
+            // consume installed straight into `hist_pairs` with no dense
+            // tally left behind — a round that materialized opinions or
+            // samples, or scattered into `touched` / `snap_touched`, has
+            // silently fallen off the O(#occupied) path.
             debug_assert!(
                 self.opinions.is_empty() && self.samples.is_empty(),
                 "condensed shard materialized per-agent state"
+            );
+            debug_assert!(
+                self.report_pairs_fresh && self.touched.is_empty() && self.snap_touched.is_empty(),
+                "condensed consume left the sorted-pairs path"
             );
         }
 
@@ -895,7 +1007,6 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         self.recovered = 0;
         // The scratch was zeroed by the last completed round's report;
         // the snapshot histogram owes it nothing.
-        self.report_fresh = false;
         self.report_pairs_fresh = false;
         self.consumed_flat.clear();
         if self.condensed {
@@ -1245,31 +1356,8 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         // reusing `serve_counts` — zero outside serves — as the dense
         // scratch.
         self.pool_touched.clear();
-        let mut pool_undecided = 0u64;
-        for origin in 0..shards {
-            let (palette, runs) =
-                self.recv_palettes[origin].as_ref().expect("one palette per peer");
-            let mut tally = |o: Opinion, c: u64| {
-                if o.is_undecided() {
-                    pool_undecided += c;
-                } else {
-                    let i = o.index();
-                    if self.serve_counts[i] == 0 {
-                        self.pool_touched.push(i as u32);
-                    }
-                    self.serve_counts[i] += c;
-                }
-            };
-            if runs.is_empty() {
-                for &o in palette {
-                    tally(o, 1);
-                }
-            } else {
-                for &(pi, c) in runs {
-                    tally(palette[pi as usize], c);
-                }
-            }
-        }
+        let pool_undecided =
+            tally_palettes(&self.recv_palettes, &mut self.serve_counts, &mut self.pool_touched);
         let d = self.pool_touched.len() + usize::from(pool_undecided > 0);
 
         // Gather the pool in decreasing-count order (so the split's
@@ -1302,11 +1390,7 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             return;
         }
 
-        // Return the palette buffers to the pool.
-        for origin in 0..shards {
-            let buffers = self.recv_palettes[origin].take().expect("one palette per peer");
-            self.palette_pool.push(buffers);
-        }
+        self.recycle_palettes();
 
         let local_n = self.opinions.len();
         let h = self.h as u64;
@@ -1493,33 +1577,9 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         // Tally the pooled histogram, reusing `serve_counts` — zero
         // outside serves — as the dense scratch.
         self.pool_touched.clear();
-        let mut pool_undecided = 0u64;
-        for origin in 0..shards {
-            let (palette, runs) = self.recv_palettes[origin].take().expect("one palette per peer");
-            {
-                let mut tally = |o: Opinion, c: u64| {
-                    if o.is_undecided() {
-                        pool_undecided += c;
-                    } else {
-                        let i = o.index();
-                        if self.serve_counts[i] == 0 {
-                            self.pool_touched.push(i as u32);
-                        }
-                        self.serve_counts[i] += c;
-                    }
-                };
-                if runs.is_empty() {
-                    for &o in &palette {
-                        tally(o, 1);
-                    }
-                } else {
-                    for &(pi, c) in &runs {
-                        tally(palette[pi as usize], c);
-                    }
-                }
-            }
-            self.palette_pool.push((palette, runs));
-        }
+        let pool_undecided =
+            tally_palettes(&self.recv_palettes, &mut self.serve_counts, &mut self.pool_touched);
+        self.recycle_palettes();
 
         // Gather the pool ascending by opinion, undecided last — the
         // condensed-step `values` contract — zeroing the scratch.
@@ -1546,7 +1606,6 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         self.step_out.clear();
         let h = self.h as u64;
         let msr = self.rule.as_multiset().expect("Multiset access requires a MultisetRule impl");
-        let mut next_undecided = 0u64;
         if msr.own_insensitive() {
             // Mega-block: one aggregate call covers every group (the
             // `own` argument is ignored by the rule's law).
@@ -1618,32 +1677,19 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             self.install_condensed_from_flat();
             return;
         }
-        for gi in 0..self.step_out.len() {
-            let (o, c) = self.step_out[gi];
-            if c == 0 {
-                continue;
-            }
-            if o.is_undecided() {
-                next_undecided += c;
-            } else {
-                let i = o.index();
-                if self.count_scratch[i] == 0 {
-                    self.touched.push(i as u32);
-                }
-                self.count_scratch[i] += c;
-            }
-        }
-        self.install_condensed(next_undecided);
+        self.install_condensed();
     }
 
     /// The push data plane's exchange phase for the concentrated
     /// regime: no pulls at all. Every shard broadcasts its round-start
-    /// opinion histogram; each requester unions the received
-    /// histograms — which is exactly the global round-start opinion
-    /// distribution (a uniform node is a shard ∝ size, then a uniform
-    /// node within it) — into the parallel `alias_weights` /
-    /// `alias_values` scratch. Sampling from the union is left to the
-    /// [`SampleAccess`]-dispatched caller.
+    /// opinion histogram — a condensed shard its sorted `hist_pairs`
+    /// with the undecided mass last, built straight from the pairs with
+    /// no snapshot scratch; an agent shard its first-touch tally — and
+    /// each requester unions the received histograms — which is exactly
+    /// the global round-start opinion distribution (a uniform node is a
+    /// shard ∝ size, then a uniform node within it) — into the parallel
+    /// `alias_weights` / `alias_values` scratch. Sampling from the union
+    /// is left to the [`SampleAccess`]-dispatched caller.
     ///
     /// The broadcast skips crashed peers and each copy passes through
     /// the plan's per-edge decision; the union is built from whichever
@@ -1651,73 +1697,72 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
     /// rounds have no sample-mass contract to restore, so lost
     /// histograms reweight rather than recover.
     fn push_exchange(&mut self, messages_sent: &mut u64) -> Result<(), TransportLost> {
-        // Round-start local opinion histogram (shared scratch with the
-        // pull path), broadcast as a histogram palette.
-        self.snapshot_round_start();
         let (mut body, mut bruns) = self.palette_pool.pop().unwrap_or_default();
         body.clear();
         bruns.clear();
-        for &i in &self.snap_touched {
-            bruns.push((body.len() as u32, self.snap_counts[i as usize]));
-            body.push(Opinion::new(i));
-        }
-        if self.snap_undecided > 0 {
-            bruns.push((body.len() as u32, self.snap_undecided));
+        let undecided = if self.condensed {
+            for &(i, c) in &self.hist_pairs {
+                bruns.push((body.len() as u32, c));
+                body.push(Opinion::new(i));
+            }
+            self.hist_undecided
+        } else {
+            self.snapshot_round_start();
+            for &i in &self.snap_touched {
+                bruns.push((body.len() as u32, self.snap_counts[i as usize]));
+                body.push(Opinion::new(i));
+                self.snap_counts[i as usize] = 0;
+            }
+            self.snap_touched.clear();
+            self.snap_undecided
+        };
+        if undecided > 0 {
+            bruns.push((body.len() as u32, undecided));
             body.push(Opinion::UNDECIDED);
         }
         self.broadcast_palette(body, bruns, messages_sent);
-        // Reset the scratch fully: the union merge below re-tallies
-        // into it and must start from an empty touched list.
-        for &i in &self.snap_touched {
-            self.snap_counts[i as usize] = 0;
-        }
-        self.snap_touched.clear();
-
         self.collect_palettes()?;
         self.union_palettes();
         Ok(())
     }
 
-    /// Unions the received push histograms — deduplicated through the
-    /// (currently idle) snapshot scratch, so the alias table is built
-    /// over the ~occ distinct global colors rather than the
-    /// `shards · occ` raw entries. Contributions lost to an active
-    /// fault plan are simply absent: the alias table normalizes over
-    /// the surviving mass, reweighting the round's samples toward the
-    /// shards that were heard (under an inert plan every slot is
-    /// filled, so this is the fault-free union verbatim).
+    /// Unions the received push histograms into `alias_values` /
+    /// `alias_weights`, over the ~occ distinct global colors rather than
+    /// the `shards · occ` raw entries. Condensed multiset shards merge
+    /// their sorted palettes ([`merge_palettes`]) into the ascending
+    /// order `condensed_push_step` requires; agent shards and condensed
+    /// single-peer shards keep the first-touch order of [`dense_union`].
+    /// Contributions lost to an active fault plan are simply absent:
+    /// the alias table normalizes over the surviving mass, reweighting
+    /// the round's samples toward the shards that were heard (under an
+    /// inert plan every slot is filled, so this is the fault-free union
+    /// verbatim).
     fn union_palettes(&mut self) {
-        let shards = self.partition.shards;
-        let mut union_undecided = 0u64;
-        for origin in 0..shards {
-            let Some((palette, runs)) = self.recv_palettes[origin].take() else {
-                continue;
-            };
-            for &(pi, c) in &runs {
-                let o = palette[pi as usize];
-                if o.is_undecided() {
-                    union_undecided += c;
-                } else {
-                    let i = o.index();
-                    if self.snap_counts[i] == 0 {
-                        self.snap_touched.push(i as u32);
-                    }
-                    self.snap_counts[i] += c;
-                }
+        if self.condensed && self.access == SampleAccess::Multiset {
+            merge_palettes(
+                &self.recv_palettes,
+                &mut self.merge_heads,
+                &mut self.alias_values,
+                &mut self.alias_weights,
+            );
+        } else {
+            dense_union(
+                &self.recv_palettes,
+                &mut self.snap_counts,
+                &mut self.snap_touched,
+                &mut self.alias_values,
+                &mut self.alias_weights,
+            );
+        }
+        self.recycle_palettes();
+    }
+
+    /// Returns this round's received palette buffers to the pool.
+    fn recycle_palettes(&mut self) {
+        for slot in &mut self.recv_palettes {
+            if let Some(buffers) = slot.take() {
+                self.palette_pool.push(buffers);
             }
-            self.palette_pool.push((palette, runs));
-        }
-        self.alias_weights.clear();
-        self.alias_values.clear();
-        for &i in &self.snap_touched {
-            self.alias_weights.push(self.snap_counts[i as usize] as f64);
-            self.alias_values.push(Opinion::new(i));
-            self.snap_counts[i as usize] = 0;
-        }
-        self.snap_touched.clear();
-        if union_undecided > 0 {
-            self.alias_weights.push(union_undecided as f64);
-            self.alias_values.push(Opinion::UNDECIDED);
         }
     }
 
@@ -1941,12 +1986,13 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         // Sort the union by decreasing weight so the walk's early exit
         // bites, then arbitrate on the expected visit count.
         let walkable = self.alias_values.len() <= WALK_CANDIDATE_CAP && {
-            let mut union: Vec<(f64, Opinion)> =
-                self.alias_weights.iter().copied().zip(self.alias_values.iter().copied()).collect();
+            let union = &mut self.union_by_weight;
+            union.clear();
+            union.extend(self.alias_weights.iter().copied().zip(self.alias_values.iter().copied()));
             union.sort_by(|a, b| b.0.total_cmp(&a.0));
             self.pool_ops.clear();
             self.alias_weights.clear();
-            for &(w, o) in &union {
+            for &(w, o) in union.iter() {
                 self.alias_weights.push(w);
                 self.pool_ops.push(o);
             }
@@ -1989,23 +2035,10 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             &mut self.rng,
             &mut self.pool_counts,
         );
-        let mut undecided = 0u64;
-        for (j, &c) in self.pool_counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let o = self.alias_values[j];
-            if o.is_undecided() {
-                undecided += c;
-            } else {
-                let i = o.index();
-                if self.count_scratch[i] == 0 {
-                    self.touched.push(i as u32);
-                }
-                self.count_scratch[i] += c;
-            }
-        }
-        self.install_condensed(undecided);
+        self.step_out.clear();
+        self.step_out
+            .extend(self.alias_values.iter().copied().zip(self.pool_counts.iter().copied()));
+        self.install_condensed();
     }
 
     /// Multiset consumption of the push gear, condensed: the whole
@@ -2015,21 +2048,11 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
     /// binomial splits for the undecided dynamics, CDF cascades for
     /// 2-Median, with a generic per-node fallback) — so the per-round
     /// compute is `O(#occupied · h)`, independent of `local_n`. This is
-    /// the path the Theorem-5 `n ≥ 10⁸` sweeps run on.
+    /// the path the Theorem-5 `n ≥ 10⁸` sweeps run on. The union
+    /// arrives merged ascending, undecided last — the condensed-step
+    /// contract — from [`merge_palettes`], and the step's output is
+    /// installed by one sort-and-coalesce pass.
     fn consume_push_condensed_multiset(&mut self) {
-        // Sort the union ascending by opinion (undecided orders last) —
-        // the condensed-step contract; the union is already
-        // deduplicated by `union_palettes`.
-        let mut union: Vec<(Opinion, f64)> =
-            self.alias_values.iter().copied().zip(self.alias_weights.iter().copied()).collect();
-        union.sort_by_key(|&(o, _)| o);
-        self.alias_values.clear();
-        self.alias_weights.clear();
-        for &(o, w) in &union {
-            self.alias_values.push(o);
-            self.alias_weights.push(w);
-        }
-
         self.condensed_groups();
         self.step_out.clear();
         let msr = self.rule.as_multiset().expect("Multiset access requires a MultisetRule impl");
@@ -2040,23 +2063,7 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             &mut self.rng,
             &mut self.step_out,
         );
-        let mut undecided = 0u64;
-        for gi in 0..self.step_out.len() {
-            let (o, c) = self.step_out[gi];
-            if c == 0 {
-                continue;
-            }
-            if o.is_undecided() {
-                undecided += c;
-            } else {
-                let i = o.index();
-                if self.count_scratch[i] == 0 {
-                    self.touched.push(i as u32);
-                }
-                self.count_scratch[i] += c;
-            }
-        }
-        self.install_condensed(undecided);
+        self.install_condensed();
     }
 
     /// Samples the palette answering one pull batch from the round-start
@@ -2198,34 +2205,21 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             return self.build_agent_report(format);
         }
         let tracking = self.report_mode == ReportMode::Delta;
-        if self.report_pairs_fresh {
-            self.report_pairs_fresh = false;
-            if !tracking && format == ReportFormat::Sparse {
-                // Flat-tally install: `hist_pairs` *is* the sparse
-                // body, already sorted — no dense pass at all. The
-                // scratch was never written this round, so there is
-                // nothing to zero behind the report.
-                let mut pairs = self.report_pool.pop().unwrap_or_default();
-                pairs.clear();
-                pairs.extend_from_slice(&self.hist_pairs);
-                return (ReportBody::Sparse(pairs), self.hist_undecided, None);
-            }
-            // Tracked or delta shapes want the dense scratch: mirror once
-            // and fall through as a freshly-tallied report.
-            self.touched.clear();
-            self.mirror_hist(Mirror::Report);
-            self.report_fresh = true;
+        if std::mem::take(&mut self.report_pairs_fresh)
+            && !tracking
+            && format == ReportFormat::Sparse
+        {
+            // `hist_pairs` *is* the sparse body, already sorted — no
+            // dense pass at all, and nothing to zero behind the report.
+            let mut pairs = self.report_pool.pop().unwrap_or_default();
+            pairs.clear();
+            pairs.extend_from_slice(&self.hist_pairs);
+            return (ReportBody::Sparse(pairs), self.hist_undecided, None);
         }
-        // The post-step histogram *is* the count. Right after a condensed
-        // consume the tally it was installed from is still sitting in the
-        // scratch — report straight off it; otherwise (round-0 style
-        // calls) mirror the histogram (`O(#occupied)`, no recount).
-        if self.report_fresh {
-            self.report_fresh = false;
-        } else {
-            self.touched.clear();
-            self.mirror_hist(Mirror::Report);
-        }
+        // Tracked or delta shapes compare against the dense previous
+        // counts: mirror the histogram once (`O(#occupied)`, no recount).
+        self.touched.clear();
+        self.mirror_hist(Mirror::Report);
 
         let changed_slots = if tracking {
             let mut changed = 0u64;
@@ -2406,6 +2400,75 @@ mod tests {
         assert_eq!(p.range(0), 0..1 << 31);
         assert_eq!(p.range(1), 1 << 31..u32::MAX);
         assert_eq!(p.owner(u32::MAX - 1), 1);
+    }
+
+    /// Random condensed push palettes over 40 slots: ascending colors,
+    /// an undecided tail on every even origin, counts up to 2^30.
+    fn random_palettes(shards: usize, rng: &mut Pcg64) -> Vec<Option<PaletteBuffers>> {
+        (0..shards)
+            .map(|origin| {
+                let (mut palette, mut runs) = (Vec::new(), Vec::new());
+                for slot in 0..40 {
+                    if rng.gen_bool(0.4) {
+                        runs.push((palette.len() as u32, rng.gen_range(1..1 << 30)));
+                        palette.push(Opinion::new(slot));
+                    }
+                }
+                if origin % 2 == 0 {
+                    runs.push((palette.len() as u32, rng.gen_range(1..1 << 30)));
+                    palette.push(Opinion::UNDECIDED);
+                }
+                Some((palette, runs))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn merged_union_is_the_dense_union_sorted() {
+        let mut rng = Pcg64::seed_from_u64(5);
+        let mut heads = MergeHeads::new();
+        let (mut counts, mut touched) = (vec![0u64; 40], Vec::new());
+        for shards in [1usize, 2, 3, 5] {
+            for trial in 0..16 {
+                let mut palettes = random_palettes(shards, &mut rng);
+                if trial % 2 == 1 {
+                    // A palette lost under an active fault plan.
+                    palettes[trial % shards] = None;
+                }
+                let (mut values, mut weights) = (Vec::new(), Vec::new());
+                merge_palettes(&palettes, &mut heads, &mut values, &mut weights);
+                let merged: Vec<(Opinion, f64)> = values.into_iter().zip(weights).collect();
+
+                let (mut values, mut weights) = (Vec::new(), Vec::new());
+                dense_union(&palettes, &mut counts, &mut touched, &mut values, &mut weights);
+                let mut dense: Vec<(Opinion, f64)> = values.into_iter().zip(weights).collect();
+                dense.sort_by_key(|&(o, _)| o);
+
+                assert_eq!(merged, dense, "shards {shards}, trial {trial}");
+                assert!(merged.windows(2).all(|w| w[0].0 < w[1].0), "strictly ascending");
+                assert!(touched.is_empty() && counts.iter().all(|&c| c == 0));
+            }
+        }
+    }
+
+    #[test]
+    fn merged_union_sums_shared_colors_and_undecided_exactly() {
+        let palette = |entries: &[(Opinion, u64)]| {
+            let palette = entries.iter().map(|&(o, _)| o).collect();
+            let runs = entries.iter().enumerate().map(|(j, &(_, c))| (j as u32, c)).collect();
+            Some((palette, runs))
+        };
+        let (a, b, u) = (Opinion::new(3), Opinion::new(9), Opinion::UNDECIDED);
+        let palettes = vec![
+            palette(&[(a, 1), (b, 2), (u, 4)]),
+            None,
+            palette(&[(b, (1 << 31) - 1), (u, 8)]),
+            palette(&[(a, 16)]),
+        ];
+        let (mut values, mut weights) = (Vec::new(), Vec::new());
+        merge_palettes(&palettes, &mut MergeHeads::new(), &mut values, &mut weights);
+        assert_eq!(values, [a, b, u]);
+        assert_eq!(weights, [17.0, (1u64 << 31) as f64 + 1.0, 12.0]);
     }
 
     #[test]

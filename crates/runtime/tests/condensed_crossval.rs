@@ -17,13 +17,17 @@
 //!   agree in law;
 //! * fault-layer semantics mode-identically preserved: inert plans are
 //!   trajectory-invisible, palette-loss compensation and crash-rejoin
-//!   conserve mass on histogram-backed shards.
+//!   conserve mass on histogram-backed shards;
+//! * the condensed contract: every condensed rule, gear and report mode
+//!   completes its rounds on the sorted-pairs path.
 
 use symbreak_core::rules::{
     HMajority, ThreeMajority, TwoChoices, TwoMedian, UndecidedDynamics, Voter,
 };
 use symbreak_core::{Configuration, UpdateRule};
-use symbreak_runtime::{Cluster, ClusterConfig, CrashSpec, FaultPlan, GearMode, ShardRepr};
+use symbreak_runtime::{
+    Cluster, ClusterConfig, CrashSpec, FaultPlan, GearMode, ReportMode, ShardRepr, StopReason,
+};
 use symbreak_sim::run_trials;
 use symbreak_stats::Summary;
 
@@ -399,4 +403,62 @@ fn condensed_crash_rejoin_conserves_mass() {
     assert_eq!(out.faults.rejoins, 1);
     assert_eq!(out.final_config.n(), 200);
     assert!(out.final_config.is_consensus());
+}
+
+/// Runs `rule` on condensed shards under every gear and report mode
+/// from a singleton, a concentrated and a mid-diversity start. The
+/// worker asserts the condensed contract after every consume (debug
+/// builds): no per-agent state, the output installed straight into the
+/// sorted pairs, and no dense tally left behind. A round that slips
+/// off that path panics its worker, which ends the fleet early with
+/// `TransportLost` instead of at consensus or the horizon.
+fn assert_condensed_rounds_hold_the_contract<R>(rule: R)
+where
+    R: UpdateRule + Clone + Send + Sync,
+{
+    let starts = [
+        Configuration::singletons(96),
+        Configuration::uniform(96, 4),
+        Configuration::uniform(3072, 48),
+    ];
+    for start in &starts {
+        for gear in [GearMode::Auto, GearMode::ForcePush, GearMode::ForcePull] {
+            for mode in [ReportMode::Sparse, ReportMode::Delta] {
+                let cfg = ClusterConfig::new(3, 41).with_data_gear(gear).with_report_mode(mode);
+                let out = Cluster::new(rule.clone(), start, cfg).run_horizon(12);
+                assert!(
+                    matches!(out.stop, StopReason::Consensus | StopReason::HorizonExhausted),
+                    "{} {gear:?} {mode:?} from n = {}: stopped with {:?}",
+                    rule.name(),
+                    start.n(),
+                    out.stop
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn condensed_contract_holds_for_three_majority() {
+    assert_condensed_rounds_hold_the_contract(ThreeMajority);
+}
+
+#[test]
+fn condensed_contract_holds_for_undecided_dynamics() {
+    assert_condensed_rounds_hold_the_contract(UndecidedDynamics);
+}
+
+#[test]
+fn condensed_contract_holds_for_two_median() {
+    assert_condensed_rounds_hold_the_contract(TwoMedian);
+}
+
+#[test]
+fn condensed_contract_holds_for_h_majority() {
+    assert_condensed_rounds_hold_the_contract(HMajority::new(5));
+}
+
+#[test]
+fn condensed_contract_holds_for_voter() {
+    assert_condensed_rounds_hold_the_contract(Voter);
 }
