@@ -97,8 +97,6 @@
 //! every peer is live, every message arrives exactly once, nothing is
 //! compensated or corrupted, and the fleet runs in strict lockstep.
 
-use std::cmp::Reverse;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use rand::{Rng, SeedableRng};
@@ -217,51 +215,73 @@ pub(crate) fn run_shard<R: UpdateRule, T: Transport>(
 /// `(palette_idx, count)` runs.
 type PaletteBuffers = (Vec<Opinion>, Vec<(u32, u64)>);
 
-/// The min-heap of [`merge_palettes`]: `(head opinion, origin, run index)`
-/// per present palette.
-type MergeHeads = BinaryHeap<Reverse<(Opinion, usize, usize)>>;
+/// One merged half of a push union: parallel opinions and weights.
+type AliasBuffers = (Vec<Opinion>, Vec<f64>);
 
 /// Unions condensed push histograms into `values` / `weights`, strictly
 /// ascending by opinion with the undecided mass last. Every condensed
 /// palette is `hist_pairs` plus an undecided tail, already ascending
 /// ([`Opinion::UNDECIDED`] orders above every color), so the union is a
-/// merge of sorted runs: a min-heap over the present palettes' heads
-/// costs `O(log S)` per entry and touches no `k_slots`-wide scratch.
-/// Absent palettes (lost under an active fault plan) are skipped. Node
-/// counts stay below 2^32, so the `f64` sums are exact: the weights
-/// equal the dense tally's bit for bit.
+/// merge of sorted runs with no `k_slots`-wide scratch: two slots merge
+/// straight from the wire buffers, more merge each half into `pool`
+/// first (`⌈log₂ S⌉` merges per entry). Absent palettes (lost under an
+/// active fault plan) are empty. Counts sum as integers, so the weights
+/// equal the dense tally's exactly.
 fn merge_palettes(
     palettes: &[Option<PaletteBuffers>],
-    heads: &mut MergeHeads,
+    pool: &mut Vec<AliasBuffers>,
     values: &mut Vec<Opinion>,
     weights: &mut Vec<f64>,
 ) {
     values.clear();
     weights.clear();
-    heads.clear();
-    for (origin, present) in palettes.iter().enumerate() {
-        if let Some((palette, runs)) = present {
-            if let Some(&(pi, _)) = runs.first() {
-                heads.push(Reverse((palette[pi as usize], origin, 0)));
-            }
-        }
+    if palettes.len() <= 2 {
+        let run = |slot| palette_run(palettes.get(slot).unwrap_or(&None));
+        return merge_two(run(0), run(1), values, weights);
     }
-    while let Some(mut head) = heads.peek_mut() {
-        let Reverse((o, origin, j)) = *head;
-        let (palette, runs) = palettes[origin].as_ref().expect("heads name present palettes");
-        let c = runs[j].1 as f64;
-        match runs.get(j + 1) {
-            Some(&(pi, _)) => *head = Reverse((palette[pi as usize], origin, j + 1)),
-            None => {
-                PeekMut::pop(head);
-            }
-        }
-        if values.last() == Some(&o) {
-            *weights.last_mut().expect("aligned with values") += c;
-        } else {
-            values.push(o);
-            weights.push(c);
-        }
+    let (l, r) = palettes.split_at(palettes.len() / 2);
+    let [mut lo, mut hi] = [(); 2].map(|_| pool.pop().unwrap_or_default());
+    merge_palettes(l, pool, &mut lo.0, &mut lo.1);
+    merge_palettes(r, pool, &mut hi.0, &mut hi.1);
+    merge_two(alias_run(&lo), alias_run(&hi), values, weights);
+    pool.extend([lo, hi]);
+}
+
+/// A palette slot as a sorted run for [`merge_two`]: its length and an
+/// accessor; an absent palette is empty.
+fn palette_run(slot: &Option<PaletteBuffers>) -> (usize, impl Fn(usize) -> (Opinion, u64) + '_) {
+    let (palette, runs) = slot.as_ref().map_or((&[][..], &[][..]), |(p, r)| (&p[..], &r[..]));
+    (runs.len(), move |i| (palette[runs[i].0 as usize], runs[i].1))
+}
+
+/// A merged half as a sorted run for [`merge_two`] (its weights are
+/// integer counts).
+fn alias_run((values, weights): &AliasBuffers) -> (usize, impl Fn(usize) -> (Opinion, u64) + '_) {
+    (values.len(), move |i| (values[i], weights[i] as u64))
+}
+
+/// Appends the merge of two strictly ascending `(opinion, count)` runs
+/// to `values` / `weights`, summing the counts of an opinion both
+/// carry. Each step advances by comparison results instead of branching
+/// on them (two shards' colors interleave unpredictably), and converts
+/// a count to `f64` once, on output.
+fn merge_two(
+    (na, a): (usize, impl Fn(usize) -> (Opinion, u64)),
+    (nb, b): (usize, impl Fn(usize) -> (Opinion, u64)),
+    values: &mut Vec<Opinion>,
+    weights: &mut Vec<f64>,
+) {
+    let (mut i, mut j) = (0, 0);
+    while i < na && j < nb {
+        let ((x, c), (y, d)) = (a(i), b(j));
+        values.push(x.min(y));
+        weights.push((if x <= y { c } else { 0 } + if y <= x { d } else { 0 }) as f64);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    for (o, c) in (i..na).map(a).chain((j..nb).map(b)) {
+        values.push(o);
+        weights.push(c as f64);
     }
 }
 
@@ -457,22 +477,18 @@ struct Worker<R, T> {
     local_n: usize,
     /// Condensed local state: the decided counts as sorted
     /// `(slot, count)` pairs — ascending slots, positive counts,
-    /// `O(#occupied)` memory. Every condensed consume installs its
-    /// output straight into it, a push round broadcasts it as the
-    /// palette, and a sparse untracked report clones it: a round never
-    /// scatters it into a `k_slots`-wide array, which is the
-    /// `O(local_n)`-class work condensation exists to avoid when
-    /// `#occupied ≈ local_n`.
+    /// `O(#occupied)` memory. Consumes install into it, push rounds
+    /// broadcast it and sparse untracked reports copy it, with no
+    /// `k_slots`-wide scatter (`O(local_n)`-class work when
+    /// `#occupied ≈ local_n`).
     hist_pairs: Vec<(u32, u64)>,
     /// Decided mass of `hist_pairs` (`Σ count`).
     hist_n: u64,
     /// Condensed local state: undecided node count.
     hist_undecided: u64,
-    /// Whether this round's consume installed `hist_pairs`
-    /// ([`Self::install_condensed`] or
-    /// [`Self::install_condensed_from_flat`]) — the dense scratch was
-    /// never written, so a sparse untracked report is a clone of the
-    /// pairs and every other report shape mirrors them first.
+    /// Whether this round's consume installed `hist_pairs` (see
+    /// [`Self::finish_install`]): a sparse untracked report then copies
+    /// the pairs, and every other report shape mirrors them first.
     report_pairs_fresh: bool,
     /// Flat per-draw tally for condensed paths that decide one node at
     /// a time (single-peer pulls, flat dealing): raw slot indices with
@@ -500,8 +516,6 @@ struct Worker<R, T> {
     /// Condensed step output `(opinion, count)` (entries may repeat or
     /// be zero), installed by [`Self::install_condensed`].
     step_out: Vec<(Opinion, u64)>,
-    /// Heap scratch of [`merge_palettes`].
-    merge_heads: MergeHeads,
 
     // Data-plane state.
     dest_theta: Vec<f64>,
@@ -533,6 +547,8 @@ struct Worker<R, T> {
     alias_values: Vec<Opinion>,
     /// The agent multiset push's union, re-sorted by decreasing weight.
     union_by_weight: Vec<(f64, Opinion)>,
+    /// Merged halves of [`merge_palettes`] (more than two shards).
+    union_halves: Vec<AliasBuffers>,
 
     /// Pooled sparse report bodies, recycled by the transport after
     /// framing — the last per-round allocation in the worker loop.
@@ -606,29 +622,20 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             matches!(init, ShardInit::Histogram(_)),
             "shard init variant must match the condensed predicate"
         );
-        let (opinions, hist_pairs, local_n) = match init {
+        // A seed body is installed like a step's output below (repeated
+        // slots accumulate, zero counts drop).
+        let (opinions, seed, local_n) = match init {
             ShardInit::Agents(opinions) => {
                 let local_n = opinions.len();
                 (opinions, Vec::new(), local_n)
             }
-            ShardInit::Histogram(mut body) => {
-                // Canonicalize the seed body into the sorted-pairs
-                // invariant (ascending slots, positive counts, no
-                // duplicates — repeated slots accumulate).
-                body.sort_unstable();
-                let mut pairs: Vec<(u32, u64)> = Vec::with_capacity(body.len());
-                for (slot, count) in body {
-                    assert!((slot as usize) < k_slots, "seed body: slot {slot} out of range");
-                    if count == 0 {
-                        continue;
-                    }
-                    match pairs.last_mut() {
-                        Some(last) if last.0 == slot => last.1 += count,
-                        _ => pairs.push((slot, count)),
-                    }
-                }
-                let local_n = pairs.iter().map(|&(_, c)| c).sum::<u64>() as usize;
-                (Vec::new(), pairs, local_n)
+            ShardInit::Histogram(body) => {
+                assert!(
+                    body.iter().all(|&(s, _)| (s as usize) < k_slots),
+                    "seed body: slot out of range"
+                );
+                let local_n = body.iter().map(|&(_, c)| c).sum::<u64>() as usize;
+                (Vec::new(), body.into_iter().map(|(s, c)| (Opinion::new(s), c)).collect(), local_n)
             }
         };
 
@@ -654,7 +661,7 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             local_n,
             hist_n: local_n as u64,
             hist_undecided: 0,
-            hist_pairs,
+            hist_pairs: Vec::new(),
             report_pairs_fresh: false,
             consumed_flat: Vec::new(),
             radix_tmp: Vec::new(),
@@ -662,8 +669,7 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             serve_flat: Vec::new(),
             serve_flat_fresh: false,
             groups: Vec::new(),
-            step_out: Vec::new(),
-            merge_heads: BinaryHeap::new(),
+            step_out: seed,
             dest_theta: vec![0.0; shards],
             dest_counts: vec![0; shards],
             // A distinct stream per (server, origin) pair, salted so it
@@ -686,6 +692,7 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             alias_weights: Vec::new(),
             alias_values: Vec::new(),
             union_by_weight: Vec::new(),
+            union_halves: Vec::new(),
             report_pool: Vec::new(),
             window: Vec::new(),
             pool_counts: Vec::new(),
@@ -720,6 +727,8 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         // The round-0 baseline the first report (and, under delta
         // tracking, the first delta) is relative to.
         if worker.condensed {
+            worker.install_condensed();
+            worker.report_pairs_fresh = false;
             if tracking {
                 worker.mirror_hist(Mirror::Prev);
             }
@@ -921,13 +930,10 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             // samples, or scattered into `touched` / `snap_touched`, has
             // silently fallen off the O(#occupied) path.
             debug_assert!(
-                self.opinions.is_empty() && self.samples.is_empty(),
-                "condensed shard materialized per-agent state"
+                self.opinions.is_empty() && self.samples.is_empty() && self.report_pairs_fresh,
+                "condensed shard materialized per-agent state or skipped the install"
             );
-            debug_assert!(
-                self.report_pairs_fresh && self.touched.is_empty() && self.snap_touched.is_empty(),
-                "condensed consume left the sorted-pairs path"
-            );
+            debug_assert!(self.touched.is_empty() && self.snap_touched.is_empty(), "dense tally");
         }
 
         // Sample the wire counters after the exchange and before the
@@ -1741,7 +1747,7 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         if self.condensed && self.access == SampleAccess::Multiset {
             merge_palettes(
                 &self.recv_palettes,
-                &mut self.merge_heads,
+                &mut self.union_halves,
                 &mut self.alias_values,
                 &mut self.alias_weights,
             );
@@ -2426,7 +2432,7 @@ mod tests {
     #[test]
     fn merged_union_is_the_dense_union_sorted() {
         let mut rng = Pcg64::seed_from_u64(5);
-        let mut heads = MergeHeads::new();
+        let mut pool = Vec::new();
         let (mut counts, mut touched) = (vec![0u64; 40], Vec::new());
         for shards in [1usize, 2, 3, 5] {
             for trial in 0..16 {
@@ -2436,7 +2442,7 @@ mod tests {
                     palettes[trial % shards] = None;
                 }
                 let (mut values, mut weights) = (Vec::new(), Vec::new());
-                merge_palettes(&palettes, &mut heads, &mut values, &mut weights);
+                merge_palettes(&palettes, &mut pool, &mut values, &mut weights);
                 let merged: Vec<(Opinion, f64)> = values.into_iter().zip(weights).collect();
 
                 let (mut values, mut weights) = (Vec::new(), Vec::new());
@@ -2466,7 +2472,7 @@ mod tests {
             palette(&[(a, 16)]),
         ];
         let (mut values, mut weights) = (Vec::new(), Vec::new());
-        merge_palettes(&palettes, &mut MergeHeads::new(), &mut values, &mut weights);
+        merge_palettes(&palettes, &mut Vec::new(), &mut values, &mut weights);
         assert_eq!(values, [a, b, u]);
         assert_eq!(weights, [17.0, (1u64 << 31) as f64 + 1.0, 12.0]);
     }
