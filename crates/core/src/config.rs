@@ -132,7 +132,15 @@ impl Configuration {
     /// The leader-election start: `n` nodes with pairwise distinct colors.
     pub fn singletons(n: u64) -> Self {
         assert!(n >= 1, "need at least one node");
-        Self::from_counts(vec![1; n as usize])
+        assert!(n <= u32::MAX as u64, "too many color slots");
+        Self {
+            counts: vec![1; n as usize],
+            n,
+            occupied: (0..n as u32).collect(),
+            sum_sq: n as u128,
+            max_support: 1,
+            second_support: u64::from(n >= 2),
+        }
     }
 
     /// A biased configuration: color 0 receives `bias` extra nodes, the
@@ -806,6 +814,20 @@ mod tests {
         assert_eq!(c.num_colors(), 5);
         assert_eq!(c.max_support(), 1);
         assert_eq!(c.bias(), 0);
+    }
+
+    #[test]
+    fn singletons_closed_form_matches_from_counts() {
+        for n in [1u64, 2, 3, 1000] {
+            let closed = Configuration::singletons(n);
+            let scanned = Configuration::from_counts(vec![1; n as usize]);
+            assert_eq!(closed.counts, scanned.counts);
+            assert_eq!(closed.n, scanned.n);
+            assert_eq!(closed.occupied, scanned.occupied);
+            assert_eq!(closed.sum_sq, scanned.sum_sq);
+            assert_eq!(closed.max_support, scanned.max_support);
+            assert_eq!(closed.second_support, scanned.second_support, "n = {n}");
+        }
     }
 
     #[test]
