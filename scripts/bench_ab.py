@@ -13,10 +13,13 @@ alternating which side runs first. For every end-to-end metric, prints
 each side's median and quartiles, the change's win fraction (ties count
 for neither side), whether the change clears the gain rule (it wins at
 least nine tenths of the pairs, and the medians differ by more than the
-parent's interquartile distance), and the regression verdict: "within
-bound" unless the change's median is worse than the parent's by more
-than the metric's `bound` (a fraction of the parent's median). A last
-summary lists every workload's verdicts and failed runs.
+parent's interquartile distance), and the regression verdict: "worse
+than bound" when the change's median is worse than the parent's by more
+than the metric's `bound` (a fraction of the parent's median);
+otherwise "unresolved" when the parent's interquartile distance is
+wider than that bound, so the runs cannot show the metric unchanged,
+unless every change run beats every parent run; otherwise "within
+bound". A last summary lists every workload's verdicts and failed runs.
 
 Both checkouts must build their own benchmark (perfbench writes into
 `.bench_build` under each). Their absolute paths must have equal length:
@@ -96,7 +99,13 @@ def compare(roots, metrics, workload, args):
         clears = wins >= 0.9 * args.pairs and gain and abs(cq[1] - pq[1]) > pq[2] - pq[0]
         limit = pq[1] * (1 + m["bound"]) if lower else pq[1] * (1 - m["bound"])
         worse = cq[1] > limit if lower else cq[1] < limit
-        verdict = "worse than bound" if worse else "within bound"
+        all_beat = max(c) < min(p) if lower else min(c) > max(p)
+        if worse:
+            verdict = "worse than bound"
+        elif pq[2] - pq[0] > m["bound"] * abs(pq[1]) and not all_beat:
+            verdict = "unresolved"
+        else:
+            verdict = "within bound"
         verdicts.append((name, verdict))
         print(f"{name} ({m['unit']}, {m['better']} is better):"
               f" parent median {pq[1]:.4g} [q1 {pq[0]:.4g}, q3 {pq[2]:.4g}],"
@@ -104,7 +113,8 @@ def compare(roots, metrics, workload, args):
               f" change/parent {cq[1] / pq[1]:.3f},"
               f" change wins {wins}/{args.pairs} (losses {losses}, both ran {len(both)}),"
               f" gain rule {'met' if clears else 'not met'},"
-              f" {verdict} ({m['bound']:.0%} of the parent median, limit {limit:.4g})")
+              f" {verdict} ({m['bound']:.0%} of the parent median, limit {limit:.4g};"
+              f" parent spread {(pq[2] - pq[0]) / abs(pq[1]):.0%})")
     return verdicts, failed
 
 
