@@ -346,6 +346,8 @@ pub(crate) struct StepScratch {
     /// Reusable alias table for the ball-drop multinomial form (built
     /// lazily; `rebuild` keeps its buffers across rounds).
     pub alias: Option<symbreak_sim::dist::Categorical>,
+    /// Equal-weight classes for 3-Majority's class-wise `Mult(n, α)`.
+    pub classes: symbreak_sim::dist::WeightClasses,
 }
 
 /// Times the thread-local scratch fallback allocated fresh buffers

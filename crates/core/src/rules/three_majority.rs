@@ -18,10 +18,9 @@ use rand::{Rng, RngCore};
 use crate::config::Configuration;
 use crate::opinion::Opinion;
 use crate::process::{
-    ac_vector_step, ac_vector_step_into, with_step_scratch, AcProcess, MultisetRule, SampleAccess,
-    UpdateRule, VectorStep,
+    with_step_scratch, AcProcess, MultisetRule, SampleAccess, UpdateRule, VectorStep,
 };
-use symbreak_sim::dist::{sample_multinomial_into, FenwickPool, GroupSplitter, Hypergeometric};
+use symbreak_sim::dist::{FenwickPool, GroupSplitter, Hypergeometric};
 
 /// The direct 3-Majority update rule.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -99,7 +98,8 @@ impl MultisetRule for ThreeMajority {
     /// the sample distribution rather than the configuration (the
     /// derivation never uses that `θ` is the global fraction vector).
     /// So the whole stepping population is one `Mult(m, α(θ))` draw,
-    /// `O(#values)` regardless of group counts.
+    /// taken class by class over the distinct weights (equal `θ_j`,
+    /// equal `α_j`), regardless of group counts.
     fn condensed_push_step(
         &self,
         groups: &[(Opinion, u64)],
@@ -113,27 +113,26 @@ impl MultisetRule for ThreeMajority {
             return;
         }
         with_step_scratch(|s| {
-            let total: f64 = weights.iter().sum();
-            let norm_sq: f64 = weights
-                .iter()
-                .map(|&w| {
-                    let x = w / total;
-                    x * x
-                })
-                .sum();
-            s.weights.clear();
-            s.weights.extend(weights.iter().map(|&w| {
-                let x = w / total;
-                x * (1.0 + x - norm_sq)
-            }));
-            s.aux_counts.clear();
-            s.aux_counts.resize(values.len(), 0);
-            sample_multinomial_into(nodes, &s.weights, rng, &mut s.aux_counts);
-            for (j, &c) in s.aux_counts.iter().enumerate() {
-                if c > 0 {
-                    out.push((values[j], c));
-                }
+            s.classes.group(0..weights.len() as u32, |j| weights[j as usize].to_bits());
+            let (total, sum_sq) = s.classes.iter().fold((0.0, 0.0), |(t, q), (bits, g)| {
+                let w = f64::from_bits(bits);
+                (t + g as f64 * w, q + g as f64 * w * w)
+            });
+            let norm_sq = sum_sq / (total * total);
+            let alpha = |bits| alpha_of(f64::from_bits(bits) / total, norm_sq);
+            let base = out.len();
+            out.extend(values.iter().map(|&v| (v, 0)));
+            let drawn = &mut out[base..];
+            s.classes.sample_multinomial(nodes, alpha, rng, |j, x| drawn[j as usize].1 += x);
+            // Drop the undrawn entries. Advancing by the test instead of
+            // branching on it avoids a mispredict per entry in diverse
+            // rounds, where about half the entries are drawn.
+            let mut end = base;
+            for i in base..out.len() {
+                out[end] = out[i];
+                end += usize::from(out[i].1 > 0);
             }
+            out.truncate(end);
         });
     }
 
@@ -244,30 +243,47 @@ impl AcProcess for ThreeMajority {
         let n = c.n() as f64;
         let norm_sq = c.l2_norm_sq();
         out.clear();
-        out.extend(c.occupied_counts().map(|cnt| {
-            let x = cnt as f64 / n;
-            x * (1.0 + x - norm_sq)
-        }));
+        out.extend(c.occupied_counts().map(|cnt| alpha_of(cnt as f64 / n, norm_sq)));
     }
 }
 
 impl VectorStep for ThreeMajority {
     fn vector_step(&self, c: &Configuration, rng: &mut dyn RngCore) -> Configuration {
-        ac_vector_step(self, c, rng)
+        let mut next = c.clone();
+        self.vector_step_into(&mut next, rng);
+        next
     }
 
-    /// Allocation-free sparse step: Equation (2)'s `α` evaluated per
-    /// occupied slot (`‖x‖₂²` is `O(1)` from the configuration cache),
-    /// then `Mult(n, α)` over the occupied slots.
+    /// Allocation-free sparse step: `Mult(n, α)` drawn class by class.
+    /// Equation (2)'s `α` depends on a color only through its support
+    /// (`‖x‖₂²` is `O(1)` from the configuration cache), so the occupied
+    /// slots are grouped by support and each class total is split
+    /// uniformly over its colors.
     fn vector_step_into(&self, c: &mut Configuration, rng: &mut dyn RngCore) {
-        ac_vector_step_into(self, c, rng);
+        let (n, norm_sq) = (c.n(), c.l2_norm_sq());
+        with_step_scratch(|s| {
+            c.rewrite_occupied(|occ, counts| {
+                s.classes.group(occ.iter().copied(), |i| counts[i as usize]);
+                for &i in occ {
+                    counts[i as usize] = 0;
+                }
+                let alpha = |support| alpha_of(support as f64 / n as f64, norm_sq);
+                s.classes.sample_multinomial(n, alpha, rng, |i, x| counts[i as usize] += x);
+            });
+        });
+        debug_assert_eq!(c.n(), n, "AC step must preserve the population");
     }
+}
+
+/// Equation (2) for one color: `α_i = x_i (1 + x_i − ‖x‖₂²)`.
+fn alpha_of(x: f64, norm_sq: f64) -> f64 {
+    x * (1.0 + x - norm_sq)
 }
 
 /// Equation (2): `α_i = x_i (1 + x_i − ‖x‖₂²)`.
 pub fn alpha_three_majority(c: &Configuration) -> Vec<f64> {
     let norm_sq = c.l2_norm_sq();
-    c.fractions().iter().map(|&x| x * (1.0 + x - norm_sq)).collect()
+    c.fractions().iter().map(|&x| alpha_of(x, norm_sq)).collect()
 }
 
 /// The paper's reformulated 3-Majority: 2-Choices with a Voter fallback.

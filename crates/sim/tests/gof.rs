@@ -3,7 +3,7 @@
 
 use rand::SeedableRng;
 use symbreak_sim::dist::{
-    Binomial, Categorical, FenwickPool, Geometric, GroupSplitter, Hypergeometric,
+    Binomial, Categorical, FenwickPool, Geometric, GroupSplitter, Hypergeometric, WeightClasses,
 };
 use symbreak_sim::rng::Pcg64;
 use symbreak_stats::infer::chi_square_gof;
@@ -273,6 +273,95 @@ fn group_splitter_marginals_are_hypergeometric_chi_square() {
             "category {j} marginal deviates from Hypergeometric({total}, {marked}, {g})"
         );
     }
+}
+
+/// Every outcome of `Mult(n, w)` with positive probability and its
+/// exact pmf `n!/∏x_j! · ∏p_j^x_j`, each keyed by its counts read as
+/// base-`(n+1)` digits.
+fn multinomial_outcomes(n: u64, w: &[f64]) -> Vec<(u64, f64)> {
+    fn ln_fact(k: u64) -> f64 {
+        (1..=k).map(|i| (i as f64).ln()).sum()
+    }
+    fn walk(n: u64, p: &[f64], left: u64, code: u64, ln_pmf: f64, out: &mut Vec<(u64, f64)>) {
+        let Some((&pj, rest)) = p.split_first() else {
+            if left == 0 {
+                out.push((code, ln_pmf.exp()));
+            }
+            return;
+        };
+        let top = if pj > 0.0 { left } else { 0 };
+        for x in 0..=top {
+            let term = if x > 0 { x as f64 * pj.ln() - ln_fact(x) } else { 0.0 };
+            walk(n, rest, left - x, code * (n + 1) + x, ln_pmf + term, out);
+        }
+    }
+    let total: f64 = w.iter().sum();
+    let p: Vec<f64> = w.iter().map(|&x| x / total).collect();
+    let mut out = Vec::new();
+    walk(n, &p, n, 0, ln_fact(n), &mut out);
+    out
+}
+
+/// Chi-square of [`WeightClasses::sample_multinomial`] over every
+/// outcome of `Mult(n, w)` against the exact pmf; also checks each draw
+/// conserves `n` and never touches a zero-weight entry.
+fn weight_classes_chi_square(n: u64, w: &[f64], draws: u64, seed: u64) -> bool {
+    let outcomes = multinomial_outcomes(n, w);
+    let total: f64 = outcomes.iter().map(|o| o.1).sum();
+    assert!((total - 1.0).abs() < 1e-9, "the enumeration must cover the pmf, got {total}");
+    let mut classes = WeightClasses::default();
+    classes.group(0..w.len() as u32, |j| w[j as usize].to_bits());
+    let mut rng = Pcg64::seed_from_u64(seed);
+    let mut observed = vec![0u64; outcomes.len()];
+    let mut counts = vec![0u64; w.len()];
+    for _ in 0..draws {
+        counts.fill(0);
+        classes.sample_multinomial(n, f64::from_bits, &mut rng, |j, x| counts[j as usize] += x);
+        assert_eq!(counts.iter().sum::<u64>(), n, "mass must be conserved");
+        for (&x, &wj) in counts.iter().zip(w) {
+            assert!(wj > 0.0 || x == 0, "a zero-weight entry was drawn: {counts:?}");
+        }
+        let code = counts.iter().fold(0u64, |acc, &x| acc * (n + 1) + x);
+        let at = outcomes.binary_search_by_key(&code, |o| o.0).expect("a possible outcome");
+        observed[at] += 1;
+    }
+    let expected: Vec<f64> = outcomes.iter().map(|o| o.1 * draws as f64).collect();
+    chi_square_gof(&observed, &expected, 5.0).within_sigma(5.0)
+}
+
+#[test]
+fn weight_classes_match_exact_multinomial_pmf() {
+    // Five entries in three classes, one of them a single entry, plus a
+    // zero-weight entry: class totals fall both below and above their
+    // class sizes, all split by the uniform-index tally.
+    assert!(weight_classes_chi_square(6, &[1.0, 2.0, 1.0, 0.0, 1.0], 200_000, 31));
+    // Four entries, three classes: a pair, and two single entries.
+    assert!(weight_classes_chi_square(6, &[2.0, 1.0, 2.0, 3.0], 200_000, 32));
+    // The pair holds 10/11 of the mass, so its total of ~64 reaches 32
+    // per entry in about half the draws, which take the equal-p
+    // binomial walk; the rest are tallied.
+    assert!(weight_classes_chi_square(70, &[5.0, 1.0, 5.0], 200_000, 33));
+}
+
+#[test]
+fn weight_classes_split_a_large_class_uniformly() {
+    // 10,000 entries of weight 1 beside one of weight 5,000: the large
+    // class spans several tally blocks, whose shares are binomial. The
+    // per-entry totals over independent draws are one multinomial.
+    let mut w = vec![1.0f64; 10_000];
+    w.push(5_000.0);
+    let total: f64 = w.iter().sum();
+    let (n, draws) = (15_000u64, 100u64);
+    let mut classes = WeightClasses::default();
+    classes.group(0..w.len() as u32, |j| w[j as usize].to_bits());
+    let mut rng = Pcg64::seed_from_u64(34);
+    let mut observed = vec![0u64; w.len()];
+    for _ in 0..draws {
+        classes.sample_multinomial(n, f64::from_bits, &mut rng, |j, x| observed[j as usize] += x);
+    }
+    assert_eq!(observed.iter().sum::<u64>(), n * draws);
+    let expected: Vec<f64> = w.iter().map(|&x| x / total * (n * draws) as f64).collect();
+    assert!(chi_square_gof(&observed, &expected, 5.0).within_sigma(5.0));
 }
 
 #[test]
