@@ -88,7 +88,9 @@ pub enum ReportMode {
 /// single-peer; ordered-window rules (2-Choices) keep the agent vector
 /// regardless, because an ordered window is a property of individual
 /// draws that a histogram cannot replay. [`ShardRepr::Agents`] forces
-/// the agent vector everywhere.
+/// the agent vector everywhere. An agent shard consumes every rule the
+/// same way, whatever its access: ordered dealing (or iid union draws
+/// in the push gear) and one `update` call per node.
 ///
 /// Both representations realize the same process law (the condensed
 /// step is an exact aggregation, not an approximation) but consume
@@ -1034,10 +1036,11 @@ mod tests {
     #[test]
     fn netted_agent_deltas_fold_to_the_sparse_trajectory_on_every_consume_path() {
         // Agent shards under delta tracking net their logged opinion
-        // writes instead of recounting. Every consume path writes
-        // opinions (ordered windows, multiset windows, single-peer
-        // dealing, in both gears, with and without undecided mass), so
-        // each must fold to the trajectory the sparse recount produces.
+        // writes instead of recounting. Their one consume path per gear
+        // (ordered dealing or union draws, then `update`) writes
+        // opinions for every rule, with and without undecided mass, so
+        // each rule and gear must fold to the trajectory the sparse
+        // recount produces.
         // Debug builds also check every tracked sparse round's netted
         // counts against its recount. Only the stalled 2-Choices run
         // changes few enough slots for the coordinator to command delta

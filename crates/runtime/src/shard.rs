@@ -17,25 +17,14 @@
 //! shard receives belongs to its current round (see below for the
 //! relaxed barrier of an active plan).
 //!
-//! How the received aggregates become node updates is dispatched on
-//! the rule's [`SampleAccess`]:
-//!
-//! * **ordered window** (2-Choices) — pull palettes
-//!   are dealt into the sample buffer in origin order through an
-//!   inside-out Fisher–Yates (an iid sequence conditioned on its
-//!   multiset is a uniform arrangement, so per-node samples are
-//!   exactly Uniform Pull); push rounds draw every sample iid from the
-//!   union alias table; then one `update` call per node.
-//! * **multiset** — the palettes are consumed directly as one pooled
-//!   histogram, dealt to nodes as per-node window count vectors by a
-//!   multivariate-hypergeometric `WindowSplitter` (pull) or iid
-//!   `WindowMultinomial` windows (push) — no Fisher–Yates pass, no
-//!   sample materialization, one `update_from_counts` call per node.
-//!   Falls back to the ordered dealing while the pool is too diverse
-//!   for the per-node conditional walks to pay.
-//! * **single peer** — the dealt multiset *is* the next opinion
-//!   vector: palettes (pull) or union draws (push) land straight in
-//!   `opinions`, with no sample buffer and no rule calls.
+//! An agent-backed shard turns the received aggregates into node
+//! updates the literal Uniform Pull way, for every rule, on one path
+//! per gear: pull palettes are dealt into the sample buffer in origin
+//! order through an inside-out Fisher–Yates (an iid sequence
+//! conditioned on its multiset is a uniform arrangement, so per-node
+//! samples are exactly Uniform Pull); push rounds draw every sample iid
+//! from the union alias table; then one `update` call per node. Only
+//! condensed shards (below) dispatch on the rule's [`SampleAccess`].
 //!
 //! A sparse report recounts the shard's opinions through a reusable
 //! touched-slot scratch in `O(local_n)`, instead of a fresh dense
@@ -103,9 +92,7 @@ use rand::{Rng, SeedableRng};
 
 use symbreak_core::{Opinion, SampleAccess, UpdateRule};
 use symbreak_sim::dist::{
-    expected_window_visits, expected_window_visits_counts, sample_multinomial_into,
-    sample_multinomial_sparse_into, Binomial, Categorical, GroupSplitter, WindowMultinomial,
-    WindowSplitter, WALK_CANDIDATE_CAP,
+    sample_multinomial_into, sample_multinomial_sparse_into, Binomial, Categorical, GroupSplitter,
 };
 use symbreak_sim::rng::{trial_seed, Pcg64};
 
@@ -448,8 +435,8 @@ struct Worker<R, T> {
     partition: Partition,
     k_slots: usize,
     report_mode: ReportMode,
-    /// The rule's declared sample access, which the consume paths
-    /// dispatch on.
+    /// The rule's declared sample access, which the condensed consume
+    /// paths dispatch on.
     access: SampleAccess,
     rule: R,
     /// The materialized agent vector — empty on a condensed shard,
@@ -545,8 +532,6 @@ struct Worker<R, T> {
     /// weights and the opinions they stand for.
     alias_weights: Vec<f64>,
     alias_values: Vec<Opinion>,
-    /// The agent multiset push's union, re-sorted by decreasing weight.
-    union_by_weight: Vec<(f64, Opinion)>,
     /// Merged halves of [`merge_palettes`] (more than two shards).
     union_halves: Vec<AliasBuffers>,
 
@@ -554,13 +539,13 @@ struct Worker<R, T> {
     /// framing — the last per-round allocation in the worker loop.
     report_pool: Vec<Vec<(u32, u64)>>,
 
-    // Multiset-native consumption scratch.
+    // Condensed consumption scratch.
     /// One node's window histogram (≤ h entries).
     window: Vec<(Opinion, u32)>,
-    /// Pooled received-sample histogram (parallel to `pool_ops`):
-    /// decreasing count order on the agent-backed path (the walk's
-    /// early exit bites first), ascending opinion order — the
-    /// condensed-step `values` contract — on the condensed path.
+    /// Pooled received-sample histogram, parallel to `pool_ops` in
+    /// ascending opinion order — the condensed-step `values` contract.
+    /// The condensed single-peer push reuses it for its draw counts,
+    /// aligned with the union.
     pool_counts: Vec<u64>,
     pool_ops: Vec<Opinion>,
     /// Slots touched while tallying the pool into `serve_counts`
@@ -648,15 +633,8 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             rule,
             rng,
             h,
-            // Single-peer-native workers never materialize samples — both
-            // gears write the dealt multiset straight into `opinions` and
-            // there is no ordered fallback on that path. Condensed
-            // workers never materialize anything per-agent at all.
-            samples: if access == SampleAccess::SinglePeer || condensed {
-                Vec::new()
-            } else {
-                vec![Opinion::new(0); local_n * h]
-            },
+            // Condensed workers never materialize anything per-agent.
+            samples: if condensed { Vec::new() } else { vec![Opinion::new(0); local_n * h] },
             condensed,
             local_n,
             hist_n: local_n as u64,
@@ -691,7 +669,6 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             recv_palettes: (0..shards).map(|_| None).collect(),
             alias_weights: Vec::new(),
             alias_values: Vec::new(),
-            union_by_weight: Vec::new(),
             union_halves: Vec::new(),
             report_pool: Vec::new(),
             window: Vec::new(),
@@ -893,12 +870,10 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             DataFormat::Pull => {
                 self.pull_exchange(&mut messages_sent)?;
                 match (self.condensed, self.access) {
-                    (false, SampleAccess::OrderedWindow) => {
+                    (false, _) => {
                         self.deal_palettes_ordered();
                         self.apply_ordered_windows();
                     }
-                    (false, SampleAccess::SinglePeer) => self.deal_palettes_single_peer(),
-                    (false, SampleAccess::Multiset) => self.consume_palettes_multiset(),
                     (true, SampleAccess::SinglePeer) => self.consume_pull_condensed_single_peer(),
                     (true, SampleAccess::Multiset) => self.consume_pull_condensed_multiset(),
                     (true, SampleAccess::OrderedWindow) => {
@@ -909,12 +884,10 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             DataFormat::Push => {
                 self.push_exchange(&mut messages_sent)?;
                 match (self.condensed, self.access) {
-                    (false, SampleAccess::OrderedWindow) => {
+                    (false, _) => {
                         self.sample_push_ordered();
                         self.apply_ordered_windows();
                     }
-                    (false, SampleAccess::SinglePeer) => self.sample_push_single_peer(),
-                    (false, SampleAccess::Multiset) => self.sample_push_multiset(),
                     (true, SampleAccess::SinglePeer) => self.consume_push_condensed_single_peer(),
                     (true, SampleAccess::Multiset) => self.consume_push_condensed_multiset(),
                     (true, SampleAccess::OrderedWindow) => {
@@ -1079,8 +1052,8 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
     }
 
     /// Applies the update rule to the dealt sample windows, in
-    /// deterministic node order — the ordered-window consumption of
-    /// 2-Choices-style rules and the multiset paths' diverse fallback.
+    /// deterministic node order — how an agent-backed shard consumes
+    /// every rule in both gears.
     fn apply_ordered_windows(&mut self) {
         let local_n = self.opinions.len();
         for local in 0..local_n {
@@ -1094,7 +1067,7 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
     /// The pull gear's exchange phase: one [`PullBatch`] and one
     /// [`OpinionPalette`] per live peer per round. Ends with this round's
     /// palettes parked in `recv_palettes`, consumption left to the
-    /// [`SampleAccess`]-dispatched caller.
+    /// caller.
     ///
     /// Pull batches are never faulted (they are the round's control
     /// skeleton) and are served the moment they arrive — each origin has
@@ -1283,135 +1256,6 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
             self.palette_pool.push((palette, runs));
         }
         debug_assert_eq!(pos, total, "palette mass must equal the requested pulls");
-    }
-
-    /// Single-peer consumption of the pull gear: the next opinion vector
-    /// **is** the received sample multiset, expanded straight into
-    /// `opinions` with no Fisher–Yates, no sample buffer, and no rule
-    /// calls.
-    ///
-    /// Lawful because [`SampleAccess::SinglePeer`] updates adopt their
-    /// one sample unconditionally (own-free), and every cluster
-    /// observable — reports, served opinions, next-round pulls — depends
-    /// on a shard's opinions only through their *multiset* (uniform
-    /// draws within a range are permutation-invariant), so the
-    /// deterministic in-order assignment realizes exactly the Uniform
-    /// Pull configuration law.
-    fn deal_palettes_single_peer(&mut self) {
-        debug_assert_eq!(self.h, 1, "single-peer rules pull one sample");
-        let shards = self.partition.shards;
-        let mut pos = 0usize;
-        for origin in 0..shards {
-            let (palette, runs) = self.recv_palettes[origin].take().expect("one palette per peer");
-            if runs.is_empty() {
-                for &o in &palette {
-                    self.log.write(&mut self.opinions[pos], o);
-                    pos += 1;
-                }
-            } else {
-                for &(pi, c) in &runs {
-                    let o = palette[pi as usize];
-                    for _ in 0..c {
-                        self.log.write(&mut self.opinions[pos], o);
-                        pos += 1;
-                    }
-                }
-            }
-            self.palette_pool.push((palette, runs));
-        }
-        debug_assert_eq!(pos, self.opinions.len(), "palette mass must equal the node count");
-    }
-
-    /// Multiset consumption of the pull gear: the received palettes are
-    /// taken directly as one pooled histogram and dealt to nodes as
-    /// per-node window count vectors through a multivariate
-    /// hypergeometric [`WindowSplitter`] — deleting the inside-out
-    /// Fisher–Yates dealing pass (and the per-draw window reads) on this
-    /// path.
-    ///
-    /// The pooled multiset is that of `local_n · h` iid Uniform Pull
-    /// draws; dealing it uniformly into `h`-windows (which the
-    /// sequential hypergeometric split realizes exactly) makes the
-    /// windows jointly distributed as iid ordered windows' multisets,
-    /// and the dealing is independent of the nodes' own opinions, so
-    /// `update_from_counts` sees exactly the ordered path's law. In the
-    /// diverse regime — more live categories than [`WALK_CANDIDATE_CAP`]
-    /// or an [`expected_window_visits_counts`] statistic above `h` —
-    /// the conditional walk would do more per-node work than it saves,
-    /// so the worker falls back to the ordered dealing.
-    fn consume_palettes_multiset(&mut self) {
-        let shards = self.partition.shards;
-        // A non-empty *raw* palette is the serving side's own verdict
-        // that the regime is too diverse for histograms to compress —
-        // and a walk-worthy (concentrated) pool never ships raw — so
-        // skip even the tally pass and deal ordered. This keeps the
-        // diverse-regime native path byte-identical in cost to the
-        // ordered one.
-        let any_raw = (0..shards).any(|origin| {
-            let (palette, runs) =
-                self.recv_palettes[origin].as_ref().expect("one palette per peer");
-            runs.is_empty() && !palette.is_empty()
-        });
-        if any_raw {
-            self.deal_palettes_ordered();
-            self.apply_ordered_windows();
-            return;
-        }
-        // Tally the pooled histogram by reference (the palettes stay
-        // parked in case the diverse fallback needs the ordered path),
-        // reusing `serve_counts` — zero outside serves — as the dense
-        // scratch.
-        self.pool_touched.clear();
-        let pool_undecided =
-            tally_palettes(&self.recv_palettes, &mut self.serve_counts, &mut self.pool_touched);
-        let d = self.pool_touched.len() + usize::from(pool_undecided > 0);
-
-        // Gather the pool in decreasing-count order (so the split's
-        // early exit bites), zeroing the scratch as it drains; bail to
-        // the ordered dealing when the pool is too diverse for the
-        // per-node conditional walk to beat the per-draw dealing.
-        let walkable = d <= WALK_CANDIDATE_CAP && {
-            let mut pool: Vec<(u64, Opinion)> = Vec::with_capacity(d);
-            for &i in &self.pool_touched {
-                pool.push((self.serve_counts[i as usize], Opinion::new(i)));
-            }
-            if pool_undecided > 0 {
-                pool.push((pool_undecided, Opinion::UNDECIDED));
-            }
-            pool.sort_by_key(|&(c, _)| std::cmp::Reverse(c));
-            self.pool_counts.clear();
-            self.pool_ops.clear();
-            for &(c, o) in &pool {
-                self.pool_counts.push(c);
-                self.pool_ops.push(o);
-            }
-            expected_window_visits_counts(&self.pool_counts, self.h) <= self.h as f64
-        };
-        for &i in &self.pool_touched {
-            self.serve_counts[i as usize] = 0;
-        }
-        if !walkable {
-            self.deal_palettes_ordered();
-            self.apply_ordered_windows();
-            return;
-        }
-
-        self.recycle_palettes();
-
-        let local_n = self.opinions.len();
-        let h = self.h as u64;
-        let msr = self.rule.as_multiset().expect("Multiset access requires a MultisetRule impl");
-        let ops = &self.pool_ops;
-        let mut splitter = WindowSplitter::new(&mut self.pool_counts);
-        for local in 0..local_n {
-            self.window.clear();
-            let window = &mut self.window;
-            splitter.draw_window(h, &mut self.rng, |cat, x| window.push((ops[cat], x as u32)));
-            let own = self.opinions[local];
-            let next = msr.update_from_counts(own, &self.window, &mut self.rng);
-            self.log.write(&mut self.opinions[local], next);
-        }
-        debug_assert_eq!(splitter.remaining(), 0, "the pool must be dealt exactly");
     }
 
     /// Single-peer consumption of the pull gear, condensed: the pooled
@@ -1695,7 +1539,7 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
     /// the global round-start opinion distribution (a uniform node is a
     /// shard ∝ size, then a uniform node within it) — into the parallel
     /// `alias_weights` / `alias_values` scratch. Sampling from the union
-    /// is left to the [`SampleAccess`]-dispatched caller.
+    /// is left to the caller.
     ///
     /// The broadcast skips crashed peers and each copy passes through
     /// the plan's per-edge decision; the union is built from whichever
@@ -1960,73 +1804,6 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
         }
     }
 
-    /// Single-peer consumption of the push gear: each node's one sample
-    /// is its next opinion, drawn straight into `opinions` — no sample
-    /// buffer and no rule calls.
-    fn sample_push_single_peer(&mut self) {
-        debug_assert_eq!(self.h, 1, "single-peer rules pull one sample");
-        if self.opinions.is_empty() {
-            return;
-        }
-        let alias = Categorical::new(&self.alias_weights);
-        for pos in 0..self.opinions.len() {
-            let next = self.alias_values[alias.sample(&mut self.rng)];
-            self.log.write(&mut self.opinions[pos], next);
-        }
-    }
-
-    /// Multiset consumption of the push gear: per-node windows are
-    /// independent `Mult(h, union)` draws, taken as count vectors
-    /// through a [`WindowMultinomial`] walk with all conditional
-    /// binomials cached — ~one cached draw per node once the union
-    /// concentrates, versus `h` alias draws plus window reads on the
-    /// ordered path. While the union is still too diverse for the walk
-    /// to pay, the round takes the ordered path unchanged (a multiset
-    /// rule consumes an ordered window just fine).
-    fn sample_push_multiset(&mut self) {
-        let local_n = self.opinions.len();
-        if local_n == 0 {
-            return;
-        }
-        let h = self.h;
-        // Sort the union by decreasing weight so the walk's early exit
-        // bites, then arbitrate on the expected visit count.
-        let walkable = self.alias_values.len() <= WALK_CANDIDATE_CAP && {
-            let union = &mut self.union_by_weight;
-            union.clear();
-            union.extend(self.alias_weights.iter().copied().zip(self.alias_values.iter().copied()));
-            union.sort_by(|a, b| b.0.total_cmp(&a.0));
-            self.pool_ops.clear();
-            self.alias_weights.clear();
-            for &(w, o) in union.iter() {
-                self.alias_weights.push(w);
-                self.pool_ops.push(o);
-            }
-            // The sorted weights are a valid alias source too, so the
-            // ordered fallback below stays correct after this rewrite
-            // (alias_values is realigned alongside).
-            self.alias_values.clear();
-            self.alias_values.extend_from_slice(&self.pool_ops);
-            expected_window_visits(&self.alias_weights, h) <= h as f64
-        };
-        if !walkable {
-            self.sample_push_ordered();
-            self.apply_ordered_windows();
-            return;
-        }
-        let msr = self.rule.as_multiset().expect("Multiset access requires a MultisetRule impl");
-        let walk = WindowMultinomial::new(&self.alias_weights, h);
-        let ops = &self.pool_ops;
-        for local in 0..local_n {
-            self.window.clear();
-            let window = &mut self.window;
-            walk.sample_window(&mut self.rng, |j, x| window.push((ops[j], x as u32)));
-            let own = self.opinions[local];
-            let next = msr.update_from_counts(own, &self.window, &mut self.rng);
-            self.log.write(&mut self.opinions[local], next);
-        }
-    }
-
     /// Single-peer consumption of the push gear, condensed: every
     /// node's next opinion is an iid union draw, so the next histogram
     /// is one `Mult(local_n, union)` — `O(#distinct)` for the whole
@@ -2080,8 +1857,8 @@ impl<R: UpdateRule, T: Transport> Worker<R, T> {
     /// * **raw** (`m < 24·d`, the diverse regime) — draw `m` uniform
     ///   targets and ship their opinions verbatim (a palette with no
     ///   runs): `O(m)` cheap draws and `m` wire entries, with no
-    ///   per-node routing — which the requester expands with one copy. A histogram would not
-    ///   compress enough here to pay for building one.
+    ///   per-node routing. A histogram would not compress enough here
+    ///   to pay for building one.
     /// * **histogram walk** (`m ≥ 24·d`, the concentrated regime) — a
     ///   multinomial over the round-start opinion histogram (undecided
     ///   mass split off first): `O(d)` binomial draws and wire

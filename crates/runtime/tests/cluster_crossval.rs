@@ -85,11 +85,12 @@ fn cluster_matches_vector_engine_from_singleton_start() {
 
 #[test]
 fn native_multiset_consumption_matches_vector_engine() {
-    // 3-Majority takes the received palettes as histogram splits
-    // (hypergeometric windows in the pull gear, Mult(h, union) windows
-    // in the push gear, ordered fallback while diverse) — an exact
-    // aggregation of Uniform Pull, so the consensus-time law must match
-    // the exact one-step law's.
+    // `ClusterConfig::new` runs 3-Majority on condensed shards: the
+    // pooled palettes go through one mega-block window step in the pull
+    // gear (flat dealing while diverse) and one closed-form
+    // `Mult(local_n, α)` in the push gear — an exact aggregation of
+    // Uniform Pull, so the consensus-time law must match the exact
+    // one-step law's.
     let start = Configuration::uniform(192, 8);
     let trials = 48;
     let cluster = cluster_times(ThreeMajority, &start, trials, 8100);
@@ -100,8 +101,9 @@ fn native_multiset_consumption_matches_vector_engine() {
 #[test]
 fn native_single_peer_consumption_matches_vector_engine() {
     // Voter from k = n singletons: h = 1, long trajectories, maximal
-    // color diversity. The native wire path writes the dealt multiset
-    // straight into the next state (no Fisher–Yates, no sample buffer).
+    // color diversity. `ClusterConfig::new` runs it on condensed shards,
+    // which install the pooled palettes as the next histogram in the
+    // pull gear and draw one `Mult(local_n, union)` in the push gear.
     let start = Configuration::singletons(64);
     let trials = 48;
     let cluster = cluster_times(Voter, &start, trials, 8500);
@@ -111,12 +113,13 @@ fn native_single_peer_consumption_matches_vector_engine() {
 
 #[test]
 fn native_undecided_consumption_matches_per_node_engine() {
-    // The undecided dynamics is the h = 1 multiset rule: its native
-    // wire path walks windows only when the pool collapses to one
-    // category (including the all-UNDECIDED rounds, where the window
-    // carries the UNDECIDED pseudo-opinion through update_from_counts)
-    // and deals ordered otherwise — pin the whole lifecycle's law
-    // against the literal per-node engine (the rule has no vector law).
+    // The undecided dynamics is the h = 1 multiset rule. On the
+    // condensed shards `ClusterConfig::new` runs, its pull rounds deal
+    // per-group blocks (flat dealing while diverse) and its push rounds
+    // take binomial splits, including the all-UNDECIDED rounds where
+    // the window carries the UNDECIDED pseudo-opinion — pin the whole
+    // lifecycle's law against the literal per-node engine (the rule
+    // has no vector law).
     let start = Configuration::from_counts(vec![70, 30]);
     let trials = 48;
     let cluster = cluster_times(UndecidedDynamics, &start, trials, 9100);
@@ -131,9 +134,11 @@ fn native_undecided_consumption_matches_per_node_engine() {
 
 #[test]
 fn native_two_median_cluster_matches_vector_engine() {
-    // 2-Median runs multiset-native on the wire; pin it against the
-    // exact one-step law (its own-state dependence makes it the rule
-    // most sensitive to a mis-dealt window).
+    // 2-Median runs on condensed shards under `ClusterConfig::new`
+    // (per-group blocks in the pull gear, a CDF cascade in the push
+    // gear); pin it against the exact one-step law (its own-state
+    // dependence makes it the rule most sensitive to a mis-dealt
+    // window).
     let start = Configuration::from_counts(vec![40, 20, 30, 38]);
     let trials = 48;
     let cluster = cluster_times(TwoMedian, &start, trials, 8800);

@@ -15,16 +15,20 @@
 //!   downgrades a `Histogram` request to agent-backed shards (ordered
 //!   windows) — there the representations must coincide, not merely
 //!   agree in law;
+//! * byte-exact blindness of agent shards to the rule's declared
+//!   access: a multiset or single-peer rule runs exactly as the same
+//!   rule declared ordered-window;
 //! * fault-layer semantics mode-identically preserved: inert plans are
 //!   trajectory-invisible, palette-loss compensation and crash-rejoin
 //!   conserve mass on histogram-backed shards;
 //! * the condensed contract: every condensed rule, gear and report mode
 //!   completes its rounds on the sorted-pairs path.
 
+use rand::RngCore;
 use symbreak_core::rules::{
     HMajority, ThreeMajority, TwoChoices, TwoMedian, UndecidedDynamics, Voter,
 };
-use symbreak_core::{Configuration, UpdateRule};
+use symbreak_core::{Configuration, Opinion, SampleAccess, UpdateRule};
 use symbreak_runtime::{
     Cluster, ClusterConfig, CrashSpec, FaultPlan, GearMode, ReportMode, ShardRepr, StopReason,
 };
@@ -291,6 +295,50 @@ fn ordered_window_downgrade_is_agent_exact() {
     assert_eq!(hist.total_messages, agents.total_messages);
     assert_eq!(hist.final_config, agents.final_config);
     assert_eq!(trace_digest(&hist.trace), trace_digest(&agents.trace));
+}
+
+/// Delegates every call to the wrapped rule but declares an ordered
+/// window, whatever access the wrapped rule declares.
+#[derive(Clone)]
+struct AsOrderedWindow<R>(R);
+
+impl<R: UpdateRule> UpdateRule for AsOrderedWindow<R> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn sample_count(&self) -> usize {
+        self.0.sample_count()
+    }
+
+    fn update(&self, own: Opinion, samples: &[Opinion], rng: &mut dyn RngCore) -> Opinion {
+        self.0.update(own, samples, rng)
+    }
+
+    fn sample_access(&self) -> SampleAccess {
+        SampleAccess::OrderedWindow
+    }
+}
+
+#[test]
+fn agent_shards_ignore_the_rule_sample_access() {
+    // Agent shards consume every rule by ordered dealing and one
+    // `update` per node, so a multiset (3-Majority) or single-peer
+    // (Voter) rule must run byte-identically to the same rule declared
+    // ordered-window, in every gear.
+    fn check<R: UpdateRule + Clone + Send + 'static>(rule: R, start: &Configuration) {
+        for gear in [GearMode::Auto, GearMode::ForcePush, GearMode::ForcePull] {
+            let cfg =
+                ClusterConfig::new(3, 11).with_shard_repr(ShardRepr::Agents).with_data_gear(gear);
+            let real = Cluster::new(rule.clone(), start, cfg.clone()).run_horizon(40);
+            let ordered = Cluster::new(AsOrderedWindow(rule.clone()), start, cfg).run_horizon(40);
+            assert_eq!(real.total_messages, ordered.total_messages, "{gear:?}");
+            assert_eq!(real.final_config, ordered.final_config, "{gear:?}");
+            assert_eq!(trace_digest(&real.trace), trace_digest(&ordered.trace), "{gear:?}");
+        }
+    }
+    check(ThreeMajority, &Configuration::uniform(240, 6));
+    check(Voter, &Configuration::uniform(240, 6));
 }
 
 #[test]

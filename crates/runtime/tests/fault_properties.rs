@@ -61,17 +61,19 @@ fn inert_plan_is_the_default_config() {
 #[test]
 fn golden_three_majority_inert_plan_seed_exact() {
     // `ShardRepr::Agents` pins the materialized per-agent baseline: an
-    // inert plan on agent-backed shards must replay the pre-condensation
-    // trajectory byte-for-byte.
+    // inert plan on agent-backed shards must replay the literal ordered
+    // trajectory byte-for-byte. Re-pinned when agent shards stopped
+    // consuming multiset rules through window splits; the old values
+    // were round 20, 4320 messages, digest 0x4f42011c66704f4b.
     let start = Configuration::uniform(200, 8);
     let config = ClusterConfig::new(4, 42)
         .with_shard_repr(ShardRepr::Agents)
         .with_fault_plan(FaultPlan::none());
     let out =
         Cluster::new(ThreeMajority, &start, config).run_to_consensus(1_000_000).expect("consensus");
-    assert_eq!(out.consensus_round, 20);
-    assert_eq!(out.total_messages, 4320);
-    assert_eq!(trace_digest(&out.trace), 0x4f42011c66704f4b);
+    assert_eq!(out.consensus_round, 17);
+    assert_eq!(out.total_messages, 3912);
+    assert_eq!(trace_digest(&out.trace), 0x11e9201424d8b3f4);
     assert_eq!(zero_bytes(out.faults), Default::default());
 }
 
@@ -283,26 +285,31 @@ fn assert_mixed_plan_golden(
 #[test]
 fn golden_mixed_plan_agents_seed_exact() {
     // Agent-backed shards boot in the pull gear and stay there.
+    // Re-pinned when agent shards stopped consuming multiset rules
+    // through window splits; the old values were round 30, 18206
+    // messages, 2527 entries, digest 0xec5051a15e763a69, and 40/32/41
+    // palettes dropped, duplicated and delayed, 13 reports delayed, 30
+    // Byzantine reports, 13 resyncs and 13 quorum rounds.
     let faults = FaultCounters {
-        palettes_dropped: 40,
-        palettes_duplicated: 32,
-        palettes_delayed: 41,
-        reports_delayed: 13,
+        palettes_dropped: 51,
+        palettes_duplicated: 41,
+        palettes_delayed: 55,
+        reports_delayed: 17,
         crash_rounds: 3,
         rejoins: 1,
-        byzantine_reports: 30,
-        straggler_resyncs: 13,
+        byzantine_reports: 40,
+        straggler_resyncs: 17,
         recovered_samples: 1316,
-        quorum_rounds: 13,
+        quorum_rounds: 16,
         ..FaultCounters::default()
     };
     assert_mixed_plan_golden(
         ShardRepr::Agents,
         GearMode::Auto,
-        30,
-        18206,
-        2527,
-        0xec5051a15e763a69,
+        40,
+        21242,
+        2903,
+        0xbc2969dda9cad35e,
         faults,
     );
 }

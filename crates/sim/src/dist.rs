@@ -1739,14 +1739,11 @@ impl FenwickPool {
 /// weights in **decreasing** order: `Σ_j (1 − (cum_{<j}/total)^h)` —
 /// category `j` is visited iff not all `h` draws landed before it.
 ///
-/// This is the dispatch statistic for the window samplers
-/// ([`WindowMultinomial`] / [`WindowSplitter`]): a walk pays roughly
-/// one conditional draw per *visited* category, versus `h` draws per
-/// window on a per-draw path, so the walk wins when this expectation
-/// sits below `h`. (For the without-replacement splitter the formula
-/// is the with-replacement approximation — fine for arbitration, and
-/// irrelevant to exactness.) `O(d)`; returns `d` when the weights sum
-/// to zero.
+/// This is the agent engine's dispatch statistic for the
+/// [`WindowMultinomial`] walk: a walk pays roughly one conditional draw
+/// per *visited* category, versus `h` draws per window on a per-draw
+/// path, so the walk wins when this expectation sits below `h`.
+/// `O(d)`; returns `d` when the weights sum to zero.
 ///
 /// # Example
 /// ```
@@ -1759,40 +1756,23 @@ impl FenwickPool {
 /// ```
 pub fn expected_window_visits(weights_desc: &[f64], h: usize) -> f64 {
     let total: f64 = weights_desc.iter().sum();
-    expected_visits_of(total, weights_desc.iter().copied(), weights_desc.len(), h)
-}
-
-/// [`expected_window_visits`] over integer counts (e.g. a pooled
-/// histogram), so count-valued dispatch sites need no float scratch.
-pub fn expected_window_visits_counts(counts_desc: &[u64], h: usize) -> f64 {
-    let total: u64 = counts_desc.iter().sum();
-    expected_visits_of(total as f64, counts_desc.iter().map(|&c| c as f64), counts_desc.len(), h)
-}
-
-/// Category cap above which the window-dispatch sites skip even
-/// computing the visit statistic: the qualifying decreasing-weight sort
-/// would cost more than the round saves at singleton-start
-/// occupancies. One constant so every dispatch site (agent engine,
-/// shard pull gear, shard push gear) moves in lockstep.
-pub const WALK_CANDIDATE_CAP: usize = 512;
-
-fn expected_visits_of(
-    total: f64,
-    weights_desc: impl Iterator<Item = f64>,
-    d: usize,
-    h: usize,
-) -> f64 {
     if total <= 0.0 {
-        return d as f64;
+        return weights_desc.len() as f64;
     }
     let mut visits = 0.0;
     let mut cum = 0.0;
-    for w in weights_desc {
+    for &w in weights_desc {
         visits += 1.0 - (cum / total).powi(h as i32);
         cum += w;
     }
     visits
 }
+
+/// Category cap above which the agent engine's window dispatch skips
+/// even computing the visit statistic: the qualifying decreasing-weight
+/// sort would cost more than the round saves at singleton-start
+/// occupancies.
+pub const WALK_CANDIDATE_CAP: usize = 512;
 
 /// I.i.d. fixed-size multinomial windows `Mult(h, θ)`, with the
 /// conditional-binomial walk's per-category samplers built **once** and
