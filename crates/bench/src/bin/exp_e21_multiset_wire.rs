@@ -1,17 +1,21 @@
-//! E21 — the sample-consumption taxonomy on the wire: multiset- and
-//! single-peer-native palette consumption, checked against the exact
-//! `VectorEngine` law on the workloads where the diverse-regime
+//! E21 — the sample-consumption taxonomy on the wire: condensed
+//! multiset and single-peer palette consumption, checked against the
+//! exact `VectorEngine` law on the workloads where the diverse-regime
 //! data-plane floor lives.
 //!
 //! Background: with every color alive in every shard (the E20-style
 //! diverse regime), no wire *format* beats the `O(n·h)` per-round draw
-//! floor. But the floor's constant is not fixed: rules that consume
-//! only the **multiset** of each node's window (3-Majority here) take
-//! received palettes directly as histogram splits (per-node
-//! multivariate-hypergeometric windows, no inside-out Fisher–Yates
-//! dealing pass), and single-peer rules (Voter) skip sample
-//! materialization entirely — the dealt multiset *is* the next opinion
-//! vector. These are the cluster's default consume paths.
+//! floor. But the floor's constant is not fixed. Under the default
+//! `ShardRepr::Histogram` a shard running a rule that consumes only the
+//! **multiset** of each node's window (3-Majority here) or a single
+//! peer (Voter) is condensed: it holds a local histogram, not an agent
+//! vector, and moves received palettes between histograms as mass —
+//! grouped hypergeometric blocks or flat dealing in the pull gear, one
+//! closed-form step in the push gear — and for a single-peer rule the
+//! pooled palettes *are* the next histogram. These are the cluster's
+//! default consume paths. Agent-backed shards (`ShardRepr::Agents`)
+//! run the literal ordered dealing and one `update` per node instead;
+//! this experiment does not use them.
 //!
 //! The verdict requires a Welch 5σ agreement of the end-of-horizon
 //! observables between the cluster and the `VectorEngine` oracle (one
@@ -69,7 +73,7 @@ fn run_against_oracle<R: UpdateRule + VectorStep + Clone + Send>(
     let ok = (c.mean() - v.mean()).abs() < tol;
 
     let mut table = Table::new(vec!["path", "observable mean", "observable sd"]);
-    for (label, s) in [("cluster (native consume)", &c), ("VectorEngine oracle", &v)] {
+    for (label, s) in [("cluster (condensed consume)", &c), ("VectorEngine oracle", &v)] {
         table.row(vec![label.to_string(), fmt_f64(s.mean()), fmt_f64(s.std_dev())]);
     }
     println!("{table}");
@@ -85,12 +89,14 @@ fn run_against_oracle<R: UpdateRule + VectorStep + Clone + Send>(
 fn main() {
     let n = ((100_000.0 * scale()).round() as u64).max(4096);
     let trials = scaled_trials(6);
-    println!("# E21: multiset-native wire consumption vs the VectorEngine law (n = k = {n}, {SHARDS} shards)");
+    println!(
+        "# E21: condensed wire consumption vs the VectorEngine law (n = k = {n}, {SHARDS} shards)"
+    );
 
-    // Voter on its fixed diverse horizon: single-peer consumption
-    // deletes the Fisher–Yates pass, the sample buffer, and the
-    // per-node rule calls; the colors-alive count at the horizon (~2n/t
-    // decay) pins the law.
+    // Voter on its fixed diverse horizon: condensed single-peer
+    // consumption installs the pooled palettes as the next histogram,
+    // with no sample buffer and no per-node rule calls; the
+    // colors-alive count at the horizon (~2n/t decay) pins the law.
     let voter_horizon = ((2_000.0 * scale()).round() as u64).clamp(64, 4_000);
     section(&format!(
         "Voter (single peer), fixed {voter_horizon}-round diverse horizon x {trials} trials"
@@ -98,9 +104,10 @@ fn main() {
     let voter_ok =
         run_against_oracle(Voter, n, voter_horizon, trials, 210_000, |c| c.num_colors() as u64);
 
-    // 3-Majority from singletons: diverse fallback for the first rounds,
-    // then hypergeometric/window-walk splits (and the push gear) once
-    // occupancy collapses. Max support at the horizon pins the law.
+    // 3-Majority from singletons: flat dealing for the first rounds,
+    // then grouped hypergeometric blocks (and the push gear's
+    // closed-form step) once occupancy collapses. Max support at the
+    // horizon pins the law.
     let tm_horizon = ((300.0 * scale()).round() as u64).clamp(48, 600);
     section(&format!(
         "3-Majority (multiset), fixed {tm_horizon}-round singleton horizon x {trials} trials"
@@ -110,7 +117,7 @@ fn main() {
 
     verdict(
         "E21",
-        "multiset/single-peer native consumption on the cluster matches the VectorEngine \
+        "condensed multiset/single-peer consumption on the cluster matches the VectorEngine \
          Uniform Pull law",
         voter_ok && tm_ok,
     );

@@ -35,7 +35,12 @@
 //! Voter (SinglePeer), plus a `k = 4096` uniform 3-Majority pair as the
 //! pure push-gear regime. The two representations realize the same
 //! Uniform Pull law (pinned by `condensed_crossval`), so each pair
-//! times the same workload.
+//! times the same workload. The agent baseline is the literal ordered
+//! path — Fisher–Yates dealing (or iid union draws) and one `update`
+//! per node, for every rule. Records taken while agent shards still
+//! had multiset window splits and single-peer dealing of their own
+//! timed a faster baseline, so their speedup columns do not compare
+//! with this one's.
 //!
 //! **Part C** is the 2-Median hot-path micro-bench: the per-round
 //! vector step is a prefix-sum/CDF cascade at

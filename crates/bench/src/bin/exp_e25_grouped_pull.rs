@@ -38,7 +38,12 @@
 //! now sit at ≥ 1.0x (full scale): the mega-block path carries
 //! 3-Majority, the flat Fisher–Yates dealing (O(1) per ball, no Fenwick
 //! `log d`) carries the own-sensitive diverse regime, and Voter's
-//! palette tally was already node-free.
+//! palette tally was already node-free. The agent baseline is the
+//! literal ordered path — Fisher–Yates dealing (or iid union draws) and
+//! one `update` per node, for every rule. Records taken while agent
+//! shards still had multiset window splits and single-peer dealing of
+//! their own timed a faster baseline, so their speedup columns do not
+//! compare with this one's.
 //!
 //! `SYMBREAK_SCALE` scales the largest Part A size (default 10⁸) and
 //! the Part B populations (never upscaled — Part B exists to pair

@@ -29,7 +29,7 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 echo "==> runtime smoke: delta-report cluster, singleton start k = n = 4096, ~50 rounds"
 SYMBREAK_SCALE=0.004096 cargo run --release -p symbreak-bench --bin exp_e20_cluster_theorem5
 
-echo "==> consumption smoke: multiset/single-peer native wire vs the VectorEngine law, k = n = 4096"
+echo "==> consumption smoke: condensed multiset/single-peer consume vs the VectorEngine law, k = n = 4096"
 SYMBREAK_SCALE=0.04096 cargo run --release -p symbreak-bench --bin exp_e21_multiset_wire
 
 echo "==> fault smoke: one coordinator, inert plan = F = 0; drop/crash/Byzantine injection"
