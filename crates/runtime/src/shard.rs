@@ -306,10 +306,6 @@ trait ShardState {
     /// Rebuilds the state from the coordinator's snapshot of this
     /// shard and verifies the reconstruction.
     fn rejoin(&mut self, body: &[(u32, u64)], undecided: u64);
-
-    /// Whether push rounds union the palettes by sorted merge rather
-    /// than by the dense first-touch tally.
-    fn sorted_union(&self) -> bool;
 }
 
 /// Unions condensed push histograms into `values` / `weights`, strictly
@@ -410,34 +406,6 @@ fn tally_palettes(
     undecided
 }
 
-/// Unions push histograms in first-touch order (origin by origin, each
-/// palette in its own order) with the undecided mass last, deduplicated
-/// through the dense `counts` scratch (zero outside `touched`, and left
-/// so). Agent shards broadcast in first-touch tally order, and the
-/// condensed single-peer multinomial walks the union in this order, so
-/// both keep it for their seed-exact trajectories.
-fn dense_union(
-    palettes: &[Option<PaletteBuffers>],
-    counts: &mut [u64],
-    touched: &mut Vec<u32>,
-    values: &mut Vec<Opinion>,
-    weights: &mut Vec<f64>,
-) {
-    let undecided = tally_palettes(palettes, counts, touched);
-    values.clear();
-    weights.clear();
-    for &i in touched.iter() {
-        weights.push(counts[i as usize] as f64);
-        values.push(Opinion::new(i));
-        counts[i as usize] = 0;
-    }
-    touched.clear();
-    if undecided > 0 {
-        weights.push(undecided as f64);
-        values.push(Opinion::UNDECIDED);
-    }
-}
-
 /// Appends to `out` a histogram palette of uniform reads of a shard of
 /// `local_n` nodes whose decided counts are `theta` over `slots`, plus
 /// `undecided` undecided nodes: per entry of `draws` a binomial
@@ -514,8 +482,6 @@ struct Worker<R, T, S> {
     alias_values: Vec<Opinion>,
     /// Merged halves of [`merge_palettes`] (more than two shards).
     union_halves: Vec<AliasBuffers>,
-    union_counts: Vec<u64>,
-    union_touched: Vec<u32>,
     /// Pooled sparse report bodies, recycled by the transport after
     /// framing — the last per-round allocation in the worker loop.
     report_pool: Vec<Vec<(u32, u64)>>,
@@ -566,8 +532,6 @@ impl<R: UpdateRule, T: Transport, S: ShardState> Worker<R, T, S> {
             alias_weights: Vec::new(),
             alias_values: Vec::new(),
             union_halves: Vec::new(),
-            union_counts: vec![0; k_slots],
-            union_touched: Vec::new(),
             report_pool: Vec::new(),
             round_no: 0,
             pending: Vec::new(),
@@ -830,22 +794,12 @@ impl<R: UpdateRule, T: Transport, S: ShardState> Worker<R, T, S> {
     /// shards that were heard (under an inert plan every slot is
     /// filled, so this is the fault-free union verbatim).
     fn union_palettes(&mut self) {
-        if self.state.sorted_union() {
-            merge_palettes(
-                &self.palettes.recv,
-                &mut self.union_halves,
-                &mut self.alias_values,
-                &mut self.alias_weights,
-            );
-        } else {
-            dense_union(
-                &self.palettes.recv,
-                &mut self.union_counts,
-                &mut self.union_touched,
-                &mut self.alias_values,
-                &mut self.alias_weights,
-            );
-        }
+        merge_palettes(
+            &self.palettes.recv,
+            &mut self.union_halves,
+            &mut self.alias_values,
+            &mut self.alias_weights,
+        );
         self.palettes.recycle();
     }
 
@@ -1120,14 +1074,46 @@ mod tests {
             .collect()
     }
 
+    /// Push palettes as agent shards broadcast them: each origin tallies
+    /// 50 random opinions (one in eight undecided) of a 40-slot
+    /// palette, then emits the tally sorted by slot, the undecided tail
+    /// last.
+    fn agent_palettes(shards: usize, rng: &mut Pcg64) -> Vec<Option<PaletteBuffers>> {
+        let k_slots = 40;
+        (0..shards)
+            .map(|_| {
+                let opinions: Vec<Opinion> = (0..50)
+                    .map(|_| {
+                        if rng.gen_range(0..8) == 0 {
+                            Opinion::UNDECIDED
+                        } else {
+                            Opinion::new(rng.gen_range(0..k_slots))
+                        }
+                    })
+                    .collect();
+                let mut state = agents::Agents::new(opinions, 1, k_slots as usize, false);
+                let mut buffers = (Vec::new(), Vec::new());
+                let undecided = state.push_histogram(&mut buffers);
+                if undecided > 0 {
+                    buffers.1.push((buffers.0.len() as u32, undecided));
+                    buffers.0.push(Opinion::UNDECIDED);
+                }
+                Some(buffers)
+            })
+            .collect()
+    }
+
     #[test]
-    fn merged_union_is_the_dense_union_sorted() {
+    fn merged_union_is_the_map_union() {
         let mut rng = Pcg64::seed_from_u64(5);
         let mut pool = Vec::new();
-        let (mut counts, mut touched) = (vec![0u64; 40], Vec::new());
         for shards in [1usize, 2, 3, 5] {
-            for trial in 0..16 {
-                let mut palettes = random_palettes(shards, &mut rng);
+            for trial in 0..32 {
+                let mut palettes = if trial < 16 {
+                    random_palettes(shards, &mut rng)
+                } else {
+                    agent_palettes(shards, &mut rng)
+                };
                 if trial % 2 == 1 {
                     // A palette lost under an active fault plan.
                     palettes[trial % shards] = None;
@@ -1136,14 +1122,23 @@ mod tests {
                 merge_palettes(&palettes, &mut pool, &mut values, &mut weights);
                 let merged: Vec<(Opinion, f64)> = values.into_iter().zip(weights).collect();
 
-                let (mut values, mut weights) = (Vec::new(), Vec::new());
-                dense_union(&palettes, &mut counts, &mut touched, &mut values, &mut weights);
-                let mut dense: Vec<(Opinion, f64)> = values.into_iter().zip(weights).collect();
-                dense.sort_by_key(|&(o, _)| o);
+                // Reference: integer sums per opinion in an ordered map,
+                // converted to f64 once (bit-equal weights).
+                let mut map = std::collections::BTreeMap::<Opinion, u64>::new();
+                for (palette, runs) in palettes.iter().flatten() {
+                    for &(pi, c) in runs {
+                        *map.entry(palette[pi as usize]).or_default() += c;
+                    }
+                }
+                let reference: Vec<(Opinion, f64)> =
+                    map.into_iter().map(|(o, c)| (o, c as f64)).collect();
 
-                assert_eq!(merged, dense, "shards {shards}, trial {trial}");
+                assert_eq!(merged.len(), reference.len(), "shards {shards}, trial {trial}");
+                for (m, r) in merged.iter().zip(&reference) {
+                    assert_eq!(m.0, r.0, "shards {shards}, trial {trial}");
+                    assert_eq!(m.1.to_bits(), r.1.to_bits(), "shards {shards}, trial {trial}");
+                }
                 assert!(merged.windows(2).all(|w| w[0].0 < w[1].0), "strictly ascending");
-                assert!(touched.is_empty() && counts.iter().all(|&c| c == 0));
             }
         }
     }

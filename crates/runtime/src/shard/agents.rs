@@ -250,9 +250,11 @@ impl ShardState for Agents {
         self.snap_ready = false;
     }
 
-    /// The round-start tally in first-touch order.
+    /// The round-start tally, sorted by slot (`O(d log d)`, push
+    /// rounds only) so every push union is one merge of sorted runs.
     fn push_histogram(&mut self, (body, bruns): &mut PaletteBuffers) -> u64 {
         let undecided = count_opinions(&self.opinions, &mut self.counts, &mut self.touched);
+        self.touched.sort_unstable();
         for &i in &self.touched {
             bruns.push((body.len() as u32, self.counts[i as usize]));
             body.push(Opinion::new(i));
@@ -375,9 +377,5 @@ impl ShardState for Agents {
             self.prev_counts.fill(0);
             self.baseline();
         }
-    }
-
-    fn sorted_union(&self) -> bool {
-        false
     }
 }

@@ -669,8 +669,78 @@ impl ShardState for Condensed {
             prev.clone_from(&self.hist_pairs);
         }
     }
+}
 
-    fn sorted_union(&self) -> bool {
-        self.multiset
+#[cfg(test)]
+mod tests {
+    use rand::{Rng, SeedableRng};
+
+    use super::*;
+
+    /// Random sorted pairs over 24 slots: each slot occupied with
+    /// probability `p`, counts in 1..=4 so unchanged slots are common.
+    fn random_pairs(p: f64, rng: &mut Pcg64) -> Vec<(u32, u64)> {
+        let mut pairs = Vec::new();
+        for slot in 0..24 {
+            if rng.gen_bool(p) {
+                pairs.push((slot, rng.gen_range(1..=4)));
+            }
+        }
+        pairs
+    }
+
+    /// The dense computation the sorted merge replaces: both histograms
+    /// mirrored into `k`-wide scratch, changed or new slots in current
+    /// order, then vanished slots in previous order.
+    fn dense_deltas(prev: &[(u32, u64)], cur: &[(u32, u64)]) -> Vec<(u32, i64)> {
+        let (mut p, mut c) = (vec![0u64; 24], vec![0u64; 24]);
+        prev.iter().for_each(|&(i, n)| p[i as usize] = n);
+        cur.iter().for_each(|&(i, n)| c[i as usize] = n);
+        let changed = cur.iter().filter(|&&(i, n)| n != p[i as usize]);
+        let vanished = prev.iter().filter(|&&(i, _)| c[i as usize] == 0);
+        changed
+            .map(|&(i, n)| (i, n as i64 - p[i as usize] as i64))
+            .chain(vanished.map(|&(i, n)| (i, -(n as i64))))
+            .collect()
+    }
+
+    #[test]
+    fn pair_deltas_match_the_dense_diff() {
+        let mut rng = Pcg64::seed_from_u64(11);
+        for trial in 0..400 {
+            // Densities from empty to full, so empty, new, vanished and
+            // unchanged slots all occur.
+            let density = [0.0, 0.2, 0.5, 0.9, 1.0];
+            let prev = random_pairs(density[trial % 5], &mut rng);
+            let cur = random_pairs(density[(trial / 5) % 5], &mut rng);
+            let dense = dense_deltas(&prev, &cur);
+            let mut merged = Vec::new();
+            pair_deltas(&prev, &cur, |i, d| merged.push((i, d)));
+            assert_eq!(merged, dense, "prev {prev:?}, cur {cur:?}");
+
+            // Through a tracked report, in both formats: the delta body
+            // and `changed_slots` are the dense ones, and the pairs roll
+            // forward.
+            for format in [ReportFormat::Delta, ReportFormat::Sparse] {
+                let mut shard = Condensed::new(prev.clone(), SampleAccess::Multiset, 3, 24, true);
+                shard.hist_pairs.clone_from(&cur);
+                let (body, _, changed) = shard.report(format, &mut Vec::new());
+                assert_eq!(changed, Some(dense.len() as u64));
+                match body {
+                    ReportBody::Delta(pairs) => assert_eq!(pairs, dense),
+                    ReportBody::Sparse(pairs) => assert_eq!(pairs, cur),
+                }
+                assert_eq!(shard.prev_pairs.as_deref(), Some(&cur[..]));
+            }
+        }
+        // Identical histograms report nothing; a shard emptied of every
+        // decided color reports each slot vanished.
+        let pairs = [(2, 3), (7, 1)];
+        let mut none = 0;
+        pair_deltas(&pairs, &pairs, |_, _| none += 1);
+        assert_eq!(none, 0);
+        let mut gone = Vec::new();
+        pair_deltas(&pairs, &[], |i, d| gone.push((i, d)));
+        assert_eq!(gone, [(2, -3), (7, -1)]);
     }
 }

@@ -63,17 +63,20 @@ fn golden_three_majority_inert_plan_seed_exact() {
     // `ShardRepr::Agents` pins the materialized per-agent baseline: an
     // inert plan on agent-backed shards must replay the literal ordered
     // trajectory byte-for-byte. Re-pinned when agent shards stopped
-    // consuming multiset rules through window splits; the old values
-    // were round 20, 4320 messages, digest 0x4f42011c66704f4b.
+    // consuming multiset rules through window splits (the old values
+    // were round 20, 4320 messages, digest 0x4f42011c66704f4b), and
+    // again when agent push broadcasts became sorted by slot, which
+    // reorders the push union (round 17, 3912 messages, digest
+    // 0x11e9201424d8b3f4 before).
     let start = Configuration::uniform(200, 8);
     let config = ClusterConfig::new(4, 42)
         .with_shard_repr(ShardRepr::Agents)
         .with_fault_plan(FaultPlan::none());
     let out =
         Cluster::new(ThreeMajority, &start, config).run_to_consensus(1_000_000).expect("consensus");
-    assert_eq!(out.consensus_round, 17);
-    assert_eq!(out.total_messages, 3912);
-    assert_eq!(trace_digest(&out.trace), 0x11e9201424d8b3f4);
+    assert_eq!(out.consensus_round, 26);
+    assert_eq!(out.total_messages, 5552);
+    assert_eq!(trace_digest(&out.trace), 0x477351a04a5d0ca1);
     assert_eq!(zero_bytes(out.faults), Default::default());
 }
 
@@ -102,12 +105,16 @@ fn golden_voter_inert_plan_seed_exact() {
     // 0x8fe0152528e7a52c) pinned that wire, which no longer exists. Same
     // start and seed, now on the one remaining wire, where Voter runs
     // condensed (single-peer) shards under the default representation.
+    // Re-pinned again when every push union became one sorted merge: the
+    // condensed Voter push draws over the ascending union instead of the
+    // first-touch one (round 388, 16614 messages, digest
+    // 0x4bf1e2c02a383ae6 before).
     let start = Configuration::uniform(120, 6);
     let config = ClusterConfig::new(3, 9).with_fault_plan(FaultPlan::none());
     let out = Cluster::new(Voter, &start, config).run_to_consensus(1_000_000).expect("consensus");
-    assert_eq!(out.consensus_round, 388);
-    assert_eq!(out.total_messages, 16614);
-    assert_eq!(trace_digest(&out.trace), 0x4bf1e2c02a383ae6);
+    assert_eq!(out.consensus_round, 187);
+    assert_eq!(out.total_messages, 9288);
+    assert_eq!(trace_digest(&out.trace), 0xaf9f786504c0358a);
     assert_eq!(zero_bytes(out.faults), Default::default());
 }
 
@@ -189,7 +196,9 @@ fn golden_h_majority_condensed_push_seed_exact() {
 fn golden_two_choices_forced_push_seed_exact() {
     // The ordered-window push on agent shards: every sample is an iid
     // draw from the union of the broadcast histograms. This is the
-    // stalled Theorem-5 round, with delta reports.
+    // stalled Theorem-5 round, with delta reports. Re-pinned when agent
+    // push broadcasts became sorted by slot; the old values were 59256
+    // messages, 336 entries, 111005 wire bytes, digest 0x6b8cea57aa4f9812.
     let start = Configuration::singletons(256);
     let config = ClusterConfig::new(3, 5)
         .with_shard_repr(ShardRepr::Agents)
@@ -197,7 +206,7 @@ fn golden_two_choices_forced_push_seed_exact() {
         .with_report_mode(ReportMode::Delta);
     let out = Cluster::new(TwoChoices, &start, config).run_horizon(40);
     assert_eq!(out.stop, StopReason::HorizonExhausted);
-    assert_inert_golden(&out, 40, 59256, 336, 111005, 0x6b8cea57aa4f9812);
+    assert_inert_golden(&out, 40, 59796, 321, 111949, 0xb4d8fd0f0221fc6f);
 }
 
 #[test]
@@ -218,11 +227,14 @@ fn golden_two_choices_uniform_delta_seed_exact() {
     // Delta tracking on a diverse run: three colors churn every slot
     // every round, so the coordinator never commands a delta body and
     // each round is a tracked sparse report, mostly in the push gear.
+    // Re-pinned when agent push broadcasts became sorted by slot; the old
+    // values were 22 rounds, 512 messages, 125 entries, 3302 wire bytes,
+    // digest 0xee13f6a180964f9d.
     let start = Configuration::uniform(4096, 3);
     let config = ClusterConfig::new(2, 2).with_report_mode(ReportMode::Delta);
     let out = Cluster::new(TwoChoices, &start, config).run_horizon(100_000);
     assert_eq!(out.stop, StopReason::Consensus);
-    assert_inert_golden(&out, 22, 512, 125, 3302, 0xee13f6a180964f9d);
+    assert_inert_golden(&out, 20, 464, 113, 2994, 0xec5f7c99634629cf);
 }
 
 #[test]
@@ -232,6 +244,9 @@ fn golden_two_choices_mixed_delta_seed_exact() {
     // the others serve raw ones, reports switch sparse → delta after
     // round 1 and back to sparse once churn outgrows half the surviving
     // colors, and the gear moves from pull to push near the end.
+    // Re-pinned when agent push broadcasts became sorted by slot; the old
+    // values were final entries [25, 16, 9, 4], 1986 entries, 86017 wire
+    // bytes, digest 0xc0573bdc5eb9bd0a (30 rounds, 46592 messages).
     let mut counts = vec![64u64; 4];
     counts.extend(std::iter::repeat_n(1, 768));
     let start = Configuration::from_counts(counts);
@@ -239,8 +254,8 @@ fn golden_two_choices_mixed_delta_seed_exact() {
     let out = Cluster::new(TwoChoices, &start, config).run_horizon(100_000);
     assert_eq!(out.stop, StopReason::Consensus);
     assert_eq!(&out.report_entries[..3], &[765, 26, 35], "sparse, then delta");
-    assert_eq!(&out.report_entries[26..], &[25, 16, 9, 4], "sparse again at the end");
-    assert_inert_golden(&out, 30, 46592, 1986, 86017, 0xc0573bdc5eb9bd0a);
+    assert_eq!(&out.report_entries[26..], &[23, 17, 9, 4], "sparse again at the end");
+    assert_inert_golden(&out, 30, 46592, 1942, 85827, 0xeb541f7eecabd0d);
 }
 
 // ---------------------------------------------------------------------
@@ -284,32 +299,36 @@ fn assert_mixed_plan_golden(
 
 #[test]
 fn golden_mixed_plan_agents_seed_exact() {
-    // Agent-backed shards boot in the pull gear and stay there.
-    // Re-pinned when agent shards stopped consuming multiset rules
-    // through window splits; the old values were round 30, 18206
-    // messages, 2527 entries, digest 0xec5051a15e763a69, and 40/32/41
-    // palettes dropped, duplicated and delayed, 13 reports delayed, 30
-    // Byzantine reports, 13 resyncs and 13 quorum rounds.
+    // Agent-backed shards boot in the pull gear. Re-pinned when agent
+    // shards stopped consuming multiset rules through window splits
+    // (the old values were round 30, 18206 messages, 2527 entries,
+    // digest 0xec5051a15e763a69, and 40/32/41 palettes dropped,
+    // duplicated and delayed, 13 reports delayed, 30 Byzantine reports,
+    // 13 resyncs and 13 quorum rounds), and again when agent push
+    // broadcasts became sorted by slot (round 40, 21242 messages, 2903
+    // entries, digest 0xbc2969dda9cad35e, 51/41/55 palettes, 17 reports
+    // delayed, 40 Byzantine reports, 17 resyncs and 16 quorum rounds
+    // before).
     let faults = FaultCounters {
-        palettes_dropped: 51,
-        palettes_duplicated: 41,
-        palettes_delayed: 55,
-        reports_delayed: 17,
+        palettes_dropped: 43,
+        palettes_duplicated: 33,
+        palettes_delayed: 47,
+        reports_delayed: 13,
         crash_rounds: 3,
         rejoins: 1,
-        byzantine_reports: 40,
-        straggler_resyncs: 17,
+        byzantine_reports: 33,
+        straggler_resyncs: 13,
         recovered_samples: 1316,
-        quorum_rounds: 16,
+        quorum_rounds: 13,
         ..FaultCounters::default()
     };
     assert_mixed_plan_golden(
         ShardRepr::Agents,
         GearMode::Auto,
-        40,
-        21242,
-        2903,
-        0xbc2969dda9cad35e,
+        33,
+        19000,
+        2637,
+        0xbb059f007c6a2e17,
         faults,
     );
 }
