@@ -186,27 +186,34 @@ fn forced_pull_grouped_matches_agents_three_majority() {
 #[test]
 fn forced_pull_grouped_matches_agents_two_median() {
     // Own-sensitive multiset rule: the grouped consume cannot collapse
-    // to one mega block, so the singleton start drives the flat
-    // origin-interleaved dealing (positional windows, O(1) per ball).
-    let start = Configuration::singletons(96);
-    let trials = 48;
-    let condensed = times_with_repr_gear(
-        TwoMedian,
-        &start,
-        trials,
-        12300,
-        ShardRepr::Histogram,
-        GearMode::ForcePull,
-    );
-    let agents = times_with_repr_gear(
-        TwoMedian,
-        &start,
-        trials,
-        12400,
-        ShardRepr::Agents,
-        GearMode::ForcePull,
-    );
-    assert_means_agree("2-Median forced pull", &condensed, &agents);
+    // to one mega block. The singleton start's envelope bound already
+    // exceeds the per-ball budget, so it deals per ball off the
+    // palettes. The uniform start passes the envelope check, but its
+    // exact pool (`d` ≈ 100 categories) times its 100 groups outnumbers
+    // the `local_n · h` balls, so it takes the same per-ball dealing
+    // once the tally has fixed `d`.
+    for (start, trials, seed) in [
+        (Configuration::singletons(96), 48, 12300),
+        (Configuration::uniform(4000, 100), 24, 12350),
+    ] {
+        let condensed = times_with_repr_gear(
+            TwoMedian,
+            &start,
+            trials,
+            seed,
+            ShardRepr::Histogram,
+            GearMode::ForcePull,
+        );
+        let agents = times_with_repr_gear(
+            TwoMedian,
+            &start,
+            trials,
+            seed + 100,
+            ShardRepr::Agents,
+            GearMode::ForcePull,
+        );
+        assert_means_agree("2-Median forced pull", &condensed, &agents);
+    }
 }
 
 #[test]
