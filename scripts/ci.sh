@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
-# CI pipeline: lint, tier-1 verify, benchmark crate smoke, experiment smoke.
+# CI pipeline: line counts, lint, tier-1 verify, benchmark crate smoke,
+# experiment smoke.
 # Performance is measured by perfbench/ (`python3 perfbench/run.py`), not here.
 #
 # Usage: scripts/ci.sh
 #   SYMBREAK_SCALE — experiment scale for the smoke run (default 0.25)
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "==> info: non-test line counts per file and crate (no gate)"
+python3 scripts/loc.py
 
 echo "==> lint: cargo fmt --check"
 cargo fmt --all --check
