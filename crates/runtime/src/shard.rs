@@ -17,56 +17,49 @@
 //! shard receives belongs to its current round (see below for the
 //! relaxed barrier of an active plan).
 //!
-//! An agent-backed shard turns the received aggregates into node
-//! updates the literal Uniform Pull way, for every rule, on one path
-//! per gear: pull palettes are dealt into the sample buffer in origin
-//! order through an inside-out Fisher–Yates (an iid sequence
-//! conditioned on its multiset is a uniform arrangement, so per-node
-//! samples are exactly Uniform Pull); push rounds draw every sample iid
-//! from the union alias table; then one `update` call per node. Only
-//! condensed shards (below) dispatch on the rule's [`SampleAccess`].
+//! In the push gear every shard broadcasts its histogram sorted by
+//! slot, undecided mass last, so the union is one merge of sorted runs
+//! ([`merge_palettes`]) on every shard, whatever its representation.
 //!
-//! A sparse report recounts the shard's opinions through a reusable
-//! touched-slot scratch in `O(local_n)`, instead of a fresh dense
-//! `vec![0; k]`. Under [`ReportMode::Delta`] an agent-backed shard
-//! never recounts to find what changed: every opinion write goes
-//! through one logging helper (`OpinionLog`), and the report nets the
-//! round's `(old, new)` moves into signed `(slot, Δcount)` entries,
-//! rolling the previous-round counts, the local distinct count and the
-//! undecided count forward in place. A [`ReportFormat::Delta`] round
-//! therefore costs `O(#moves)` to report; a sparse round still
-//! recounts for its body. Condensed shards clone or mirror their
-//! histogram instead (below), and compare it against the previous
-//! counts when tracking.
+//! A shard's nodes live behind one crate-private trait,
+//! [`ShardState`], with two implementations picked once by
+//! [`run_shard`] from the [`ShardInit`] variant (the worker is
+//! monomorphized over it, `Worker<R, T, S>`). [`Worker`] keeps what
+//! both share: the exchange of both gears, the fault plan's
+//! interceptions, the push union and the report framing.
 //!
-//! The round-start snapshot the pull palettes are served from is built
-//! lazily, on the first batch that needs it: a histogram-walk batch, or
-//! any batch on a condensed shard. A raw batch off an agent vector
-//! reads the opinions directly, so in the diverse regime an
-//! agent-backed shard never tallies a snapshot in the pull gear. The
-//! walk-or-raw choice reads the distinct count the last report left
-//! behind.
-//!
-//! Under [`crate::cluster::ShardRepr::Histogram`] (multiset or
-//! single-peer rule, see `cluster::shard_is_condensed`) the worker is
-//! **condensed**: it never materializes a per-agent opinion vector at
-//! all. Its only state is the local histogram as sorted `(slot, count)`
-//! pairs plus the undecided count. A pull round's snapshot mirrors the
-//! pairs and pull palettes are sampled from it; a push round broadcasts
-//! the pairs as they stand and merges the peers' sorted palettes into
-//! the union. Received palettes and push unions are consumed as mass
-//! moved between histograms — grouped hypergeometric blocks in the pull
-//! gear (one [`symbreak_core::MultisetRule`] `condensed_window_step`
-//! call per occupied opinion group, or a single mega-block call for
-//! own-insensitive rules, with flat dealing in the diverse regime), and
-//! one `condensed_push_step` call per round in the push gear — so in
-//! both gears the per-round compute drops from `O(local_n · h)` to
-//! `O(#occupied · h)`. Every consume installs its output straight into
-//! the sorted pairs (one sort-and-coalesce pass), and a sparse report
-//! clones them: a condensed push round never touches a `k_slots`-wide
-//! scratch. Rejoin copies the snapshot counts and verifies them in
-//! `O(#occupied)` with no dense recount. The agent-backed paths are
-//! untouched (byte-identical per seed).
+//! * **Agents** (`agents.rs`) materialize one opinion per node and step
+//!   every rule the literal Uniform Pull way, on one path per gear:
+//!   pull palettes are dealt into the sample buffer in origin order
+//!   through an inside-out Fisher–Yates (an iid sequence conditioned on
+//!   its multiset is a uniform arrangement, so per-node samples are
+//!   exactly Uniform Pull); push rounds draw every sample iid from the
+//!   union alias table; then one `update` call per node. The round-start
+//!   snapshot is tallied only for a histogram-walk batch (lazily, once
+//!   per round) or a push broadcast: a raw batch reads the opinions
+//!   directly. Under
+//!   [`ReportMode::Delta`] every opinion write is logged, and the report
+//!   nets the round's `(old, new)` moves into signed `(slot, Δcount)`
+//!   entries in `O(#moves)`; a sparse report recounts in `O(local_n)`.
+//! * **Condensed** (`condensed.rs`, under
+//!   [`crate::cluster::ShardRepr::Histogram`] for a multiset or
+//!   single-peer rule, see `cluster::shard_is_condensed`) holds only
+//!   the local histogram as sorted `(slot, count)` pairs plus the
+//!   undecided count; no per-agent state exists. Pull palettes —
+//!   walked, raw or compensating — are served straight from the pairs,
+//!   which do not change during the exchange. Received palettes and
+//!   push unions are consumed as mass moved between histograms:
+//!   grouped hypergeometric blocks in the pull gear (one
+//!   [`symbreak_core::MultisetRule`] `condensed_window_step` call per
+//!   occupied opinion group, or a single mega-block call for
+//!   own-insensitive rules, with per-ball dealing where the blocks
+//!   would outnumber the balls), and one `condensed_push_step` call per
+//!   round in the push gear, so in both gears the per-round compute
+//!   drops from `O(local_n · h)` to `O(#occupied · h)`. Every consume
+//!   installs its output straight into the sorted pairs; a sparse
+//!   report copies them, and a tracked report merges them against the
+//!   previous report's pairs. Rejoin copies the snapshot counts and
+//!   verifies them in `O(#occupied)`.
 //!
 //! There is one exchange per gear, and it is **fault-aware**: fault
 //! decisions are stateless hashes of a [`FaultPlan`] shared with every
@@ -76,11 +69,12 @@
 //! arrive — round tags park messages from peers that ran ahead of the
 //! relaxed barrier until their round starts — and lost or late pull
 //! palettes are compensated by re-sampling the requested draws from the
-//! shard's own round-start snapshot (counted as `recovered`).
+//! shard's own round-start state (counted as `recovered`).
 //! Crash-stopped shards simply receive no round commands; on
-//! [`Control::Rejoin`] the worker rebuilds its opinions from the
-//! coordinator snapshot and verifies the reconstruction with a dense
-//! recount. Byzantine shards corrupt their report bodies through the
+//! [`Control::Rejoin`] the worker rebuilds its state from the
+//! coordinator snapshot and verifies the reconstruction (a dense
+//! recount of the opinions, or an `O(#occupied)` body check of the
+//! pairs). Byzantine shards corrupt their report bodies through the
 //! adversary crate's strategies on a dedicated RNG stream. The inert
 //! plan ([`FaultPlan::none`]) is the `F = 0` case of the same loops:
 //! every peer is live, every message arrives exactly once, nothing is
@@ -277,8 +271,8 @@ trait ShardState {
     /// Ends a pull round's serving, dropping any round-start snapshot.
     fn serving_done(&mut self);
 
-    /// Appends the shard's round-start decided histogram to `out` and
-    /// returns its undecided count.
+    /// Appends the shard's round-start decided histogram to `out`,
+    /// ascending by slot, and returns its undecided count.
     fn push_histogram(&mut self, out: &mut PaletteBuffers) -> u64;
 
     /// Steps every node from this pull round's received palettes.
@@ -308,15 +302,16 @@ trait ShardState {
     fn rejoin(&mut self, body: &[(u32, u64)], undecided: u64);
 }
 
-/// Unions condensed push histograms into `values` / `weights`, strictly
-/// ascending by opinion with the undecided mass last. Every condensed
-/// palette is `hist_pairs` plus an undecided tail, already ascending
+/// Unions push histograms into `values` / `weights`, strictly ascending
+/// by opinion with the undecided mass last. Every push palette — a
+/// condensed shard's pairs, an agent shard's tally sorted by slot —
+/// carries its undecided tail last and is already ascending
 /// ([`Opinion::UNDECIDED`] orders above every color), so the union is a
 /// merge of sorted runs with no `k_slots`-wide scratch: two slots merge
 /// straight from the wire buffers, more merge each half into `pool`
 /// first (`⌈log₂ S⌉` merges per entry). Absent palettes (lost under an
-/// active fault plan) are empty. Counts sum as integers, so the weights
-/// equal the dense tally's exactly.
+/// active fault plan) are empty. Counts sum as integers, so each weight
+/// is its opinion's exact total.
 fn merge_palettes(
     palettes: &[Option<PaletteBuffers>],
     pool: &mut Vec<AliasBuffers>,
@@ -760,7 +755,9 @@ impl<R: UpdateRule, T: Transport, S: ShardState> Worker<R, T, S> {
 
     /// The push data plane's exchange phase for the concentrated
     /// regime: no pulls at all. Every shard broadcasts its round-start
-    /// opinion histogram with the undecided mass last, and each
+    /// opinion histogram sorted by slot ([`ShardState::push_histogram`]:
+    /// a condensed shard's pairs as they stand, an agent shard's tally
+    /// after an `O(d log d)` sort) with the undecided mass last, and each
     /// requester unions the received histograms — which is exactly the
     /// global round-start opinion distribution (a uniform node is a
     /// shard ∝ size, then a uniform node within it) — into the parallel
@@ -788,7 +785,10 @@ impl<R: UpdateRule, T: Transport, S: ShardState> Worker<R, T, S> {
 
     /// Unions the received push histograms into `alias_values` /
     /// `alias_weights`, over the ~occ distinct global colors rather than
-    /// the `shards · occ` raw entries. Contributions lost to an active
+    /// the `shards · occ` raw entries, by one sorted merge
+    /// ([`merge_palettes`]): every shard broadcasts sorted by slot, so
+    /// this is the only union, for agent and condensed shards and every
+    /// rule alike. Contributions lost to an active
     /// fault plan are simply absent: the alias table normalizes over
     /// the surviving mass, reweighting the round's samples toward the
     /// shards that were heard (under an inert plan every slot is

@@ -100,25 +100,32 @@ impl Agents {
         };
         // The round-0 baseline the first report (and, under delta
         // tracking, the first delta) is relative to.
-        agents.baseline();
+        agents.baseline(None);
         agents
     }
 
     /// Tallies the opinions as the report baseline: `distinct`,
     /// `undecided` and, under delta tracking, `prev_counts` (which must
-    /// be zero). `O(local_n)`; runs at construction and on rejoin.
-    fn baseline(&mut self) {
+    /// be zero). On rejoin, `expect` holds the snapshot the tally must
+    /// reproduce exactly. `O(local_n)`.
+    fn baseline(&mut self, expect: Option<(&[(u32, u64)], u64)>) {
         self.touched.clear();
         self.undecided = count_opinions(&self.opinions, &mut self.counts, &mut self.touched);
         self.distinct = self.touched.len();
-        if self.log.on {
-            std::mem::swap(&mut self.prev_counts, &mut self.counts);
-        } else {
-            for &i in &self.touched {
-                self.counts[i as usize] = 0;
+        if let Some((body, undecided)) = expect {
+            assert_eq!(self.undecided, undecided, "rejoin recount: undecided mismatch");
+            assert_eq!(self.distinct, body.len(), "rejoin recount: occupancy mismatch");
+            for &(slot, count) in body {
+                let tally = self.counts[slot as usize];
+                assert_eq!(tally, count, "rejoin recount: slot {slot} mismatch");
             }
         }
-        self.touched.clear();
+        if self.log.on {
+            std::mem::swap(&mut self.prev_counts, &mut self.counts);
+            self.touched.clear();
+        } else {
+            self.clear_tally();
+        }
     }
 
     /// Builds this pull round's snapshot (first-touch order) if nothing
@@ -351,7 +358,8 @@ impl ShardState for Agents {
 
     /// Rematerializes the opinions and verifies them by a dense
     /// recount: the snapshot is the shard's own last accepted report,
-    /// so the tally must round-trip exactly.
+    /// so the tally must round-trip exactly. The verified tally is the
+    /// new report baseline.
     fn rejoin(&mut self, body: &[(u32, u64)], undecided: u64) {
         let local_n = self.opinions.len();
         self.opinions.clear();
@@ -360,22 +368,8 @@ impl ShardState for Agents {
         }
         self.opinions.extend(std::iter::repeat_n(Opinion::UNDECIDED, undecided as usize));
         assert_eq!(self.opinions.len(), local_n, "snapshot mass must match the shard size");
-        self.touched.clear();
-        let recount_undecided = count_opinions(&self.opinions, &mut self.counts, &mut self.touched);
-        assert_eq!(recount_undecided, undecided, "rejoin recount: undecided mismatch");
-        assert_eq!(self.touched.len(), body.len(), "rejoin recount: occupancy mismatch");
-        for &(slot, count) in body {
-            assert_eq!(self.counts[slot as usize], count, "rejoin recount: slot {slot} mismatch");
-        }
-        self.clear_tally();
-        // The verified tally is the new report baseline.
-        self.distinct = body.len();
-        self.undecided = undecided;
         self.log.moves.clear();
-        if self.log.on {
-            // Re-baseline the delta tracking against the rejoined state.
-            self.prev_counts.fill(0);
-            self.baseline();
-        }
+        self.prev_counts.fill(0);
+        self.baseline(Some((body, undecided)));
     }
 }

@@ -87,7 +87,7 @@ fn cluster_matches_vector_engine_from_singleton_start() {
 fn native_multiset_consumption_matches_vector_engine() {
     // `ClusterConfig::new` runs 3-Majority on condensed shards: the
     // pooled palettes go through one mega-block window step in the pull
-    // gear (flat dealing while diverse) and one closed-form
+    // gear (per-ball dealing while diverse) and one closed-form
     // `Mult(local_n, α)` in the push gear — an exact aggregation of
     // Uniform Pull, so the consensus-time law must match the exact
     // one-step law's.
@@ -115,7 +115,7 @@ fn native_single_peer_consumption_matches_vector_engine() {
 fn native_undecided_consumption_matches_per_node_engine() {
     // The undecided dynamics is the h = 1 multiset rule. On the
     // condensed shards `ClusterConfig::new` runs, its pull rounds deal
-    // per-group blocks (flat dealing while diverse) and its push rounds
+    // per-group blocks (per-ball dealing while diverse) and its push rounds
     // take binomial splits, including the all-UNDECIDED rounds where
     // the window carries the UNDECIDED pseudo-opinion — pin the whole
     // lifecycle's law against the literal per-node engine (the rule

@@ -150,7 +150,7 @@ fn condensed_matches_agents_undecided_dynamics() {
 // The grouped condensed pull gear, pinned in law: with the data gear
 // forced to pull on *both* representations, every round of the
 // condensed run flows through the grouped consume (per-opinion
-// hypergeometric blocks / flat dealing / pooled tally) while the agent
+// hypergeometric blocks / per-ball dealing / pooled tally) while the agent
 // run walks its nodes — the two must agree in distribution. One test
 // per consume dispatch arm.
 // ---------------------------------------------------------------------
@@ -192,10 +192,9 @@ fn forced_pull_grouped_matches_agents_two_median() {
     // exact pool (`d` ≈ 100 categories) times its 100 groups outnumbers
     // the `local_n · h` balls, so it takes the same per-ball dealing
     // once the tally has fixed `d`.
-    for (start, trials, seed) in [
-        (Configuration::singletons(96), 48, 12300),
-        (Configuration::uniform(4000, 100), 24, 12350),
-    ] {
+    for (start, trials, seed) in
+        [(Configuration::singletons(96), 48, 12300), (Configuration::uniform(4000, 100), 24, 12350)]
+    {
         let condensed = times_with_repr_gear(
             TwoMedian,
             &start,
