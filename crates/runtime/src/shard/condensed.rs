@@ -202,14 +202,21 @@ impl Condensed {
         condensed
     }
 
-    /// Splits the histogram into the walk samplers' slots and weights.
-    fn fill_walk(&mut self) {
+    /// Appends to `out` the [`walk_palette`] of `draws` over the pairs.
+    fn walk(
+        &mut self,
+        draws: impl IntoIterator<Item = u64>,
+        rng: &mut Pcg64,
+        out: &mut PaletteBuffers,
+    ) {
         self.walk_slots.clear();
         self.walk_theta.clear();
         for &(i, c) in &self.hist_pairs {
             self.walk_slots.push(i);
             self.walk_theta.push(c as f64);
         }
+        let (slots, theta, counts) = (&self.walk_slots, &self.walk_theta, &mut self.serve_counts);
+        walk_palette(draws, self.hist_undecided, self.local_n, slots, theta, rng, counts, out);
     }
 
     /// Rebuilds the own-opinion groups from the histogram: `(opinion,
@@ -510,17 +517,7 @@ impl ShardState for Condensed {
         let local_n = self.local_n;
         let total: u64 = runs.iter().map(|r| r.count).sum();
         if walk {
-            self.fill_walk();
-            walk_palette(
-                runs.iter().map(|r| r.count),
-                self.hist_undecided,
-                local_n,
-                &self.walk_slots,
-                &self.walk_theta,
-                rng,
-                &mut self.serve_counts,
-                out,
-            );
+            self.walk(runs.iter().map(|r| r.count), rng, out);
         } else if total > 0 {
             if !self.serve_flat_fresh {
                 self.serve_flat.clear();
@@ -549,10 +546,7 @@ impl ShardState for Condensed {
     /// The walk law on the round stream, emitted runs-encoded.
     fn compensate(&mut self, m: u64, rng: &mut Pcg64, out: &mut PaletteBuffers) {
         if m > 0 {
-            self.fill_walk();
-            let (slots, theta) = (&self.walk_slots, &self.walk_theta);
-            let counts = &mut self.serve_counts;
-            walk_palette([m], self.hist_undecided, self.local_n, slots, theta, rng, counts, out);
+            self.walk([m], rng, out);
         }
     }
 
