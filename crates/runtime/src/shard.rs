@@ -19,12 +19,12 @@
 //!
 //! In the push gear every shard broadcasts its histogram sorted by
 //! slot, undecided mass last, so the union is one merge of sorted runs
-//! ([`merge_palettes`]) on every shard, whatever its representation.
+//! (`merge_palettes`) on every shard, whatever its representation.
 //!
 //! A shard's nodes live behind one crate-private trait,
-//! [`ShardState`], with two implementations picked once by
-//! [`run_shard`] from the [`ShardInit`] variant (the worker is
-//! monomorphized over it, `Worker<R, T, S>`). [`Worker`] keeps what
+//! `ShardState`, with two implementations picked once by
+//! `run_shard` from the `ShardInit` variant (the worker is
+//! monomorphized over it, `Worker<R, T, S>`). `Worker` keeps what
 //! both share: the exchange of both gears, the fault plan's
 //! interceptions, the push union and the report framing.
 //!
