@@ -370,37 +370,6 @@ fn merge_two(
     }
 }
 
-/// Tallies the present palettes into the dense `counts` scratch (zero
-/// outside `touched`) origin by origin, recording first-touched slots,
-/// and returns the undecided mass. A palette without runs is raw: one
-/// draw per entry.
-fn tally_palettes(
-    palettes: &[Option<PaletteBuffers>],
-    counts: &mut [u64],
-    touched: &mut Vec<u32>,
-) -> u64 {
-    let mut undecided = 0u64;
-    let mut tally = |o: Opinion, c: u64| {
-        if o.is_undecided() {
-            undecided += c;
-        } else {
-            let i = o.index();
-            if counts[i] == 0 {
-                touched.push(i as u32);
-            }
-            counts[i] += c;
-        }
-    };
-    for (palette, runs) in palettes.iter().flatten() {
-        if runs.is_empty() {
-            palette.iter().for_each(|&o| tally(o, 1));
-        } else {
-            runs.iter().for_each(|&(pi, c)| tally(palette[pi as usize], c));
-        }
-    }
-    undecided
-}
-
 /// Appends to `out` a histogram palette of uniform reads of a shard of
 /// `local_n` nodes whose decided counts are `theta` over `slots`, plus
 /// `undecided` undecided nodes: per entry of `draws` a binomial

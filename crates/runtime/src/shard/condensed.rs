@@ -8,7 +8,7 @@ use symbreak_core::{Opinion, SampleAccess, UpdateRule};
 use symbreak_sim::dist::{sample_multinomial_into, GroupSplitter};
 use symbreak_sim::rng::Pcg64;
 
-use super::{tally_palettes, walk_palette, PaletteBuffers, Palettes, ShardState};
+use super::{walk_palette, PaletteBuffers, Palettes, ShardState};
 use crate::message::{ReportBody, ReportFormat, TargetRun};
 
 /// Crossover between the aggregate condensed-pull paths (mega-block /
@@ -67,6 +67,37 @@ fn flat_key(o: Opinion) -> u32 {
     } else {
         o.index() as u32
     }
+}
+
+/// Tallies the present palettes into the dense `counts` scratch (zero
+/// outside `touched`) origin by origin, recording first-touched slots,
+/// and returns the undecided mass. A palette without runs is raw: one
+/// draw per entry.
+fn tally_palettes(
+    palettes: &[Option<PaletteBuffers>],
+    counts: &mut [u64],
+    touched: &mut Vec<u32>,
+) -> u64 {
+    let mut undecided = 0u64;
+    let mut tally = |o: Opinion, c: u64| {
+        if o.is_undecided() {
+            undecided += c;
+        } else {
+            let i = o.index();
+            if counts[i] == 0 {
+                touched.push(i as u32);
+            }
+            counts[i] += c;
+        }
+    };
+    for (palette, runs) in palettes.iter().flatten() {
+        if runs.is_empty() {
+            palette.iter().for_each(|&o| tally(o, 1));
+        } else {
+            runs.iter().for_each(|&(pi, c)| tally(palette[pi as usize], c));
+        }
+    }
+    undecided
 }
 
 /// Visits the signed per-slot changes from `prev` to `cur` (both
