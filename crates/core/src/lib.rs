@@ -57,7 +57,7 @@ pub mod run;
 pub mod theory;
 
 pub use config::Configuration;
-pub use engine::{AgentEngine, Engine, SamplingMode, VectorEngine};
+pub use engine::{AgentEngine, Engine, VectorEngine};
 pub use opinion::Opinion;
 pub use process::{
     condensed_window_step_by_dealing, AcProcess, ExpectedUpdate, MultisetRule, SampleAccess,

@@ -35,13 +35,13 @@ pub trait AcProcess {
 }
 
 /// What a rule actually reads of its per-round sample window — the
-/// sample-consumption taxonomy the engine stack dispatches on.
+/// sample-consumption taxonomy the runtime's shard workers dispatch on.
 ///
 /// `UpdateRule::update` hands every rule an *ordered* window, but most
 /// rules consume strictly less, and every layer that materializes,
 /// ships, or deals individual sample draws for them is doing wasted
 /// per-draw work. The classification is a **contract**, not a hint:
-/// engines are free to (and do) deliver the declared access form
+/// the shard workers are free to (and do) deliver the declared access form
 /// through samplers that never materialize the window, so a rule that
 /// over-declares would silently change the process law.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -87,7 +87,7 @@ pub trait UpdateRule {
     /// How this rule consumes its window — see [`SampleAccess`].
     ///
     /// Rules declaring [`SampleAccess::Multiset`] must also override
-    /// [`UpdateRule::as_multiset`]; the engines assert the pairing.
+    /// [`UpdateRule::as_multiset`]; the shard workers assert the pairing.
     fn sample_access(&self) -> SampleAccess {
         SampleAccess::OrderedWindow
     }

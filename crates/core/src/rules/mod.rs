@@ -2,8 +2,8 @@
 //!
 //! The `Access` column is the sample-consumption taxonomy
 //! ([`crate::process::SampleAccess`]): what each rule actually reads of
-//! its window, which is what the engines and the cluster wire path
-//! dispatch on.
+//! its window, which is what the cluster wire path dispatches on
+//! ([`crate::AgentEngine`] runs every rule literally).
 //!
 //! | Process | AC? | Samples | Access | Reference |
 //! |---------|-----|---------|--------|-----------|

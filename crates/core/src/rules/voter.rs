@@ -38,7 +38,7 @@ impl UpdateRule for Voter {
     }
 
     /// Voter is *the* single-peer rule: the next opinion **is** the one
-    /// drawn sample, so engines and the shard wire path may skip sample
+    /// drawn sample, so the shard wire path may skip sample
     /// materialization entirely.
     fn sample_access(&self) -> SampleAccess {
         SampleAccess::SinglePeer

@@ -9,8 +9,7 @@
 
 use symbreak_core::rules::{ThreeMajority, TwoMedian, UndecidedDynamics, Voter};
 use symbreak_core::{
-    run_to_consensus, AgentEngine, Configuration, RunOptions, SamplingMode, UpdateRule,
-    VectorEngine, VectorStep,
+    run_to_consensus, AgentEngine, Configuration, RunOptions, UpdateRule, VectorEngine, VectorStep,
 };
 use symbreak_runtime::{Cluster, ClusterConfig};
 use symbreak_sim::run_trials;
@@ -124,7 +123,7 @@ fn native_undecided_consumption_matches_per_node_engine() {
     let trials = 48;
     let cluster = cluster_times(UndecidedDynamics, &start, trials, 9100);
     let engine = run_trials(trials, 9200, move |_t, s| {
-        let mut e = AgentEngine::with_sampling(UndecidedDynamics, &start, s, SamplingMode::PerNode);
+        let mut e = AgentEngine::new(UndecidedDynamics, &start, s);
         run_to_consensus(&mut e, &RunOptions { max_rounds: u64::MAX, record_trace: false })
             .consensus_round
             .expect("consensus")

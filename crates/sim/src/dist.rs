@@ -9,9 +9,9 @@
 //!   allocation-free for hot loops. [`sample_multinomial_sparse_into`]
 //!   walks an occupied-slot list instead of the dense vector, which is
 //!   what keeps singleton-start vector rounds at `O(#surviving colors)`.
-//! * [`Categorical`] — Vose's alias method: `O(k)` build, `O(1)` draw.
-//!   This is what the agent engine rebuilds once per round to sample
-//!   opinions instead of nodes.
+//! * [`Categorical`] — Vose's alias method: `O(k)` build, `O(1)` draw,
+//!   and an allocation-free [`Categorical::rebuild`] for tables redrawn
+//!   every round.
 //! * [`sample_multinomial_tally_into`] — the "ball-drop" multinomial
 //!   form: `n` alias draws tallied. Same law as the conditional-binomial
 //!   walk, inverted cost profile — this is what keeps the `k = n`
@@ -22,7 +22,6 @@
 //!   walk, then each total split uniformly over its class. 3-Majority's
 //!   `α` depends on a color only through its support, so a many-color
 //!   round has few classes.
-//! * [`Geometric`] — inversion.
 //! * [`Hypergeometric`] — inversion from the support's lower bound for
 //!   the small draw counts of per-node sample windows, switching to a
 //!   mode-centered two-sided inversion when the edge pmf underflows
@@ -50,8 +49,8 @@
 //! # Example
 //!
 //! One synchronous round of an anonymous process, drawn two ways — the
-//! vectorized multinomial (how `VectorEngine` steps) and per-node alias
-//! draws (how `AgentEngine` samples) — from the same support counts:
+//! vectorized multinomial (how `VectorEngine` steps) and one alias draw
+//! per pull — from the same support counts:
 //!
 //! ```
 //! use rand::SeedableRng;
@@ -74,7 +73,9 @@
 use rand::{Rng, RngCore};
 
 /// `n·min(p, 1−p)` boundary between the inversion and BTRS regimes.
-/// `benches/ablation.rs` probes both sides of this threshold.
+/// `binomial_inversion_regime_matches_exact_pmf` and
+/// `binomial_btrs_boundary_matches_exact_pmf` in `tests/gof.rs` probe
+/// both sides of this threshold.
 const BTRS_THRESHOLD: f64 = 10.0;
 
 #[inline]
@@ -935,8 +936,7 @@ impl Categorical {
     /// (exactly uniform); the low 64 bits of the same widening product,
     /// which conditioned on the column are uniform on a grid finer than
     /// f64 resolution, drive the accept/alias threshold. One RNG call
-    /// per draw keeps the serial generator dependency off the hot path —
-    /// this is what the agent engine leans on for `n·h` draws per round.
+    /// per draw keeps the serial generator dependency off the hot path.
     #[inline]
     pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> usize {
         let k = self.table.len() as u64;
@@ -956,53 +956,6 @@ impl Categorical {
             let (p, a) = self.table[i];
             let mask = ((frac < p) as usize).wrapping_neg();
             return (i & mask) | (a as usize & !mask);
-        }
-    }
-}
-
-/// The geometric distribution: number of failures before the first
-/// success with per-trial success probability `p`.
-///
-/// # Example
-/// ```
-/// use rand::SeedableRng;
-/// use symbreak_sim::dist::Geometric;
-/// use symbreak_sim::rng::Pcg64;
-///
-/// let mut rng = Pcg64::seed_from_u64(13);
-/// assert_eq!(Geometric::new(1.0).sample(&mut rng), 0); // p = 1: success first try
-/// let mean = (0..2_000).map(|_| Geometric::new(0.25).sample(&mut rng)).sum::<u64>() as f64
-///     / 2_000.0;
-/// assert!((mean - 3.0).abs() < 0.5, "E = (1-p)/p = 3, got {mean}");
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct Geometric {
-    /// `ln(1 − p)` (`-inf` when `p = 1`).
-    ln_q: f64,
-}
-
-impl Geometric {
-    /// Creates a sampler with success probability `p ∈ (0, 1]`.
-    ///
-    /// # Panics
-    /// Panics unless `0 < p ≤ 1`.
-    pub fn new(p: f64) -> Self {
-        assert!(p.is_finite() && p > 0.0 && p <= 1.0, "geometric p = {p} out of (0, 1]");
-        Self { ln_q: (-p).ln_1p() }
-    }
-
-    /// Draws one value (0 when `p = 1`).
-    pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> u64 {
-        if self.ln_q == f64::NEG_INFINITY {
-            return 0;
-        }
-        // Inversion: ⌊ln(1−U)/ln(1−p)⌋ with 1−U ∈ (0, 1].
-        let u = unit_f64(rng);
-        let x = (-u).ln_1p() / self.ln_q;
-        if x >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            x as u64
         }
     }
 }
@@ -1735,52 +1688,14 @@ impl FenwickPool {
     }
 }
 
-/// Expected number of categories a size-`h` window walk visits, for
-/// weights in **decreasing** order: `Σ_j (1 − (cum_{<j}/total)^h)` —
-/// category `j` is visited iff not all `h` draws landed before it.
-///
-/// This is the agent engine's dispatch statistic for the
-/// [`WindowMultinomial`] walk: a walk pays roughly one conditional draw
-/// per *visited* category, versus `h` draws per window on a per-draw
-/// path, so the walk wins when this expectation sits below `h`.
-/// `O(d)`; returns `d` when the weights sum to zero.
-///
-/// # Example
-/// ```
-/// use symbreak_sim::dist::expected_window_visits;
-///
-/// // Concentrated: nearly every window resolves on the first category.
-/// assert!(expected_window_visits(&[0.98, 0.01, 0.01], 3) < 1.2);
-/// // Uniform: a window of 3 scatters across most of the categories.
-/// assert!(expected_window_visits(&[1.0; 8], 3) > 4.0);
-/// ```
-pub fn expected_window_visits(weights_desc: &[f64], h: usize) -> f64 {
-    let total: f64 = weights_desc.iter().sum();
-    if total <= 0.0 {
-        return weights_desc.len() as f64;
-    }
-    let mut visits = 0.0;
-    let mut cum = 0.0;
-    for &w in weights_desc {
-        visits += 1.0 - (cum / total).powi(h as i32);
-        cum += w;
-    }
-    visits
-}
-
-/// Category cap above which the agent engine's window dispatch skips
-/// even computing the visit statistic: the qualifying decreasing-weight
-/// sort would cost more than the round saves at singleton-start
-/// occupancies.
-pub const WALK_CANDIDATE_CAP: usize = 512;
-
 /// I.i.d. fixed-size multinomial windows `Mult(h, θ)`, with the
 /// conditional-binomial walk's per-category samplers built **once** and
 /// reused across windows.
 ///
 /// This is the with-replacement sibling of [`WindowSplitter`], for
-/// engines whose per-node windows are independent (Uniform Pull samples
-/// with replacement): the walk at category `j` with `r` trials left
+/// per-node windows that are independent (Uniform Pull samples with
+/// replacement); the default condensed push step of a multiset rule
+/// draws its windows from one. The walk at category `j` with `r` trials left
 /// always draws from the same `Bin(r, θ_j / Σ_{i≥j} θ_i)`, so all
 /// `d·h` binomial samplers are precomputed and a window costs only the
 /// categories actually visited — ~one cached draw per window once the
@@ -2040,20 +1955,6 @@ mod tests {
             let freq = counts[i] as f64 / trials as f64;
             let expect = weights[i] / 10.0;
             assert!((freq - expect).abs() < 0.01, "cat {i}: {freq} vs {expect}");
-        }
-    }
-
-    #[test]
-    fn geometric_mean_matches_q_over_p() {
-        let mut rng = Pcg64::seed_from_u64(7);
-        for &p in &[0.05f64, 0.3, 0.9, 1.0] {
-            let g = Geometric::new(p);
-            let trials = 50_000;
-            let sum: u64 = (0..trials).map(|_| g.sample(&mut rng)).sum();
-            let mean = sum as f64 / trials as f64;
-            let expect = (1.0 - p) / p;
-            let sd = ((1.0 - p) / (p * p) / trials as f64).sqrt();
-            assert!((mean - expect).abs() < 6.0 * sd + 1e-3, "p={p}: {mean} vs {expect}");
         }
     }
 

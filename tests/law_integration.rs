@@ -1,10 +1,12 @@
 //! One-step-law integration (Equation (2) / footnote 2): agent engines,
-//! vector engines, analytic process functions and expectations all agree.
+//! vector engines, analytic process functions and expectations all agree,
+//! and both engines realize an exact consensus-time law.
 
 use rand::SeedableRng;
 use symbreak::core::dominance::random_configuration;
 use symbreak::core::rules::alpha_three_majority;
 use symbreak::prelude::*;
+use symbreak::stats::chi_square_gof;
 use symbreak::stats::ecdf::ks_threshold;
 
 #[test]
@@ -80,5 +82,75 @@ fn rational_and_float_alpha_agree_for_h4() {
     let exact = alpha_h_majority_exact(&x, 4);
     for (f, e) in float.iter().zip(&exact) {
         assert!((f - e.to_f64()).abs() < 1e-12);
+    }
+}
+
+/// Trials per engine arm of the exact consensus-time checks.
+const GEOM_TRIALS: u64 = 20_000;
+
+/// Histogram bins of the consensus round `T ≥ 1`; bin `i` counts `T = i + 1`
+/// and the last bin lumps the tail.
+const GEOM_BINS: usize = 40;
+
+/// Histogram of the consensus round over [`GEOM_TRIALS`] runs of `engine`.
+fn consensus_round_histogram<E: Engine>(seed: u64, engine: impl Fn(u64) -> E + Sync) -> Vec<u64> {
+    let rounds = run_trials(GEOM_TRIALS, seed, |_t, s| {
+        let mut e = engine(s);
+        while !e.is_consensus() {
+            e.step();
+        }
+        e.round()
+    });
+    let mut hist = vec![0u64; GEOM_BINS];
+    for t in rounds {
+        assert!(t >= 1, "the start is not a consensus");
+        hist[(t as usize).min(GEOM_BINS) - 1] += 1;
+    }
+    hist
+}
+
+/// Chi-square (5σ) of a consensus-round histogram against `Geom(p)` on
+/// `1, 2, …`.
+fn is_geometric(hist: &[u64], p: f64) -> bool {
+    let trials = hist.iter().sum::<u64>() as f64;
+    let mut expected: Vec<f64> =
+        (0..GEOM_BINS - 1).map(|i| p * (1.0 - p).powi(i as i32) * trials).collect();
+    expected.push((1.0 - p).powi(GEOM_BINS as i32 - 1) * trials);
+    chi_square_gof(hist, &expected, 5.0).within_sigma(5.0)
+}
+
+/// The consensus-round histograms of the agent and the vector engine from
+/// two singletons.
+fn two_singleton_histograms<R>(rule: R, seed: u64) -> [Vec<u64>; 2]
+where
+    R: UpdateRule + VectorStep + Clone + Sync,
+{
+    let start = Configuration::singletons(2);
+    [
+        consensus_round_histogram(seed, |s| AgentEngine::new(rule.clone(), &start, s)),
+        consensus_round_histogram(seed + 1, |s| VectorEngine::new(rule.clone(), start.clone(), s)),
+    ]
+}
+
+#[test]
+fn consensus_time_from_two_singletons_is_exactly_geometric() {
+    // n = 2, one node per color: a round ends in consensus exactly when
+    // both nodes come out on one color. Voter and 3-Majority each adopt
+    // a uniform color, so p = 1/2. A 2-Choices node flips only when both
+    // its samples show the other color (1/4), so exactly one node flips
+    // with p = 2·(1/4)·(3/4) = 3/8, and E[T] = 8/3. Each histogram must
+    // also reject the other rule's law, or the check has no power.
+    for (name, histograms, p, wrong_p) in [
+        ("Voter", two_singleton_histograms(Voter, 11), 0.5, 3.0 / 8.0),
+        ("3-Majority", two_singleton_histograms(ThreeMajority, 21), 0.5, 3.0 / 8.0),
+        ("2-Choices", two_singleton_histograms(TwoChoices, 31), 3.0 / 8.0, 0.5),
+    ] {
+        for (engine, hist) in ["agent", "vector"].into_iter().zip(&histograms) {
+            assert!(is_geometric(hist, p), "{name} {engine} engine: T is not Geom({p}): {hist:?}");
+            assert!(
+                !is_geometric(hist, wrong_p),
+                "{name} {engine} engine: Geom({wrong_p}) accepted"
+            );
+        }
     }
 }
