@@ -4,11 +4,14 @@
 //! [`AgentEngine`] is the literal Uniform Pull model, the oracle every
 //! shortcut is checked against; here it is checked in turn against
 //! [`VectorEngine`], one draw from `Mult(n, α(c))`. The checks compare
-//! one-round means over many trials for 3-Majority, h-Majority, Voter and
-//! 2-Choices, from concentrated, near-uniform, singleton and absorbed
-//! starts, and full consensus-time means for Voter.
+//! one-round means over many trials for 3-Majority, its 2-Choices-plus-Voter
+//! reformulation, h-Majority, Voter, lazy Voter and 2-Choices, from
+//! concentrated, near-uniform, singleton and absorbed starts, and full
+//! consensus-time means for Voter.
 
-use symbreak_core::rules::{HMajority, ThreeMajority, TwoChoices, Voter};
+use symbreak_core::rules::{
+    HMajority, LazyVoter, ThreeMajority, ThreeMajorityAlt, TwoChoices, Voter,
+};
 use symbreak_core::{AgentEngine, Configuration, Engine, UpdateRule, VectorEngine, VectorStep};
 
 /// Mean per-color supports after one round of `engine(seed + t)` over
@@ -75,6 +78,23 @@ fn voter_agent_matches_vector() {
 fn two_choices_agent_matches_vector() {
     crossval(TwoChoices, Configuration::from_counts(vec![70, 20, 10]), 4_000, 300);
     crossval(TwoChoices, Configuration::from_counts(vec![15, 14, 16, 15]), 4_000, 30_000);
+}
+
+#[test]
+fn lazy_voter_agent_matches_vector() {
+    // Not an AC-process: a sleeping node keeps its own opinion, so the
+    // vector step is its own wake-up-then-redistribute decomposition.
+    crossval(LazyVoter::half(), Configuration::from_counts(vec![50, 30, 20]), 4_000, 110_000);
+    crossval(LazyVoter::half(), Configuration::from_counts(vec![9, 11, 10, 12, 8]), 4_000, 120_000);
+}
+
+#[test]
+fn three_majority_alt_agent_matches_vector() {
+    // The agent rule is 2-Choices with a Voter fallback; its vector step
+    // is 3-Majority's `Mult(n, α)`, so this pins the paper's claim that
+    // the two are the same process.
+    crossval(ThreeMajorityAlt, Configuration::from_counts(vec![45, 35, 20]), 4_000, 130_000);
+    crossval(ThreeMajorityAlt, Configuration::from_counts(vec![16, 14, 15, 15]), 4_000, 140_000);
 }
 
 #[test]
