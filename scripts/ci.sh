@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CI pipeline: line counts, lint, tier-1 verify, benchmark crate smoke,
-# experiment smoke.
+# CI pipeline: line counts, unreferenced public items, lint, tier-1
+# verify, benchmark crate smoke, experiment smoke.
 # Performance is measured by perfbench/ (`python3 perfbench/run.py`), not here.
 #
 # Usage: scripts/ci.sh
@@ -10,6 +10,9 @@ cd "$(dirname "$0")/.."
 
 echo "==> info: non-test line counts per file and crate (no gate)"
 python3 scripts/loc.py
+
+echo "==> info: public items no other file names (no gate)"
+python3 scripts/unused_pub.py
 
 echo "==> lint: cargo fmt --check"
 cargo fmt --all --check
