@@ -106,14 +106,6 @@ pub enum HeadlineRule {
 }
 
 impl VectorStep for HeadlineRule {
-    fn vector_step(&self, c: &Configuration, rng: &mut dyn rand::RngCore) -> Configuration {
-        match self {
-            HeadlineRule::Voter => Voter.vector_step(c, rng),
-            HeadlineRule::TwoChoices => TwoChoices.vector_step(c, rng),
-            HeadlineRule::ThreeMajority => ThreeMajority.vector_step(c, rng),
-        }
-    }
-
     fn vector_step_into(&self, c: &mut Configuration, rng: &mut dyn rand::RngCore) {
         match self {
             HeadlineRule::Voter => Voter.vector_step_into(c, rng),

@@ -85,30 +85,6 @@ impl Configuration {
         cfg
     }
 
-    /// Creates a configuration over `num_slots` slots from sparse
-    /// `(slot, count)` pairs, in `O(num_slots + #pairs)` without an
-    /// intermediate dense vector at the call site. Pairs may repeat a
-    /// slot (they accumulate) and zero counts are skipped — the
-    /// histogram-backed shard representation seeds its local state
-    /// through this from a coordinator snapshot body.
-    ///
-    /// # Panics
-    /// Panics if `num_slots` is zero or a pair names a slot at or
-    /// beyond it.
-    pub fn from_sparse(num_slots: usize, pairs: &[(u32, u64)]) -> Self {
-        assert!(num_slots >= 1, "configuration needs at least one color slot");
-        let mut cfg = Self {
-            counts: vec![0; num_slots],
-            n: 0,
-            occupied: Vec::new(),
-            sum_sq: 0,
-            max_support: 0,
-            second_support: 0,
-        };
-        cfg.rebuild_sparse(std::iter::once(pairs));
-        cfg
-    }
-
     /// The consensus configuration: all `n` nodes on one color (slot 0 of
     /// `k` slots).
     pub fn consensus(n: u64, k: usize) -> Self {
@@ -1032,19 +1008,6 @@ mod tests {
         assert_eq!(c.n(), 7);
         assert_eq!(c.max_support(), 4);
         assert_caches_match_recount(&c);
-    }
-
-    #[test]
-    fn from_sparse_matches_dense_construction() {
-        let c = Configuration::from_sparse(5, &[(1, 3), (4, 2), (1, 1), (2, 0)]);
-        assert_eq!(c, Configuration::from_counts(vec![0, 4, 0, 0, 2]));
-        assert_eq!(c.occupied(), &[1, 4]);
-        assert_eq!(c.n(), 6);
-        assert_caches_match_recount(&c);
-        // Empty pair list: a valid all-zero configuration.
-        let empty = Configuration::from_sparse(3, &[]);
-        assert_eq!(empty.n(), 0);
-        assert_eq!(empty.num_colors(), 0);
     }
 
     #[test]

@@ -201,15 +201,15 @@ pub trait MultisetRule: UpdateRule {
     /// tally.
     ///
     /// Must agree **in law** with dealing `block` into `count` uniform
-    /// without-replacement `h`-windows ([`WindowSplitter`]'s
-    /// multivariate-hypergeometric law) and applying
+    /// without-replacement `h`-windows (one [`GroupSplitter`] block of
+    /// `h` per window, the multivariate-hypergeometric law) and applying
     /// [`MultisetRule::update_from_counts`] per window — the default
     /// realizes exactly that, one window at a time. Rules with an exact
     /// aggregate law override it to run in `O(#values)`-ish instead of
     /// `O(count · h)`, which is what makes condensed pull rounds as
     /// cheap as push rounds.
     ///
-    /// [`WindowSplitter`]: symbreak_sim::dist::WindowSplitter
+    /// [`GroupSplitter`]: symbreak_sim::dist::GroupSplitter
     fn condensed_window_step(
         &self,
         own: Opinion,
@@ -245,11 +245,11 @@ pub fn condensed_window_step_by_dealing<M: MultisetRule + ?Sized>(
     }
     let h = rule.sample_count() as u64;
     debug_assert_eq!(block.iter().sum::<u64>(), count * h, "block mass must be count·h");
-    let mut splitter = symbreak_sim::dist::WindowSplitter::new(block);
+    let mut splitter = symbreak_sim::dist::GroupSplitter::new(block);
     let mut window: Vec<(Opinion, u32)> = Vec::with_capacity(h as usize);
     for _ in 0..count {
         window.clear();
-        splitter.draw_window(h, rng, |j, x| window.push((values[j], x as u32)));
+        splitter.draw_block(h, rng, |j, x| window.push((values[j], x as u32)));
         let next = rule.update_from_counts(own, &window, rng);
         match out.iter_mut().find(|e| e.0 == next) {
             Some(e) => e.1 += 1,
@@ -302,24 +302,25 @@ impl<P: AcProcess> ExpectedUpdate for P {
 /// For AC-processes this is `Mult(n, α(c))`; 2-Choices and the undecided
 /// dynamics have bespoke decompositions. The vector step must be
 /// distributionally identical to one synchronous agent-level round — the
-/// test-suite cross-validates this (Experiment E7).
+/// test-suite cross-validates this against the literal [`AgentEngine`]
+/// (Experiment E7).
 ///
-/// [`VectorStep::vector_step`] allocates a fresh configuration per round
-/// (`O(k)` over all slots); [`VectorStep::vector_step_into`] advances a
-/// configuration in place, and the rules in this crate override it with
-/// allocation-free `O(#occupied)` samplers — with identical draws for the
-/// same RNG state, which the sparse-equivalence tests pin down.
+/// [`VectorStep::vector_step_into`] is the one sampler: it advances a
+/// configuration in place, and the rules in this crate implement it with
+/// allocation-free `O(#occupied)` draws. [`VectorStep::vector_step`] is
+/// the same draw on a copy.
+///
+/// [`AgentEngine`]: crate::engine::AgentEngine
 pub trait VectorStep {
-    /// Samples the next configuration from `c`.
-    fn vector_step(&self, c: &Configuration, rng: &mut dyn RngCore) -> Configuration;
-
     /// Advances `c` to the next configuration in place.
-    ///
-    /// The default shim routes through the allocating
-    /// [`VectorStep::vector_step`]; implementations override it to step
-    /// without touching empty slots or the allocator.
-    fn vector_step_into(&self, c: &mut Configuration, rng: &mut dyn RngCore) {
-        *c = self.vector_step(c, rng);
+    fn vector_step_into(&self, c: &mut Configuration, rng: &mut dyn RngCore);
+
+    /// Samples the next configuration from `c`: a clone advanced by
+    /// [`VectorStep::vector_step_into`].
+    fn vector_step(&self, c: &Configuration, rng: &mut dyn RngCore) -> Configuration {
+        let mut next = c.clone();
+        self.vector_step_into(&mut next, rng);
+        next
     }
 }
 
@@ -402,8 +403,7 @@ pub(crate) const BALL_DROP_FACTOR: u64 = 8;
 
 /// Whether the ball-drop form wins for `n` trials over `d` positive
 /// categories. Deterministic in round state, so dispatching on it keeps
-/// trajectories seed-reproducible — and the dense/sparse AC paths apply
-/// it to identical `(n, d)`, which keeps them seed-*exact*.
+/// trajectories seed-reproducible.
 pub(crate) fn ball_drop_wins(n: u64, d: usize) -> bool {
     n < BALL_DROP_FACTOR * d as u64
 }
@@ -415,9 +415,7 @@ pub(crate) fn ball_drop_wins(n: u64, d: usize) -> bool {
 /// when trials dominate the occupancy, the ball-drop tally otherwise
 /// ([`ball_drop_wins`]) — which is what keeps the `k = n` singleton
 /// start's early rounds from paying one binomial construction per
-/// occupied slot. Both forms are exactly `Mult(n, α)`; the dense
-/// [`ac_vector_step`] dispatches on the same predicate with the same
-/// table, so dense and sparse stay seed-exact.
+/// occupied slot. Both forms are exactly `Mult(n, α)`.
 pub(crate) fn ac_vector_step_into<P: AcProcess + ?Sized>(
     process: &P,
     c: &mut Configuration,
@@ -451,34 +449,6 @@ pub(crate) fn ac_vector_step_into<P: AcProcess + ?Sized>(
         }
     });
     debug_assert_eq!(c.n(), n, "AC step must preserve the population");
-}
-
-/// The dense sibling of [`ac_vector_step_into`]: allocates a fresh
-/// configuration, but dispatches between the same two draw forms on the
-/// same predicate — over the same occupied-slot weights — so the two
-/// paths consume the RNG identically and stay seed-exact (pinned by the
-/// sparse-equivalence proptests).
-pub(crate) fn ac_vector_step<P: AcProcess + ?Sized>(
-    process: &P,
-    c: &Configuration,
-    rng: &mut dyn RngCore,
-) -> Configuration {
-    let alpha = process.alpha(c);
-    let mut out = vec![0u64; alpha.len()];
-    if ball_drop_wins(c.n(), c.num_colors()) {
-        let weights: Vec<f64> = c.occupied().iter().map(|&i| alpha[i as usize]).collect();
-        let table = symbreak_sim::dist::Categorical::new(&weights);
-        symbreak_sim::dist::sample_multinomial_tally_into(
-            c.n(),
-            &table,
-            c.occupied(),
-            rng,
-            &mut out,
-        );
-    } else {
-        symbreak_sim::dist::sample_multinomial_into(c.n(), &alpha, rng, &mut out);
-    }
-    Configuration::from_counts(out)
 }
 
 /// Validates that `alpha` is a probability vector (panics otherwise).

@@ -17,8 +17,8 @@ use rand::{Rng, RngCore};
 use crate::config::Configuration;
 use crate::opinion::Opinion;
 use crate::process::{
-    ac_vector_step, ac_vector_step_into, condensed_window_step_by_dealing, AcProcess, MultisetRule,
-    SampleAccess, UpdateRule, VectorStep,
+    ac_vector_step_into, condensed_window_step_by_dealing, AcProcess, MultisetRule, SampleAccess,
+    UpdateRule, VectorStep,
 };
 use crate::rules::three_majority::ThreeMajority;
 use symbreak_sim::dist::GroupSplitter;
@@ -221,10 +221,6 @@ impl AcProcess for HMajority {
 }
 
 impl VectorStep for HMajority {
-    fn vector_step(&self, c: &Configuration, rng: &mut dyn RngCore) -> Configuration {
-        ac_vector_step(self, c, rng)
-    }
-
     /// Sparse step via the shared AC sampler. The `α` enumeration itself
     /// still allocates one dense vector (its cost is `k^h`, so it is only
     /// run at small `k` anyway); the multinomial draw walks the occupied

@@ -12,7 +12,7 @@
 //! half-lazy consensus is only ≈ 4/3 slower, not 2× slower.
 //!
 //! Lazy Voter is *not* an AC-process — an inactive node keeps its own
-//! opinion — but like 2-Choices it has an exact `O(k)` one-step
+//! opinion — but like 2-Choices it has an exact `O(#occupied)` one-step
 //! decomposition.
 
 use rand::{Rng, RngCore};
@@ -20,7 +20,7 @@ use rand::{Rng, RngCore};
 use crate::config::Configuration;
 use crate::opinion::Opinion;
 use crate::process::{with_step_scratch, ExpectedUpdate, UpdateRule, VectorStep};
-use symbreak_sim::dist::{sample_multinomial_into, sample_multinomial_sparse_into, Binomial};
+use symbreak_sim::dist::{sample_multinomial_sparse_into, Binomial};
 
 /// Lazy Voter with per-round activation probability `p`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -75,30 +75,9 @@ impl ExpectedUpdate for LazyVoter {
 }
 
 impl VectorStep for LazyVoter {
-    /// Per color `j`: `Bin(c_j, p)` nodes wake up and redistribute
-    /// multinomially over `c/n`; sleepers stay.
-    fn vector_step(&self, c: &Configuration, rng: &mut dyn RngCore) -> Configuration {
-        let k = c.num_slots();
-        let mut next = Vec::with_capacity(k);
-        let mut awake = 0u64;
-        for &cj in c.counts() {
-            let w = Binomial::new(cj, self.p).sample(rng);
-            awake += w;
-            next.push(cj - w);
-        }
-        if awake > 0 {
-            let theta = c.fractions();
-            let mut gained = vec![0u64; k];
-            sample_multinomial_into(awake, &theta, rng, &mut gained);
-            for (n, g) in next.iter_mut().zip(&gained) {
-                *n += g;
-            }
-        }
-        Configuration::from_counts(next)
-    }
-
-    /// Allocation-free sparse step: wake-up binomials and the Voter
-    /// redistribution walked over the occupied slots only.
+    /// Per occupied color `j`: `Bin(c_j, p)` nodes wake up and
+    /// redistribute multinomially over `c/n`; sleepers stay. Allocation
+    /// free, and no draw visits an empty slot.
     fn vector_step_into(&self, c: &mut Configuration, rng: &mut dyn RngCore) {
         let n = c.n();
         if n == 0 {

@@ -248,12 +248,6 @@ impl AcProcess for ThreeMajority {
 }
 
 impl VectorStep for ThreeMajority {
-    fn vector_step(&self, c: &Configuration, rng: &mut dyn RngCore) -> Configuration {
-        let mut next = c.clone();
-        self.vector_step_into(&mut next, rng);
-        next
-    }
-
     /// Allocation-free sparse step: `Mult(n, α)` drawn class by class.
     /// Equation (2)'s `α` depends on a color only through its support
     /// (`‖x‖₂²` is `O(1)` from the configuration cache), so the occupied
@@ -332,10 +326,6 @@ impl AcProcess for ThreeMajorityAlt {
 }
 
 impl VectorStep for ThreeMajorityAlt {
-    fn vector_step(&self, c: &Configuration, rng: &mut dyn RngCore) -> Configuration {
-        ThreeMajority.vector_step(c, rng)
-    }
-
     fn vector_step_into(&self, c: &mut Configuration, rng: &mut dyn RngCore) {
         ThreeMajority.vector_step_into(c, rng);
     }

@@ -12,7 +12,7 @@ use rand::RngCore;
 use crate::config::Configuration;
 use crate::opinion::Opinion;
 use crate::process::{with_step_scratch, ExpectedUpdate, UpdateRule, VectorStep};
-use symbreak_sim::dist::{sample_multinomial_into, sample_multinomial_sparse_into, Binomial};
+use symbreak_sim::dist::{sample_multinomial_sparse_into, Binomial};
 
 /// The 2-Choices update rule.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -53,40 +53,16 @@ impl ExpectedUpdate for TwoChoices {
 }
 
 impl VectorStep for TwoChoices {
-    /// `O(k)` exact one-step sampler.
+    /// Exact one-step sampler, `O(#occupied)` per round.
     ///
     /// Each node independently "matches" (its two samples agree on some
     /// color) with probability `S₂ = Σ x_i²`; conditioned on matching, the
     /// matched color is `i` with probability `x_i² / S₂` *independent of
-    /// the node's own color*. So: per color `j`, `m_j ∼ Bin(c_j, S₂)`
-    /// nodes abandon `j`; the pooled `Σ m_j` matchers redistribute
-    /// multinomially over the match distribution.
-    fn vector_step(&self, c: &Configuration, rng: &mut dyn RngCore) -> Configuration {
-        let x = c.fractions();
-        let s2 = c.l2_norm_sq();
-        let k = x.len();
-        let mut next: Vec<u64> = Vec::with_capacity(k);
-        let mut movers_total = 0u64;
-        for &cj in c.counts() {
-            let m = Binomial::new(cj, s2.clamp(0.0, 1.0)).sample(rng);
-            movers_total += m;
-            next.push(cj - m);
-        }
-        if movers_total > 0 {
-            // Match distribution q_i = x_i² / S₂.
-            let q: Vec<f64> = x.iter().map(|v| v * v / s2).collect();
-            let mut gained = vec![0u64; k];
-            sample_multinomial_into(movers_total, &q, rng, &mut gained);
-            for (n, g) in next.iter_mut().zip(&gained) {
-                *n += g;
-            }
-        }
-        Configuration::from_counts(next)
-    }
-
-    /// Allocation-free sparse step: the same decomposition walked over
-    /// the occupied slots only (`S₂` is `O(1)` from the configuration
-    /// cache), `O(#occupied)` per round.
+    /// the node's own color*. So: per occupied color `j`,
+    /// `m_j ∼ Bin(c_j, S₂)` nodes abandon `j`; the pooled `Σ m_j` matchers
+    /// redistribute multinomially over the match distribution. `S₂` is
+    /// `O(1)` from the configuration cache, and no draw visits an empty
+    /// slot.
     fn vector_step_into(&self, c: &mut Configuration, rng: &mut dyn RngCore) {
         let n = c.n();
         if n == 0 {

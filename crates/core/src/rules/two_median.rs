@@ -371,12 +371,6 @@ impl ExpectedUpdate for TwoMedian {
 }
 
 impl VectorStep for TwoMedian {
-    fn vector_step(&self, c: &Configuration, rng: &mut dyn RngCore) -> Configuration {
-        let mut next = c.clone();
-        self.vector_step_into(&mut next, rng);
-        next
-    }
-
     /// Exact sparse one-step sampler via the `scatter_two_median`
     /// cascades: every occupied value is its own group sitting exactly
     /// on the axis, so the whole round costs `O(#occupied)` binomial

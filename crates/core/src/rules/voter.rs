@@ -9,9 +9,7 @@ use rand::RngCore;
 
 use crate::config::Configuration;
 use crate::opinion::Opinion;
-use crate::process::{
-    ac_vector_step, ac_vector_step_into, AcProcess, SampleAccess, UpdateRule, VectorStep,
-};
+use crate::process::{ac_vector_step_into, AcProcess, SampleAccess, UpdateRule, VectorStep};
 
 /// The Voter update rule.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -58,10 +56,6 @@ impl AcProcess for Voter {
 }
 
 impl VectorStep for Voter {
-    fn vector_step(&self, c: &Configuration, rng: &mut dyn RngCore) -> Configuration {
-        ac_vector_step(self, c, rng)
-    }
-
     /// Allocation-free sparse step: `Mult(n, c/n)` over the occupied
     /// slots, `O(#occupied)` per round.
     fn vector_step_into(&self, c: &mut Configuration, rng: &mut dyn RngCore) {

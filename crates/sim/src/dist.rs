@@ -4,11 +4,11 @@
 //!
 //! * [`Binomial`] — inversion (BINV) when `n·min(p,q) < 10`, Hörmann's
 //!   BTRS transformed rejection above it; both exact.
-//! * [`Multinomial`] / [`sample_multinomial_into`] — `O(k)`
-//!   conditional-binomial decomposition; the `_into` form is
-//!   allocation-free for hot loops. [`sample_multinomial_sparse_into`]
-//!   walks an occupied-slot list instead of the dense vector, which is
-//!   what keeps singleton-start vector rounds at `O(#surviving colors)`.
+//! * [`sample_multinomial_into`] — `Mult(n, θ)` by the `O(k)`
+//!   conditional-binomial decomposition, allocation-free.
+//!   [`sample_multinomial_sparse_into`] walks an occupied-slot list
+//!   instead of the dense vector, which is what keeps singleton-start
+//!   vector rounds at `O(#surviving colors)`.
 //! * [`Categorical`] — Vose's alias method: `O(k)` build, `O(1)` draw,
 //!   and an allocation-free [`Categorical::rebuild`] for tables redrawn
 //!   every round.
@@ -26,21 +26,19 @@
 //!   the small draw counts of per-node sample windows, switching to a
 //!   mode-centered two-sided inversion when the edge pmf underflows
 //!   (bulk draws).
-//! * [`WindowSplitter`] / [`WindowMultinomial`] — per-node window
-//!   samplers for rules that consume only the *multiset* of their
-//!   window: a without-replacement dealing of a pooled sample histogram
-//!   (multivariate hypergeometric conditionals), and i.i.d. `Mult(h, θ)`
-//!   windows with the conditional binomials cached across nodes.
-//! * [`GroupSplitter`] — the bulk sibling of `WindowSplitter`: deals a
-//!   pooled histogram into per-(opinion-group) *blocks* of `g·h` draws
-//!   in one multivariate-hypergeometric call per block, which is what
-//!   makes condensed pull rounds `O(#occupied·h)` instead of per-node.
+//! * [`GroupSplitter`] — the without-replacement dealing of a pooled
+//!   sample histogram into blocks, by multivariate-hypergeometric
+//!   conditionals: blocks of `h` are per-node windows, blocks of `g·h`
+//!   whole opinion groups, which is what makes condensed pull rounds
+//!   `O(#occupied·h)` instead of per-node.
+//! * [`WindowMultinomial`] — i.i.d. `Mult(h, θ)` per-node windows with
+//!   the conditional binomials cached across nodes, for rules that
+//!   consume only the *multiset* of their window.
 //! * [`FenwickPool`] — a Fenwick tree over category counts: `O(log d)`
 //!   single-category edits, bit-descended draws with or without
-//!   replacement, and bulk without-replacement removal by conditional
-//!   hypergeometrics. The condensed 3-Majority and 2-Median pull steps
-//!   deal their partner pools from one.
-//! * [`sample_distinct`] — Floyd's algorithm for `m` distinct indices.
+//!   replacement, and bulk without-replacement removal by one
+//!   [`GroupSplitter`] block. The condensed 3-Majority and 2-Median pull
+//!   steps deal their partner pools from one.
 //!
 //! All samplers take any [`rand::RngCore`] (including `&mut dyn RngCore`)
 //! and are deterministic given the generator state, which keeps whole
@@ -54,14 +52,15 @@
 //!
 //! ```
 //! use rand::SeedableRng;
-//! use symbreak_sim::dist::{Categorical, Multinomial};
+//! use symbreak_sim::dist::{sample_multinomial_into, Categorical};
 //! use symbreak_sim::rng::Pcg64;
 //!
 //! let mut rng = Pcg64::seed_from_u64(7);
 //! let supports = [60.0, 30.0, 10.0];
 //!
 //! // Vectorized: the whole next configuration in k binomial draws.
-//! let next = Multinomial::new(100, &supports).sample(&mut rng);
+//! let mut next = [0u64; 3];
+//! sample_multinomial_into(100, &supports, &mut rng, &mut next);
 //! assert_eq!(next.iter().sum::<u64>(), 100);
 //!
 //! // Agent-level: one O(1) categorical draw per pull.
@@ -331,86 +330,10 @@ impl Binomial {
     }
 }
 
-/// The multinomial distribution `Mult(n, θ)` via the conditional-binomial
-/// decomposition: `X_1 ∼ Bin(n, θ_1/Σθ)`, then recursively on the rest.
-///
-/// `O(k)` per draw with `k` binomial draws, each `O(1)` amortized.
-///
-/// # Example
-/// ```
-/// use rand::SeedableRng;
-/// use symbreak_sim::dist::Multinomial;
-/// use symbreak_sim::rng::Pcg64;
-///
-/// let mut rng = Pcg64::seed_from_u64(3);
-/// let dist = Multinomial::new(1_000, &[1.0, 1.0, 2.0]);
-/// let counts = dist.sample(&mut rng);
-/// assert_eq!(counts.iter().sum::<u64>(), 1_000);
-/// assert!(counts[2] > counts[0]); // twice the weight
-/// ```
-#[derive(Debug, Clone)]
-pub struct Multinomial {
-    n: u64,
-    theta: Vec<f64>,
-    /// Index of the last strictly positive weight (all remaining mass is
-    /// assigned there, so floating-point dust never lands on a
-    /// zero-probability category).
-    last_pos: usize,
-}
-
-impl Multinomial {
-    /// Creates a sampler for `Mult(n, θ)`. Weights need not be normalized
-    /// but must be finite, non-negative, and not all zero (unless `n = 0`).
-    ///
-    /// # Panics
-    /// Panics on empty, negative, or non-finite weights, or all-zero
-    /// weights with `n > 0`.
-    pub fn new(n: u64, theta: &[f64]) -> Self {
-        assert!(!theta.is_empty(), "multinomial needs at least one category");
-        for (i, &t) in theta.iter().enumerate() {
-            assert!(t.is_finite() && t >= 0.0, "theta[{i}] = {t} invalid");
-        }
-        let last_pos = match theta.iter().rposition(|&t| t > 0.0) {
-            Some(i) => i,
-            None => {
-                assert!(n == 0, "all-zero weights cannot place {n} trials");
-                0
-            }
-        };
-        Self { n, theta: theta.to_vec(), last_pos }
-    }
-
-    /// Number of trials.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
-    /// Number of categories.
-    pub fn k(&self) -> usize {
-        self.theta.len()
-    }
-
-    /// Draws one count vector (allocates; see [`Multinomial::sample_into`]).
-    pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> Vec<u64> {
-        let mut out = vec![0u64; self.theta.len()];
-        self.sample_into(rng, &mut out);
-        out
-    }
-
-    /// Draws one count vector into `out` without allocating.
-    ///
-    /// # Panics
-    /// Panics unless `out.len() == k`.
-    pub fn sample_into<R: RngCore + ?Sized>(&self, rng: &mut R, out: &mut [u64]) {
-        conditional_binomial_into(self.n, &self.theta, self.last_pos, rng, out);
-    }
-}
-
-/// Allocation-free multinomial draw: fills `out[i] ∼ Mult(n, θ)`.
-///
-/// Free-function form used by every rule's vector step; `θ` need not be
-/// normalized. For repeated draws from fixed `θ` prefer [`Multinomial`],
-/// which hoists validation out of the loop.
+/// Allocation-free multinomial draw: fills `out[i] ∼ Mult(n, θ)` by the
+/// conditional-binomial decomposition, `X_1 ∼ Bin(n, θ_1/Σθ)`, then
+/// recursively on the rest: `O(k)` binomial draws, each `O(1)`
+/// amortized. `θ` need not be normalized.
 ///
 /// # Panics
 /// Panics if `out.len() != theta.len()`, on invalid weights, or if all
@@ -421,15 +344,13 @@ pub fn sample_multinomial_into<R: RngCore + ?Sized>(
     rng: &mut R,
     out: &mut [u64],
 ) {
-    let last_pos = match theta.iter().rposition(|&t| t > 0.0) {
-        Some(i) => i,
-        None => {
-            assert!(n == 0, "all-zero weights cannot place {n} trials");
-            out.fill(0);
-            return;
-        }
+    assert_eq!(out.len(), theta.len(), "output length must equal category count");
+    out.fill(0);
+    let Some(last_pos) = theta.iter().rposition(|&t| t > 0.0) else {
+        assert!(n == 0, "all-zero weights cannot place {n} trials");
+        return;
     };
-    conditional_binomial_into(n, theta, last_pos, rng, out);
+    conditional_binomial_walk(n, theta, last_pos, rng, |j, x| out[j] += x);
 }
 
 /// Sparse multinomial draw over occupied slots only: `theta[j]` is the
@@ -443,8 +364,8 @@ pub fn sample_multinomial_into<R: RngCore + ?Sized>(
 /// and hence the drawn configuration — is identical to
 /// [`sample_multinomial_into`] over the dense vector: a zero-weight slot
 /// there draws from a degenerate binomial, which consumes no randomness.
-/// This is what the occupancy-aware engine stack leans on for its
-/// `O(#occupied)`-per-round steps.
+/// So an occupancy-aware step that skips the empty slots draws exactly
+/// the dense law, in `O(#occupied)` per round.
 ///
 /// # Example
 /// ```
@@ -766,26 +687,11 @@ where
     }
 }
 
-fn conditional_binomial_into<R: RngCore + ?Sized>(
-    n: u64,
-    theta: &[f64],
-    last_pos: usize,
-    rng: &mut R,
-    out: &mut [u64],
-) {
-    assert_eq!(out.len(), theta.len(), "output length must equal category count");
-    out.fill(0);
-    conditional_binomial_walk(n, theta, last_pos, rng, |j, x| out[j] += x);
-}
-
-/// The shared conditional-binomial walk behind both the dense and the
-/// sparse multinomial draws: `deposit(j, x)` receives the count for
-/// category `j` (only called with `x > 0`).
-///
-/// Keeping this walk in one place is load-bearing: the engine stack's
-/// seed-exactness guarantee requires the dense and sparse paths to
-/// consume the RNG identically, so any change to the mass normalization,
-/// the clamp, or the residual handling must apply to both at once.
+/// The conditional-binomial walk behind every multinomial draw here (the
+/// dense and sparse draws and [`WeightClasses`]' class totals):
+/// `deposit(j, x)` receives the count for category `j` (only called with
+/// `x > 0`). Its one body is what makes the dense and sparse draws
+/// consume the RNG identically.
 fn conditional_binomial_walk<R, F>(
     n: u64,
     theta: &[f64],
@@ -1298,113 +1204,21 @@ impl Hrua {
     }
 }
 
-/// Deals a pooled sample histogram into fixed-size windows **without
-/// replacement** — the lawful hand-out of a round's aggregate sample
-/// multiset as per-node window count vectors.
+/// Deals a pooled sample histogram into blocks **without replacement**:
+/// the one realization of the multivariate-hypergeometric block law.
 ///
-/// If the pool is the histogram of `W·h` i.i.d. draws, a uniform dealing
-/// into `W` windows of `h` leaves the windows jointly distributed as
-/// consecutive `h`-blocks of the i.i.d. sequence (an i.i.d. sequence
-/// conditioned on its multiset is a uniform arrangement — the same fact
-/// the batched wire's Fisher–Yates dealing leans on). Sequentially, each
-/// window's counts follow a multivariate hypergeometric on the
-/// *remaining* pool, factorized here into univariate [`Hypergeometric`]
-/// conditionals per category, with early exit once the window is full.
-/// Order the pool by decreasing count so the early exit bites: a pool
-/// dominated by its first category costs ~one draw per window, which is
-/// how multiset-consuming rules beat the `O(h)`-draws-per-node dealing.
-///
-/// Zero-count categories are skipped without consuming randomness.
-///
-/// # Example
-/// ```
-/// use rand::SeedableRng;
-/// use symbreak_sim::dist::WindowSplitter;
-/// use symbreak_sim::rng::Pcg64;
-///
-/// let mut rng = Pcg64::seed_from_u64(23);
-/// let mut pool = [8u64, 3, 1]; // 12 draws for 4 windows of 3
-/// let mut splitter = WindowSplitter::new(&mut pool);
-/// for _ in 0..4 {
-///     let mut window = 0u64;
-///     splitter.draw_window(3, &mut rng, |_cat, x| window += x);
-///     assert_eq!(window, 3);
-/// }
-/// assert_eq!(splitter.remaining(), 0);
-/// ```
-#[derive(Debug)]
-pub struct WindowSplitter<'a> {
-    pool: &'a mut [u64],
-    remaining: u64,
-}
-
-impl<'a> WindowSplitter<'a> {
-    /// Wraps a pool histogram (counts per category) for dealing. The
-    /// pool is consumed in place as windows are drawn.
-    pub fn new(pool: &'a mut [u64]) -> Self {
-        let remaining = pool.iter().sum();
-        Self { pool, remaining }
-    }
-
-    /// Balls left in the pool.
-    pub fn remaining(&self) -> u64 {
-        self.remaining
-    }
-
-    /// Deals one window of `h` balls from the pool, calling
-    /// `deposit(category, count)` for each category with a positive
-    /// count in the window (ascending category order).
-    ///
-    /// # Panics
-    /// Panics if fewer than `h` balls remain.
-    pub fn draw_window<R, F>(&mut self, h: u64, rng: &mut R, mut deposit: F)
-    where
-        R: RngCore + ?Sized,
-        F: FnMut(usize, u64),
-    {
-        assert!(h <= self.remaining, "window of {h} from a pool of {}", self.remaining);
-        let mut need = h;
-        let mut suffix = self.remaining;
-        for (cat, count) in self.pool.iter_mut().enumerate() {
-            if need == 0 {
-                break;
-            }
-            let k = *count;
-            if k == 0 {
-                continue;
-            }
-            // This category's share of the window: hypergeometric on the
-            // remaining pool suffix. When the suffix *is* this category,
-            // the draw is deterministic and consumes no randomness.
-            let x =
-                if k == suffix { need } else { Hypergeometric::new(suffix, k, need).sample(rng) };
-            if x > 0 {
-                deposit(cat, x);
-                *count -= x;
-                need -= x;
-            }
-            suffix -= k;
-        }
-        debug_assert_eq!(need, 0, "window must be filled exactly");
-        self.remaining -= h;
-    }
-}
-
-/// Deals a pooled sample histogram into per-(opinion-group) **blocks**
-/// without replacement — the bulk sibling of [`WindowSplitter`].
-///
-/// Where `WindowSplitter` hands out one node's `h`-window at a time,
-/// `GroupSplitter` hands out a whole opinion group's `g·h` draws in one
-/// call: the block counts follow a multivariate hypergeometric on the
-/// *remaining* pool, factorized into per-category [`Hypergeometric`]
-/// conditionals (riding the mode-centered bulk path). Dealing every
-/// group's block this way is jointly the same law as dealing the `g·h`
-/// draws window-by-window and summing — the windows of a uniform
-/// dealing are exchangeable, so any fixed grouping of them into blocks
-/// is itself a uniform block dealing. A multiset-consuming rule never
-/// reads the per-window partition inside a group, which is what makes
-/// the `O(#groups · #categories)` block split a lawful replacement for
-/// the `O(nodes · h)` per-node split.
+/// If the pool is the histogram of `W` i.i.d. draws, a uniform dealing
+/// into blocks leaves the blocks jointly distributed as consecutive
+/// stretches of the i.i.d. sequence (an i.i.d. sequence conditioned on
+/// its multiset is a uniform arrangement). Each block's counts follow a
+/// multivariate hypergeometric on the *remaining* pool, factorized into
+/// per-category [`Hypergeometric`] conditionals with early exit once
+/// the block is full. A block of `h` is one node's window (the
+/// reference condensed pull step deals one per node); a block of `g·h`
+/// is a whole opinion group's draws at once, which a multiset-consuming
+/// rule cannot tell from `g` windows summed, and which makes condensed
+/// pull rounds `O(#groups · #categories)` instead of `O(nodes · h)`.
+/// Order the pool by decreasing count so the early exit bites.
 ///
 /// Zero-count categories are skipped and a `draws = 0` block returns
 /// immediately; neither consumes randomness.
@@ -1636,8 +1450,8 @@ impl FenwickPool {
     ///
     /// Dispatched deterministically in `(c, d)`: when the deal is a
     /// sizeable fraction of the category count (`8·c ≥ d`) it runs as
-    /// one per-category conditional-hypergeometric sweep plus an `O(d)`
-    /// tree rebuild — the [`GroupSplitter`] law — otherwise as `c`
+    /// one [`GroupSplitter`] block over the counts plus an `O(d)` tree
+    /// rebuild, otherwise as `c`
     /// bit-descended single draws (`O(c log d)`), which is cheaper for
     /// sparse removals from wide pools. Both realize the identical
     /// uniform without-replacement law.
@@ -1654,29 +1468,7 @@ impl FenwickPool {
             return;
         }
         if c.saturating_mul(8) >= self.counts.len() as u64 {
-            let mut need = c;
-            let mut suffix = self.remaining;
-            for cat in 0..self.counts.len() {
-                if need == 0 {
-                    break;
-                }
-                let k = self.counts[cat];
-                if k == 0 {
-                    continue;
-                }
-                let x = if k == suffix {
-                    need
-                } else {
-                    Hypergeometric::new(suffix, k, need).sample(rng)
-                };
-                if x > 0 {
-                    deposit(cat, x);
-                    self.counts[cat] -= x;
-                    need -= x;
-                }
-                suffix -= k;
-            }
-            debug_assert_eq!(need, 0, "deal must drain exactly");
+            GroupSplitter::new(&mut self.counts).draw_block(c, rng, deposit);
             self.remaining -= c;
             self.rebuild_tree();
         } else {
@@ -1692,9 +1484,9 @@ impl FenwickPool {
 /// conditional-binomial walk's per-category samplers built **once** and
 /// reused across windows.
 ///
-/// This is the with-replacement sibling of [`WindowSplitter`], for
-/// per-node windows that are independent (Uniform Pull samples with
-/// replacement); the default condensed push step of a multiset rule
+/// This is the with-replacement sibling of a [`GroupSplitter`] block of
+/// `h`, for per-node windows that are independent (Uniform Pull samples
+/// with replacement); the default condensed push step of a multiset rule
 /// draws its windows from one. The walk at category `j` with `r` trials left
 /// always draws from the same `Bin(r, θ_j / Σ_{i≥j} θ_i)`, so all
 /// `d·h` binomial samplers are precomputed and a window costs only the
@@ -1781,28 +1573,6 @@ impl WindowMultinomial {
     }
 }
 
-/// Floyd's algorithm: `m` distinct indices drawn uniformly from `0..n`,
-/// in `O(m)` expected time and `O(m)` space.
-///
-/// # Panics
-/// Panics if `m > n`.
-pub fn sample_distinct<R: RngCore + ?Sized>(n: usize, m: usize, rng: &mut R) -> Vec<usize> {
-    assert!(m <= n, "cannot draw {m} distinct indices from 0..{n}");
-    let mut chosen = std::collections::HashSet::with_capacity(m);
-    let mut out = Vec::with_capacity(m);
-    for j in n - m..n {
-        let t = uniform_below(rng, j as u64 + 1) as usize;
-        // If `t` is taken, use `j` itself — `j` cannot have been chosen
-        // earlier (it was out of range in all previous iterations).
-        let pick = if chosen.insert(t) { t } else { j };
-        if pick == j {
-            chosen.insert(j);
-        }
-        out.push(pick);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1858,9 +1628,9 @@ mod tests {
     fn multinomial_conserves_and_respects_support() {
         let mut rng = Pcg64::seed_from_u64(3);
         let theta = [0.2, 0.0, 0.5, 0.3, 0.0];
-        let m = Multinomial::new(10_000, &theta);
+        let mut x = [0u64; 5];
         for _ in 0..100 {
-            let x = m.sample(&mut rng);
+            sample_multinomial_into(10_000, &theta, &mut rng, &mut x);
             assert_eq!(x.iter().sum::<u64>(), 10_000);
             assert_eq!(x[1], 0, "zero-weight category must stay empty");
             assert_eq!(x[4], 0, "trailing zero-weight category must stay empty");
@@ -1871,11 +1641,12 @@ mod tests {
     fn multinomial_marginal_mean() {
         let mut rng = Pcg64::seed_from_u64(4);
         let theta = [0.1, 0.6, 0.3];
-        let m = Multinomial::new(1_000, &theta);
         let trials = 20_000u64;
         let mut sums = [0u64; 3];
+        let mut x = [0u64; 3];
         for _ in 0..trials {
-            for (s, x) in sums.iter_mut().zip(m.sample(&mut rng)) {
+            sample_multinomial_into(1_000, &theta, &mut rng, &mut x);
+            for (s, x) in sums.iter_mut().zip(x) {
                 *s += x;
             }
         }
@@ -1956,15 +1727,6 @@ mod tests {
             let expect = weights[i] / 10.0;
             assert!((freq - expect).abs() < 0.01, "cat {i}: {freq} vs {expect}");
         }
-    }
-
-    #[test]
-    fn sample_distinct_full_range_is_permutation_support() {
-        let mut rng = Pcg64::seed_from_u64(8);
-        let mut v = sample_distinct(10, 10, &mut rng);
-        v.sort_unstable();
-        assert_eq!(v, (0..10).collect::<Vec<_>>());
-        assert!(sample_distinct(5, 0, &mut rng).is_empty());
     }
 
     #[test]
@@ -2088,17 +1850,18 @@ mod tests {
 
     #[test]
     fn window_splitter_deals_the_whole_pool() {
+        // Per-node windows are `GroupSplitter` blocks of `h` balls.
         let mut rng = Pcg64::seed_from_u64(45);
         for seed_pool in [[12u64, 0, 6, 2], [5, 5, 5, 5], [20, 0, 0, 0]] {
             let mut pool = seed_pool;
             let total: u64 = pool.iter().sum();
             let h = 5u64;
             let windows = total / h;
-            let mut splitter = WindowSplitter::new(&mut pool);
+            let mut splitter = GroupSplitter::new(&mut pool);
             let mut dealt = [0u64; 4];
             for _ in 0..windows {
                 let mut got = 0u64;
-                splitter.draw_window(h, &mut rng, |cat, x| {
+                splitter.draw_block(h, &mut rng, |cat, x| {
                     dealt[cat] += x;
                     got += x;
                 });
@@ -2121,8 +1884,8 @@ mod tests {
         let mut sum = 0u64;
         for _ in 0..trials {
             let mut pool = [6u64, 3, 3];
-            let mut splitter = WindowSplitter::new(&mut pool);
-            splitter.draw_window(4, &mut rng, |cat, x| {
+            let mut splitter = GroupSplitter::new(&mut pool);
+            splitter.draw_block(4, &mut rng, |cat, x| {
                 if cat == 0 {
                     sum += x;
                 }
@@ -2175,24 +1938,6 @@ mod tests {
         }
         let mean = minority as f64 / trials as f64;
         assert!((mean - 0.06).abs() < 0.01, "minority mean {mean} vs 3·0.02");
-    }
-
-    #[test]
-    fn sample_distinct_is_uniform_over_pairs() {
-        // All C(4,2)=6 pairs from 0..4 should appear equally often.
-        let mut rng = Pcg64::seed_from_u64(9);
-        let mut counts = std::collections::HashMap::new();
-        let trials = 60_000;
-        for _ in 0..trials {
-            let mut v = sample_distinct(4, 2, &mut rng);
-            v.sort_unstable();
-            *counts.entry((v[0], v[1])).or_insert(0u64) += 1;
-        }
-        assert_eq!(counts.len(), 6);
-        for (&pair, &c) in &counts {
-            let freq = c as f64 / trials as f64;
-            assert!((freq - 1.0 / 6.0).abs() < 0.01, "pair {pair:?}: {freq}");
-        }
     }
 
     #[test]

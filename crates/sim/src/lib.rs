@@ -11,7 +11,7 @@
 //! * [`dist`] — exact discrete samplers built from scratch: binomial
 //!   (inversion + BTRS rejection), multinomial (conditional-binomial,
 //!   `O(k)`), categorical (Vose alias method, `O(1)` per draw), and
-//!   Floyd's distinct-index sampling.
+//!   without-replacement dealing (hypergeometric blocks, Fenwick pools).
 //! * [`trace`] — round-by-round trajectory recording with CSV export.
 //! * [`montecarlo`] — a deterministic, thread-parallel multi-trial driver.
 //!
@@ -35,7 +35,7 @@ pub mod rng;
 pub mod trace;
 
 pub use bundle::{RoundAggregate, TraceBundle};
-pub use dist::{Binomial, Categorical, Multinomial};
+pub use dist::{Binomial, Categorical};
 pub use montecarlo::run_trials;
 pub use rng::{trial_seed, Pcg64, SplitMix64};
 pub use trace::{RoundStats, Trace};

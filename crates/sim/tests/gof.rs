@@ -427,11 +427,14 @@ fn fenwick_pool_draw_agrees_with_naive_cdf_scan() {
 fn fenwick_pool_deal_matches_pool_composition() {
     // `deal` dispatches between per-ball draws and the bulk
     // conditional-hypergeometric sweep on `c·8 ≥ len`; both must hand
-    // back exactly `c` balls that the pool actually held.
+    // back exactly `c` balls that the pool actually held, and leave the
+    // tree in step with the counts: draining the rest through `draw`
+    // must return exactly what `count` reports.
     let mut rng = Pcg64::seed_from_u64(31);
-    let counts = [9u64, 0, 14, 2, 5];
-    for c in [1u64, 2, 30] {
-        let mut pool = FenwickPool::new(&counts);
+    let narrow = vec![9u64, 0, 14, 2, 5];
+    let wide: Vec<u64> = (0..20).map(|i| i % 4).collect();
+    for (counts, c) in [(&narrow, 1u64), (&narrow, 2), (&narrow, 30), (&wide, 1), (&wide, 2)] {
+        let mut pool = FenwickPool::new(counts);
         let before: Vec<u64> = (0..pool.len()).map(|i| pool.count(i)).collect();
         let mut dealt = vec![0u64; counts.len()];
         pool.deal(c, &mut rng, |cat, x| dealt[cat] += x);
@@ -441,6 +444,12 @@ fn fenwick_pool_deal_matches_pool_composition() {
             assert_eq!(pool.count(i), before[i] - dealt[i], "pool must shrink by the dealt mass");
         }
         assert_eq!(pool.remaining(), counts.iter().sum::<u64>() - c);
+        let left: Vec<u64> = (0..pool.len()).map(|i| pool.count(i)).collect();
+        let mut drained = vec![0u64; counts.len()];
+        while pool.remaining() > 0 {
+            drained[pool.draw(&mut rng)] += 1;
+        }
+        assert_eq!(drained, left, "draws after a deal of {c} must drain the remaining counts");
     }
 }
 

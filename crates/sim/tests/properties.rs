@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use rand::SeedableRng;
-use symbreak_sim::dist::{sample_distinct, Binomial, Categorical, Multinomial};
+use symbreak_sim::dist::{sample_multinomial_into, Binomial, Categorical};
 use symbreak_sim::rng::{trial_seed, Pcg64};
 
 proptest! {
@@ -49,12 +49,11 @@ proptest! {
     ) {
         let total: f64 = weights.iter().sum();
         let theta: Vec<f64> = weights.iter().map(|w| w / total).collect();
-        // Re-normalize exactly enough for the constructor.
-        let m = Multinomial::new(n, &theta);
         let mut rng = Pcg64::seed_from_u64(seed);
-        let x = m.sample(&mut rng);
+        // Stale contents must be overwritten, not added to.
+        let mut x = vec![7u64; theta.len()];
+        sample_multinomial_into(n, &theta, &mut rng, &mut x);
         prop_assert_eq!(x.iter().sum::<u64>(), n);
-        prop_assert_eq!(x.len(), theta.len());
     }
 
     #[test]
@@ -70,19 +69,6 @@ proptest! {
             prop_assert!(i < weights.len());
             prop_assert!(weights[i] > 0.0, "sampled zero-weight category {i}");
         }
-    }
-
-    #[test]
-    fn sample_distinct_properties(n in 1usize..200, seed in 0u64..10_000) {
-        let mut rng = Pcg64::seed_from_u64(seed);
-        let m = n / 2;
-        let v = sample_distinct(n, m, &mut rng);
-        prop_assert_eq!(v.len(), m);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        prop_assert_eq!(sorted.len(), m);
-        prop_assert!(v.iter().all(|&i| i < n));
     }
 
     #[test]
