@@ -4,34 +4,44 @@
 //! [`AgentEngine`] is the literal Uniform Pull model, the oracle every
 //! shortcut is checked against; here it is checked in turn against
 //! [`VectorEngine`], one draw from `Mult(n, α(c))`. The checks compare
-//! one-round means over many trials for 3-Majority, its 2-Choices-plus-Voter
-//! reformulation, h-Majority, Voter, lazy Voter and 2-Choices, from
-//! concentrated, near-uniform, singleton and absorbed starts, and full
-//! consensus-time means for Voter.
+//! one-round means and variances over many trials for 3-Majority, its
+//! 2-Choices-plus-Voter reformulation, h-Majority, Voter, lazy Voter and
+//! 2-Choices, from concentrated, near-uniform, singleton and absorbed
+//! starts, and full consensus-time means for Voter.
 
 use symbreak_core::rules::{
     HMajority, LazyVoter, ThreeMajority, ThreeMajorityAlt, TwoChoices, Voter,
 };
 use symbreak_core::{AgentEngine, Configuration, Engine, UpdateRule, VectorEngine, VectorStep};
 
-/// Mean per-color supports after one round of `engine(seed + t)` over
-/// `trials` trials.
-fn one_step_means<E: Engine>(
+/// Per-color supports after one round of `engine(seed + t)`, one row
+/// per color, one entry per trial.
+fn one_step_supports<E: Engine>(
     start: &Configuration,
     trials: u64,
     seed: u64,
     engine: impl Fn(u64) -> E,
-) -> Vec<f64> {
-    let mut sums = vec![0u64; start.num_slots()];
+) -> Vec<Vec<f64>> {
+    let mut rows = vec![Vec::with_capacity(trials as usize); start.num_slots()];
     for t in 0..trials {
         let mut e = engine(seed + t);
         e.step();
         assert_eq!(e.undecided(), 0, "an AC process leaves no node undecided");
-        for (s, &c) in sums.iter_mut().zip(e.configuration().counts()) {
-            *s += c;
+        for (row, &c) in rows.iter_mut().zip(e.configuration().counts()) {
+            row.push(c as f64);
         }
     }
-    sums.iter().map(|&s| s as f64 / trials as f64).collect()
+    rows
+}
+
+/// Sample mean, sample variance and the squared standard error of that
+/// variance, `(m₄ − s⁴) / T`.
+fn moments(xs: &[f64]) -> (f64, f64, f64) {
+    let t = xs.len() as f64;
+    let mean = xs.iter().sum::<f64>() / t;
+    let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / t;
+    let m4 = xs.iter().map(|x| (x - mean).powi(4)).sum::<f64>() / t;
+    (mean, var, (m4 - var * var).max(0.0) / t)
 }
 
 /// Binomial 5-sigma tolerance on a mean of `trials` supports.
@@ -40,24 +50,32 @@ fn tol(n: u64, mean: f64, trials: u64) -> f64 {
     5.0 * (n as f64 * p * (1.0 - p) / trials as f64).sqrt() + 0.5
 }
 
+/// Per color, the agent engine's one-step mean and variance must match
+/// the vector engine's within 5σ. The variance is what sees a lazy
+/// Voter's activation rate: its mean is the start for every rate.
 fn crossval<R>(rule: R, start: Configuration, trials: u64, seed: u64)
 where
     R: UpdateRule + VectorStep + Clone,
 {
     let n = start.n();
-    let agent = one_step_means(&start, trials, seed + trials, |s| {
+    let agent = one_step_supports(&start, trials, seed + trials, |s| {
         AgentEngine::new(rule.clone(), &start, s)
     });
-    let vector = one_step_means(&start, trials, seed + 2 * trials, |s| {
+    let vector = one_step_supports(&start, trials, seed + 2 * trials, |s| {
         VectorEngine::new(rule.clone(), start.clone(), s)
     });
     for i in 0..start.num_slots() {
-        let t = tol(n, vector[i], trials);
+        let (agent_mean, agent_var, agent_se2) = moments(&agent[i]);
+        let (vector_mean, vector_var, vector_se2) = moments(&vector[i]);
+        let t = tol(n, vector_mean, trials);
         assert!(
-            (agent[i] - vector[i]).abs() < t,
-            "color {i}: agent mean {} vs vector mean {} (tol {t})",
-            agent[i],
-            vector[i]
+            (agent_mean - vector_mean).abs() < t,
+            "color {i}: agent mean {agent_mean} vs vector mean {vector_mean} (tol {t})"
+        );
+        let t = 5.0 * (agent_se2 + vector_se2).sqrt() + 0.05;
+        assert!(
+            (agent_var - vector_var).abs() < t,
+            "color {i}: agent variance {agent_var} vs vector variance {vector_var} (tol {t})"
         );
     }
 }
