@@ -687,8 +687,8 @@ where
     }
 }
 
-/// The conditional-binomial walk behind every multinomial draw here (the
-/// dense and sparse draws and [`WeightClasses`]' class totals):
+/// The conditional-binomial walk behind the dense and the sparse
+/// multinomial draws (and so [`WeightClasses`]' class totals):
 /// `deposit(j, x)` receives the count for category `j` (only called with
 /// `x > 0`). Its one body is what makes the dense and sparse draws
 /// consume the RNG identically.
