@@ -2,6 +2,9 @@
 //!
 //! Everything the engines draw per round bottoms out here:
 //!
+//! * [`uniform_below`] — a uniform integer below a bound, by Lemire's
+//!   multiply-shift rejection; the index draw of the tallies and of
+//!   2-Choices' mover step.
 //! * [`Binomial`] — inversion (BINV) when `n·min(p,q) < 10`, Hörmann's
 //!   BTRS transformed rejection above it; both exact.
 //! * [`sample_multinomial_into`] — `Mult(n, θ)` by the `O(k)`
@@ -82,9 +85,14 @@ fn unit_f64<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
     (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// Uniform draw in `[0, span)` without modulo bias (Lemire rejection).
+/// Uniform draw in `[0, span)` without modulo bias (Lemire rejection):
+/// one `next_u64` per draw except on a `span/2^64` sliver, and exactly
+/// one for a power-of-two `span` (including `span == 1`).
+///
+/// # Panics
+/// Debug builds panic if `span == 0`.
 #[inline]
-fn uniform_below<R: RngCore + ?Sized>(rng: &mut R, span: u64) -> u64 {
+pub fn uniform_below<R: RngCore + ?Sized>(rng: &mut R, span: u64) -> u64 {
     debug_assert!(span > 0);
     if span.is_power_of_two() {
         return rng.next_u64() & (span - 1);
@@ -336,8 +344,8 @@ impl Binomial {
 /// amortized. `θ` need not be normalized.
 ///
 /// # Panics
-/// Panics if `out.len() != theta.len()`, on invalid weights, or if all
-/// weights are zero while `n > 0`.
+/// Panics if `out.len() != theta.len()`, on a negative, infinite or NaN
+/// weight, or if all weights are zero while `n > 0`.
 pub fn sample_multinomial_into<R: RngCore + ?Sized>(
     n: u64,
     theta: &[f64],
@@ -346,11 +354,7 @@ pub fn sample_multinomial_into<R: RngCore + ?Sized>(
 ) {
     assert_eq!(out.len(), theta.len(), "output length must equal category count");
     out.fill(0);
-    let Some(last_pos) = theta.iter().rposition(|&t| t > 0.0) else {
-        assert!(n == 0, "all-zero weights cannot place {n} trials");
-        return;
-    };
-    conditional_binomial_walk(n, theta, last_pos, rng, |j, x| out[j] += x);
+    conditional_binomial_walk(n, theta, rng, |j, x| out[j] += x);
 }
 
 /// Sparse multinomial draw over occupied slots only: `theta[j]` is the
@@ -382,8 +386,8 @@ pub fn sample_multinomial_into<R: RngCore + ?Sized>(
 /// ```
 ///
 /// # Panics
-/// Panics if `theta.len() != idx.len()`, on invalid weights, or if all
-/// weights are zero while `n > 0`.
+/// Panics if `theta.len() != idx.len()`, on a negative, infinite or NaN
+/// weight, or if all weights are zero while `n > 0`.
 pub fn sample_multinomial_sparse_into<R: RngCore + ?Sized>(
     n: u64,
     theta: &[f64],
@@ -392,14 +396,7 @@ pub fn sample_multinomial_sparse_into<R: RngCore + ?Sized>(
     out: &mut [u64],
 ) {
     assert_eq!(theta.len(), idx.len(), "one weight per occupied slot");
-    let last_pos = match theta.iter().rposition(|&t| t > 0.0) {
-        Some(i) => i,
-        None => {
-            assert!(n == 0, "all-zero weights cannot place {n} trials");
-            return;
-        }
-    };
-    conditional_binomial_walk(n, theta, last_pos, rng, |j, x| out[idx[j] as usize] += x);
+    conditional_binomial_walk(n, theta, rng, |j, x| out[idx[j] as usize] += x);
 }
 
 /// The "ball-drop" multinomial draw: `Mult(n, θ)` realized as `n`
@@ -692,18 +689,32 @@ where
 /// `deposit(j, x)` receives the count for category `j` (only called with
 /// `x > 0`). Its one body is what makes the dense and sparse draws
 /// consume the RNG identically.
-fn conditional_binomial_walk<R, F>(
-    n: u64,
-    theta: &[f64],
-    last_pos: usize,
-    rng: &mut R,
-    mut deposit: F,
-) where
+///
+/// One pass over `theta` sums the mass, finds the last positive weight
+/// and checks that every weight is finite and non-negative, before any
+/// draw.
+///
+/// # Panics
+/// Panics on a negative, infinite or NaN weight, or if all weights are
+/// zero while `n > 0`.
+fn conditional_binomial_walk<R, F>(n: u64, theta: &[f64], rng: &mut R, mut deposit: F)
+where
     R: RngCore + ?Sized,
     F: FnMut(usize, u64),
 {
+    let (mut mass, mut last_pos) = (0.0f64, None);
+    for (j, &t) in theta.iter().enumerate() {
+        assert!(t.is_finite() && t >= 0.0, "weight[{j}] = {t} invalid");
+        mass += t;
+        if t > 0.0 {
+            last_pos = Some(j);
+        }
+    }
+    let Some(last_pos) = last_pos else {
+        assert!(n == 0, "all-zero weights cannot place {n} trials");
+        return;
+    };
     let mut remaining = n;
-    let mut mass: f64 = theta.iter().sum();
     for (j, &t) in theta.iter().enumerate() {
         if remaining == 0 {
             break;
@@ -1635,6 +1646,27 @@ mod tests {
             assert_eq!(x[1], 0, "zero-weight category must stay empty");
             assert_eq!(x[4], 0, "trailing zero-weight category must stay empty");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "weight[0] = -1 invalid")]
+    fn multinomial_rejects_a_negative_weight() {
+        let mut rng = Pcg64::seed_from_u64(31);
+        sample_multinomial_into(10, &[-1.0, 0.5, 2.0], &mut rng, &mut [0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight[1] = NaN invalid")]
+    fn multinomial_rejects_a_nan_weight() {
+        let mut rng = Pcg64::seed_from_u64(32);
+        sample_multinomial_into(10, &[0.5, f64::NAN, 2.0], &mut rng, &mut [0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight[0] = -1 invalid")]
+    fn sparse_multinomial_rejects_a_negative_weight() {
+        let mut rng = Pcg64::seed_from_u64(33);
+        sample_multinomial_sparse_into(10, &[-1.0, 0.5, 2.0], &[0, 2, 4], &mut rng, &mut [0; 5]);
     }
 
     #[test]
