@@ -25,16 +25,19 @@ impl Graph {
         }
         // Degree-proportional sampling via the edge-endpoint trick: a
         // uniform endpoint of a uniform existing edge is degree-biased.
+        // Targets keep the order they were first drawn in, so one seed
+        // builds one graph.
+        let mut targets = Vec::with_capacity(m);
         for new in (m + 1)..n {
-            let mut targets = std::collections::HashSet::with_capacity(m);
+            targets.clear();
             while targets.len() < m {
                 let &(a, b) = &edges[rng.gen_range(0..edges.len())];
                 let pick = if rng.gen::<bool>() { a } else { b };
-                targets.insert(pick);
+                if !targets.contains(&pick) {
+                    targets.push(pick);
+                }
             }
-            for t in targets {
-                edges.push((t, new as u32));
-            }
+            edges.extend(targets.iter().map(|&t| (t, new as u32)));
         }
         Self::from_edges(n, &edges)
     }
@@ -94,6 +97,12 @@ mod tests {
         let degrees: Vec<usize> = (0..100).map(|u| g.degree(u)).collect();
         assert!(degrees.iter().all(|&d| d >= 3));
         assert!(*degrees.iter().max().expect("nodes") >= 10, "a scale-free hub should emerge");
+    }
+
+    #[test]
+    fn preferential_attachment_is_seed_deterministic() {
+        let build = || Graph::preferential_attachment(64, 3, &mut Pcg64::seed_from_u64(7));
+        assert_eq!(build(), build());
     }
 
     #[test]
