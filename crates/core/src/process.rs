@@ -340,6 +340,9 @@ pub(crate) struct StepScratch {
     /// counts, drawn in the trinomial pass before the ascending cascade
     /// consumes them).
     pub aux_counts2: Vec<u64>,
+    /// Slot indices drawn one per trial (e.g. the 2-Choices movers'
+    /// targets).
+    pub targets: Vec<u32>,
     /// Per-occupied-slot weights for the one-step sampler.
     pub weights: Vec<f64>,
     /// Secondary float buffer (e.g. 2-Median's CDF over occupied values).

@@ -99,6 +99,15 @@ fn two_choices_agent_matches_vector() {
 }
 
 #[test]
+fn two_choices_agent_matches_vector_mover_form() {
+    // 300 colors of support 1 to 3: few nodes match per round, so the
+    // vector step draws its movers instead of one binomial per color,
+    // which both starts above take.
+    let start = Configuration::from_counts((0..300).map(|i| 1 + i % 3).collect());
+    crossval(TwoChoices, start, 4_000, 150_000);
+}
+
+#[test]
 fn lazy_voter_agent_matches_vector() {
     // Not an AC-process: a sleeping node keeps its own opinion, so the
     // vector step is its own wake-up-then-redistribute decomposition.
