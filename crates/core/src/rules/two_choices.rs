@@ -98,7 +98,7 @@ impl VectorStep for TwoChoices {
     ///   sparse multinomial walk over the match distribution: about
     ///   `1.5·k` binomials, cheaper when few colors hold many nodes.
     ///
-    /// The form is picked by [`draws_movers`] from cached `O(1)` state
+    /// The form is picked by `draws_movers` from cached `O(1)` state
     /// only, never from a drawn quantity such as `M`: a choice that
     /// depends on the draw would bias the law. Either form then keeps a
     /// fixed seed's trajectory reproducible.
