@@ -583,11 +583,6 @@ impl Configuration {
         assert_eq!(total, self.n, "configuration mass changed: {total} != {}", self.n);
     }
 
-    /// Re-synchronizes `n` with the counts after deliberate mass change.
-    pub fn resync_total(&mut self) {
-        self.n = self.counts.iter().sum();
-    }
-
     /// Largest support `maxᵢ cᵢ`. `O(1)`.
     pub fn max_support(&self) -> u64 {
         self.max_support
@@ -889,9 +884,8 @@ mod tests {
         c.counts_mut()[0] += 1;
         c.counts_mut()[1] -= 1;
         c.validate(); // mass preserved
-        c.counts_mut()[2] += 5;
-        c.resync_total();
-        assert_eq!(c.n(), 11);
+        assert_eq!(c.counts(), &[3, 1, 2]);
+        assert_eq!(c.n(), 6);
     }
 
     #[test]

@@ -1150,7 +1150,7 @@ mod tests {
         assert_eq!(out.consensus_round, None, "128 singletons cannot converge in 5 rounds");
         assert_eq!(out.trace.len(), 5);
         assert_eq!(out.final_config.n(), 128);
-        // At most one entry per draw plus one target run per shard pair.
+        // At most one entry per draw plus one pull batch per shard pair.
         assert!(out.total_messages > 0 && out.total_messages <= 5 * (128 + 4 * 4));
         assert_eq!(out.report_entries.len(), 5);
         // Occupancy only shrinks along the trajectory.

@@ -41,7 +41,10 @@
 //! `color i → i + 1`: small color indices (the common case after
 //! concentration) cost one byte, and the undecided sentinel needs no
 //! out-of-band flag. Per-variant payload layouts are documented in
-//! `docs/ARCHITECTURE.md` and pinned by the round-trip proptests.
+//! `docs/ARCHITECTURE.md` and pinned by the round-trip proptests and
+//! literal byte pins. Each per-round payload is written once, over a
+//! byte sink: the encoders write it into the frame, the `*_len`
+//! functions the channel transport accounts with only count it.
 
 use std::io::{self, Read, Write};
 
@@ -51,14 +54,14 @@ use crate::cluster::{ReportMode, ShardRepr};
 use crate::fault::{ByzantineSpec, CorruptionKind, CrashSpec, FaultPlan};
 use crate::message::{
     Control, DataFormat, OpinionPalette, PullBatch, ReportBody, ReportFormat, ShardMessage,
-    ShardReport, TargetRun,
+    ShardReport,
 };
 
 /// The two magic bytes opening every frame (`"SB"`).
 pub const WIRE_MAGIC: [u8; 2] = [0x53, 0x42];
 /// The encoding version this build speaks (versions 2 and 3 changed the
-/// `Init` payload).
-pub const WIRE_VERSION: u8 = 3;
+/// `Init` payload, version 4 the `Pull` payload).
+pub const WIRE_VERSION: u8 = 4;
 
 /// Frame type discriminant (the `kind` header byte).
 ///
@@ -159,19 +162,46 @@ impl Frame {
 }
 
 // ---------------------------------------------------------------------------
-// Primitive writers: LEB128 varints, zigzag, opinions.
+// Primitive writers: the byte sink, LEB128 varints, zigzag, opinions.
 // ---------------------------------------------------------------------------
 
-/// Appends `v` as a LEB128 varint (7 bits per byte, high bit = more).
-pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
+/// Where a payload writer puts its bytes: a frame buffer (`Vec<u8>`),
+/// or a [`ByteCount`] when only the encoded length is wanted.
+trait Sink {
+    /// One raw byte.
+    fn byte(&mut self, b: u8);
+    /// `v` as a LEB128 varint (7 bits per byte, high bit = more).
+    fn varint(&mut self, v: u64);
+}
+
+impl Sink for Vec<u8> {
+    fn byte(&mut self, b: u8) {
+        self.push(b);
+    }
+
+    fn varint(&mut self, mut v: u64) {
+        loop {
+            let byte = (v & 0x7F) as u8;
+            v >>= 7;
+            if v == 0 {
+                self.push(byte);
+                return;
+            }
+            self.push(byte | 0x80);
         }
-        out.push(byte | 0x80);
+    }
+}
+
+/// A sink that only counts the bytes written to it.
+struct ByteCount(u64);
+
+impl Sink for ByteCount {
+    fn byte(&mut self, _: u8) {
+        self.0 += 1;
+    }
+
+    fn varint(&mut self, v: u64) {
+        self.0 += varint_len(v);
     }
 }
 
@@ -296,7 +326,7 @@ const FIXED_HEADER: u64 = 4;
 
 /// The full frame size for a payload of `payload_len` bytes tagged with
 /// `round`.
-pub fn frame_len(round: u64, payload_len: u64) -> u64 {
+fn frame_len(round: u64, payload_len: u64) -> u64 {
     FIXED_HEADER + varint_len(round) + varint_len(payload_len) + payload_len
 }
 
@@ -305,17 +335,34 @@ fn put_frame(out: &mut Vec<u8>, kind: FrameKind, round: u64, body: impl FnOnce(&
     out.extend_from_slice(&WIRE_MAGIC);
     out.push(WIRE_VERSION);
     out.push(kind as u8);
-    put_varint(out, round);
+    out.varint(round);
     // Payload length is a varint, so the payload is built in a scratch
     // tail and the length spliced in front of it.
     let mark = out.len();
     body(out);
-    let payload_len = (out.len() - mark) as u64;
-    let mut len_prefix = [0u8; 10];
-    let mut tmp = Vec::with_capacity(10);
-    put_varint(&mut tmp, payload_len);
-    len_prefix[..tmp.len()].copy_from_slice(&tmp);
-    out.splice(mark..mark, len_prefix[..tmp.len()].iter().copied());
+    let mut len_prefix = Vec::with_capacity(10);
+    len_prefix.varint((out.len() - mark) as u64);
+    out.splice(mark..mark, len_prefix);
+}
+
+/// A per-round message with one frame layout: its header's kind and
+/// round tag, and its payload written to any [`Sink`].
+trait Payload {
+    fn header(&self) -> (FrameKind, u64);
+    fn write(&self, s: &mut impl Sink);
+}
+
+/// Appends `msg` as one complete frame to `out`.
+fn encode(msg: &impl Payload, out: &mut Vec<u8>) {
+    let (kind, round) = msg.header();
+    put_frame(out, kind, round, |b| msg.write(b));
+}
+
+/// The exact byte length [`encode`] would produce, without encoding.
+fn encoded_len(msg: &impl Payload) -> u64 {
+    let mut count = ByteCount(0);
+    msg.write(&mut count);
+    frame_len(msg.header().1, count.0)
 }
 
 /// Splits one frame off the front of `buf`: returns the frame and the
@@ -411,61 +458,45 @@ pub fn write_frame(stream: &mut impl Write, bytes: &[u8]) -> io::Result<()> {
 // ShardMessage.
 // ---------------------------------------------------------------------------
 
-/// Encodes a [`ShardMessage`] as one complete frame appended to `out`.
-pub fn encode_shard_message(msg: &ShardMessage, out: &mut Vec<u8>) {
-    match msg {
-        ShardMessage::Pull(batch) => put_frame(out, FrameKind::Pull, batch.round, |b| {
-            put_varint(b, u64::from(batch.origin));
-            put_varint(b, batch.target_runs.len() as u64);
-            for run in &batch.target_runs {
-                put_varint(b, u64::from(run.start));
-                put_varint(b, u64::from(run.len));
-                put_varint(b, run.count);
+impl Payload for ShardMessage {
+    fn header(&self) -> (FrameKind, u64) {
+        match self {
+            ShardMessage::Pull(batch) => (FrameKind::Pull, batch.round),
+            ShardMessage::Palette(p) => (FrameKind::Palette, p.round),
+        }
+    }
+
+    fn write(&self, s: &mut impl Sink) {
+        match self {
+            ShardMessage::Pull(batch) => {
+                s.varint(u64::from(batch.origin));
+                s.varint(batch.count);
             }
-        }),
-        ShardMessage::Palette(p) => put_frame(out, FrameKind::Palette, p.round, |b| {
-            put_varint(b, u64::from(p.origin));
-            put_varint(b, p.palette.len() as u64);
-            for &o in &p.palette {
-                put_varint(b, opinion_code(o));
+            ShardMessage::Palette(p) => {
+                s.varint(u64::from(p.origin));
+                s.varint(p.palette.len() as u64);
+                for &o in &p.palette {
+                    s.varint(opinion_code(o));
+                }
+                s.varint(p.runs.len() as u64);
+                for &(pi, c) in &p.runs {
+                    s.varint(u64::from(pi));
+                    s.varint(c);
+                }
             }
-            put_varint(b, p.runs.len() as u64);
-            for &(pi, c) in &p.runs {
-                put_varint(b, u64::from(pi));
-                put_varint(b, c);
-            }
-        }),
+        }
     }
 }
 
+/// Encodes a [`ShardMessage`] as one complete frame appended to `out`.
+pub fn encode_shard_message(msg: &ShardMessage, out: &mut Vec<u8>) {
+    encode(msg, out);
+}
+
 /// The exact byte length [`encode_shard_message`] would produce,
-/// without encoding — the channel transport's accounting primitive
-/// (pinned equal to the encoder by proptest).
+/// without encoding — the channel transport's accounting primitive.
 pub fn shard_message_len(msg: &ShardMessage) -> u64 {
-    let (round, payload) = match msg {
-        ShardMessage::Pull(batch) => {
-            let mut p =
-                varint_len(u64::from(batch.origin)) + varint_len(batch.target_runs.len() as u64);
-            for run in &batch.target_runs {
-                p += varint_len(u64::from(run.start))
-                    + varint_len(u64::from(run.len))
-                    + varint_len(run.count);
-            }
-            (batch.round, p)
-        }
-        ShardMessage::Palette(pal) => {
-            let mut p = varint_len(u64::from(pal.origin)) + varint_len(pal.palette.len() as u64);
-            for &o in &pal.palette {
-                p += varint_len(opinion_code(o));
-            }
-            p += varint_len(pal.runs.len() as u64);
-            for &(pi, c) in &pal.runs {
-                p += varint_len(u64::from(pi)) + varint_len(c);
-            }
-            (pal.round, p)
-        }
-    };
-    frame_len(round, payload)
+    encoded_len(msg)
 }
 
 /// Decodes a [`ShardMessage`] frame.
@@ -473,22 +504,14 @@ pub fn decode_shard_message(frame: &Frame) -> Result<ShardMessage, WireError> {
     let mut r = Reader::new(&frame.payload);
     let msg = match frame.kind {
         FrameKind::Pull => {
+            // The draw count sizes no allocation here; the serving
+            // worker bounds it by the requester's range.
             let origin = r.varint()?;
-            let count = r.bounded_count()?;
-            let mut target_runs = Vec::with_capacity(count);
-            for _ in 0..count {
-                let start = r.varint()?;
-                let len = r.varint()?;
-                let c = r.varint()?;
-                if start > u64::from(u32::MAX) || len > u64::from(u32::MAX) {
-                    return Err(WireError::Malformed("target run out of range"));
-                }
-                target_runs.push(TargetRun { start: start as u32, len: len as u32, count: c });
-            }
+            let count = r.varint()?;
             if origin > u64::from(u32::MAX) {
                 return Err(WireError::Malformed("origin out of range"));
             }
-            ShardMessage::Pull(PullBatch { origin: origin as u32, round: frame.round, target_runs })
+            ShardMessage::Pull(PullBatch { origin: origin as u32, round: frame.round, count })
         }
         FrameKind::Palette => {
             let origin = r.varint()?;
@@ -541,41 +564,42 @@ fn data_format_code(d: DataFormat) -> u8 {
     }
 }
 
+impl Payload for Control {
+    fn header(&self) -> (FrameKind, u64) {
+        match self {
+            Control::Round { round, .. } => (FrameKind::Round, *round),
+            Control::Rejoin { round, .. } => (FrameKind::Rejoin, *round),
+            Control::Stop => (FrameKind::Stop, 0),
+        }
+    }
+
+    fn write(&self, s: &mut impl Sink) {
+        match self {
+            Control::Round { report, data, .. } => {
+                s.byte(report_format_code(*report));
+                s.byte(data_format_code(*data));
+            }
+            Control::Rejoin { body, undecided, .. } => {
+                s.varint(body.len() as u64);
+                for &(slot, count) in body {
+                    s.varint(u64::from(slot));
+                    s.varint(count);
+                }
+                s.varint(*undecided);
+            }
+            Control::Stop => {}
+        }
+    }
+}
+
 /// Encodes a [`Control`] message as one complete frame appended to `out`.
 pub fn encode_control(ctrl: &Control, out: &mut Vec<u8>) {
-    match ctrl {
-        Control::Round { round, report, data } => put_frame(out, FrameKind::Round, *round, |b| {
-            b.push(report_format_code(*report));
-            b.push(data_format_code(*data));
-        }),
-        Control::Rejoin { round, body, undecided } => {
-            put_frame(out, FrameKind::Rejoin, *round, |b| {
-                put_varint(b, body.len() as u64);
-                for &(slot, count) in body {
-                    put_varint(b, u64::from(slot));
-                    put_varint(b, count);
-                }
-                put_varint(b, *undecided);
-            })
-        }
-        Control::Stop => put_frame(out, FrameKind::Stop, 0, |_| {}),
-    }
+    encode(ctrl, out);
 }
 
 /// The exact byte length [`encode_control`] would produce.
 pub fn control_len(ctrl: &Control) -> u64 {
-    match ctrl {
-        Control::Round { round, .. } => frame_len(*round, 2),
-        Control::Rejoin { round, body, undecided } => {
-            let mut p = varint_len(body.len() as u64);
-            for &(slot, count) in body {
-                p += varint_len(u64::from(slot)) + varint_len(count);
-            }
-            p += varint_len(*undecided);
-            frame_len(*round, p)
-        }
-        Control::Stop => frame_len(0, 0),
-    }
+    encoded_len(ctrl)
 }
 
 /// Decodes a [`Control`] frame.
@@ -620,67 +644,54 @@ pub fn decode_control(frame: &Frame) -> Result<Control, WireError> {
 // ShardReport.
 // ---------------------------------------------------------------------------
 
-/// Encodes a [`ShardReport`] as one complete frame appended to `out`.
-pub fn encode_report(rep: &ShardReport, out: &mut Vec<u8>) {
-    put_frame(out, FrameKind::Report, rep.round, |b| {
-        put_varint(b, rep.shard as u64);
-        match &rep.body {
+impl Payload for ShardReport {
+    fn header(&self) -> (FrameKind, u64) {
+        (FrameKind::Report, self.round)
+    }
+
+    fn write(&self, s: &mut impl Sink) {
+        s.varint(self.shard as u64);
+        match &self.body {
             ReportBody::Sparse(pairs) => {
-                b.push(0);
-                put_varint(b, pairs.len() as u64);
+                s.byte(0);
+                s.varint(pairs.len() as u64);
                 for &(slot, count) in pairs {
-                    put_varint(b, u64::from(slot));
-                    put_varint(b, count);
+                    s.varint(u64::from(slot));
+                    s.varint(count);
                 }
             }
             ReportBody::Delta(pairs) => {
-                b.push(1);
-                put_varint(b, pairs.len() as u64);
+                s.byte(1);
+                s.varint(pairs.len() as u64);
                 for &(slot, delta) in pairs {
-                    put_varint(b, u64::from(slot));
-                    put_varint(b, zigzag(delta));
+                    s.varint(u64::from(slot));
+                    s.varint(zigzag(delta));
                 }
             }
         }
-        put_varint(b, rep.undecided);
-        put_varint(b, rep.messages_sent);
-        put_varint(b, rep.recovered);
-        match rep.changed_slots {
-            None => b.push(0),
+        s.varint(self.undecided);
+        s.varint(self.messages_sent);
+        s.varint(self.recovered);
+        match self.changed_slots {
+            None => s.byte(0),
             Some(c) => {
-                b.push(1);
-                put_varint(b, c);
+                s.byte(1);
+                s.varint(c);
             }
         }
-        put_varint(b, rep.bytes_sent);
-        put_varint(b, rep.bytes_received);
-    });
+        s.varint(self.bytes_sent);
+        s.varint(self.bytes_received);
+    }
+}
+
+/// Encodes a [`ShardReport`] as one complete frame appended to `out`.
+pub fn encode_report(rep: &ShardReport, out: &mut Vec<u8>) {
+    encode(rep, out);
 }
 
 /// The exact byte length [`encode_report`] would produce.
 pub fn report_len(rep: &ShardReport) -> u64 {
-    let mut p = varint_len(rep.shard as u64) + 1;
-    match &rep.body {
-        ReportBody::Sparse(pairs) => {
-            p += varint_len(pairs.len() as u64);
-            for &(slot, count) in pairs {
-                p += varint_len(u64::from(slot)) + varint_len(count);
-            }
-        }
-        ReportBody::Delta(pairs) => {
-            p += varint_len(pairs.len() as u64);
-            for &(slot, delta) in pairs {
-                p += varint_len(u64::from(slot)) + varint_len(zigzag(delta));
-            }
-        }
-    }
-    p += varint_len(rep.undecided) + varint_len(rep.messages_sent) + varint_len(rep.recovered);
-    p += match rep.changed_slots {
-        None => 1,
-        Some(c) => 1 + varint_len(c),
-    };
-    p += varint_len(rep.bytes_sent) + varint_len(rep.bytes_received);
-    frame_len(rep.round, p)
+    encoded_len(rep)
 }
 
 /// Decodes a [`ShardReport`] frame.
@@ -757,8 +768,8 @@ pub(crate) struct Hello {
 
 pub(crate) fn encode_hello(h: &Hello, out: &mut Vec<u8>) {
     put_frame(out, FrameKind::Hello, 0, |b| {
-        put_varint(b, h.shard as u64);
-        put_varint(b, h.peer_addr.len() as u64);
+        b.varint(h.shard as u64);
+        b.varint(h.peer_addr.len() as u64);
         b.extend_from_slice(h.peer_addr.as_bytes());
     });
 }
@@ -779,7 +790,7 @@ pub(crate) fn decode_hello(frame: &Frame) -> Result<Hello, WireError> {
 }
 
 pub(crate) fn encode_peer_hello(shard: usize, out: &mut Vec<u8>) {
-    put_frame(out, FrameKind::PeerHello, 0, |b| put_varint(b, shard as u64));
+    put_frame(out, FrameKind::PeerHello, 0, |b| b.varint(shard as u64));
 }
 
 pub(crate) fn decode_peer_hello(frame: &Frame) -> Result<usize, WireError> {
@@ -832,15 +843,15 @@ fn mode_codes(init: &WorkerInit) -> [u8; 2] {
 pub(crate) fn encode_worker_init(init: &WorkerInit, out: &mut Vec<u8>) {
     use crate::transport::RuleSpec;
     put_frame(out, FrameKind::Init, 0, |b| {
-        put_varint(b, u64::from(init.n));
-        put_varint(b, init.shards as u64);
-        put_varint(b, init.k_slots as u64);
+        b.varint(u64::from(init.n));
+        b.varint(init.shards as u64);
+        b.varint(init.k_slots as u64);
         b.extend_from_slice(&mode_codes(init));
-        put_varint(b, init.master_seed);
+        b.varint(init.master_seed);
         // Fault plan: seed, six rates (fixed f64 bits), crashes,
         // byzantine specs, max_faulty.
         let plan = &init.plan;
-        put_varint(b, plan.seed);
+        b.varint(plan.seed);
         for rate in [
             plan.palette_drop,
             plan.palette_duplicate,
@@ -851,28 +862,28 @@ pub(crate) fn encode_worker_init(init: &WorkerInit, out: &mut Vec<u8>) {
         ] {
             b.extend_from_slice(&rate.to_bits().to_le_bytes());
         }
-        put_varint(b, plan.crashes.len() as u64);
+        b.varint(plan.crashes.len() as u64);
         for c in &plan.crashes {
-            put_varint(b, c.shard as u64);
-            put_varint(b, c.crash_round);
+            b.varint(c.shard as u64);
+            b.varint(c.crash_round);
             match c.rejoin_round {
                 None => b.push(0),
                 Some(r) => {
                     b.push(1);
-                    put_varint(b, r);
+                    b.varint(r);
                 }
             }
         }
-        put_varint(b, plan.byzantine.len() as u64);
+        b.varint(plan.byzantine.len() as u64);
         for z in &plan.byzantine {
-            put_varint(b, z.shard as u64);
-            put_varint(b, z.budget);
+            b.varint(z.shard as u64);
+            b.varint(z.budget);
             b.push(match z.kind {
                 CorruptionKind::Plausible => 0,
                 CorruptionKind::Inflate => 1,
             });
         }
-        put_varint(b, plan.max_faulty as u64);
+        b.varint(plan.max_faulty as u64);
         // Rule spec.
         match init.rule {
             RuleSpec::Voter => b.push(0),
@@ -887,25 +898,25 @@ pub(crate) fn encode_worker_init(init: &WorkerInit, out: &mut Vec<u8>) {
             }
             RuleSpec::HMajority(h) => {
                 b.push(7);
-                put_varint(b, u64::from(h));
+                b.varint(u64::from(h));
             }
         }
         b.push(u8::from(init.condensed));
-        put_varint(b, init.body.len() as u64);
+        b.varint(init.body.len() as u64);
         for &(slot, count) in &init.body {
-            put_varint(b, u64::from(slot));
-            put_varint(b, count);
+            b.varint(u64::from(slot));
+            b.varint(count);
         }
-        put_varint(b, init.peer_addrs.len() as u64);
+        b.varint(init.peer_addrs.len() as u64);
         for addr in &init.peer_addrs {
-            put_varint(b, addr.len() as u64);
+            b.varint(addr.len() as u64);
             b.extend_from_slice(addr.as_bytes());
         }
         match init.die_at_round {
             None => b.push(0),
             Some(r) => {
                 b.push(1);
-                put_varint(b, r);
+                b.varint(r);
             }
         }
     });
@@ -1047,7 +1058,7 @@ mod tests {
     fn varint_lengths_match_encoder() {
         for v in [0u64, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX] {
             let mut buf = Vec::new();
-            put_varint(&mut buf, v);
+            buf.varint(v);
             assert_eq!(buf.len() as u64, varint_len(v), "varint_len({v})");
             let mut r = Reader::new(&buf);
             assert_eq!(r.varint().unwrap(), v);
@@ -1066,11 +1077,7 @@ mod tests {
 
     #[test]
     fn frame_round_trips_through_a_stream() {
-        let msg = ShardMessage::Pull(PullBatch {
-            origin: 3,
-            round: 97,
-            target_runs: vec![TargetRun { start: 0, len: 1000, count: 4242 }],
-        });
+        let msg = ShardMessage::Pull(PullBatch { origin: 3, round: 97, count: 4242 });
         let mut bytes = Vec::new();
         encode_shard_message(&msg, &mut bytes);
         assert_eq!(bytes.len() as u64, shard_message_len(&msg));
@@ -1195,13 +1202,12 @@ mod tests {
             encode(&mut bytes);
             frames.push(bytes);
         };
-        push(&|b| {
-            let runs = vec![TargetRun { start: 0, len: 1000, count: 4242 }; 2];
-            encode_shard_message(
-                &ShardMessage::Pull(PullBatch { origin: 3, round: 97, target_runs: runs }),
-                b,
-            )
-        });
+        for count in [0, 4242, u64::MAX] {
+            push(&|b| {
+                let batch = PullBatch { origin: 3, round: 97, count };
+                encode_shard_message(&ShardMessage::Pull(batch), b)
+            });
+        }
         for runs in [vec![], vec![(0u32, 7u64), (1, 300)]] {
             push(&|b| {
                 let palette = vec![Opinion::new(5), Opinion::UNDECIDED, Opinion::new(70_000)];
@@ -1316,7 +1322,9 @@ mod tests {
     #[test]
     fn decoders_reject_oversized_counts() {
         // Every counted field, claiming far more entries than the few
-        // bytes behind it: `prefix` is what precedes the count.
+        // bytes behind it: `prefix` is what precedes the count. (A pull
+        // batch's draw count sizes no decoder allocation; the worker
+        // checks it against the requester's range.)
         let init_prefix = {
             let mut b = Vec::new();
             encode_worker_init(&sample_init(), &mut b);
@@ -1334,7 +1342,6 @@ mod tests {
             frame.payload[..r.pos].to_vec()
         };
         let cases: Vec<(FrameKind, Vec<u8>)> = vec![
-            (FrameKind::Pull, vec![3]),
             (FrameKind::Palette, vec![1]),
             (FrameKind::Palette, vec![1, 1, 6]),
             (FrameKind::Report, vec![1, 0]),
@@ -1350,7 +1357,7 @@ mod tests {
         for (kind, prefix) in cases {
             for count in [u64::MAX, 1 << 40, u64::from(u32::MAX), 64] {
                 let mut payload = prefix.clone();
-                put_varint(&mut payload, count);
+                payload.varint(count);
                 payload.extend_from_slice(&[1, 2, 3]);
                 let bytes = framed(kind, &payload);
                 assert!(!fuzz_one(&bytes), "{kind:?} count {count} after {prefix:?}");

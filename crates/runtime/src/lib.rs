@@ -23,7 +23,7 @@
 //! protocol, and `docs/ARCHITECTURE.md` for the message-cost model):
 //!
 //! * **Data plane** ([`GearMode`]) — each shard pair exchanges one
-//!   `PullBatch` of target runs and one `OpinionPalette` sampled
+//!   `PullBatch` (a draw count) and one `OpinionPalette` sampled
 //!   shard-side per round, and once occupancy concentrates the
 //!   coordinator flips the fleet to histogram *push*
 //!   ([`DataFormat::Push`]): every shard broadcasts its opinion
@@ -121,9 +121,7 @@ pub use cluster::{
 pub use fault::{
     ByzantineSpec, CorruptionKind, CrashSpec, FaultCounters, FaultKind, FaultPlan, StopReason,
 };
-pub use message::{
-    DataFormat, OpinionPalette, PullBatch, ReportBody, ReportFormat, ShardMessage, TargetRun,
-};
+pub use message::{DataFormat, OpinionPalette, PullBatch, ReportBody, ReportFormat, ShardMessage};
 pub use transport::{
     shard_process_main, spawn_shard_process, RuleSpec, SocketConfig, Transport, TransportAddr,
     TransportLost, WireRule,

@@ -10,10 +10,11 @@
 //!
 //! **Pull gear** (the diverse regime):
 //!
-//! * a [`PullBatch`] of [`TargetRun`]s — "draw `count` uniform targets
-//!   from this shard-local id range" — in place of individual per-node
-//!   requests (one run covering the peer's whole range suffices for
-//!   Uniform Pull, so a batch is `O(1)` entries);
+//! * a [`PullBatch`] — "draw `count` uniform targets from your nodes" —
+//!   in place of individual per-node requests: under Uniform Pull a
+//!   node's target is uniform over all `n` nodes, so a pull addressed
+//!   to a peer is uniform over that peer's range and the whole batch is
+//!   one number;
 //! * an [`OpinionPalette`] reply, *sampled shard-side* — raw drawn
 //!   opinions while they would not compress, a run-length histogram
 //!   (distributionally identical to reading `count` uniform snapshot
@@ -91,25 +92,8 @@
 
 use symbreak_core::Opinion;
 
-/// One run of an aggregate pull: "draw `count` uniform random targets
-/// from the shard-local id range `[start, start + len)`".
-///
-/// Runs are the unit the wire counts as a message entry.
-/// Uniform Pull needs only one run spanning the peer's whole range, but
-/// the format admits subranges so non-uniform pull distributions stay
-/// expressible on the same wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TargetRun {
-    /// First shard-local node id of the run.
-    pub start: u32,
-    /// Number of node ids the run spans.
-    pub len: u32,
-    /// How many uniform draws to take from the run.
-    pub count: u64,
-}
-
-/// All pulls a shard addresses to the receiving shard this round, as
-/// sorted target runs.
+/// All pulls a shard addresses to the receiving shard this round: how
+/// many uniform draws to take from the receiver's nodes.
 ///
 /// Every shard sends every shard exactly one pull batch per round (empty
 /// or not) — batches close the pull phase.
@@ -120,8 +104,9 @@ pub struct PullBatch {
     /// The synchronous round this batch belongs to (see the module-level
     /// fault-tagging notes).
     pub round: u64,
-    /// The aggregate pulls, sorted by `start`, non-overlapping.
-    pub target_runs: Vec<TargetRun>,
+    /// How many uniform draws to take from the receiver's round-start
+    /// opinions (`0` for an empty batch).
+    pub count: u64,
 }
 
 /// The aggregate reply to a [`PullBatch`]: the opinions of the drawn
@@ -292,7 +277,7 @@ pub struct ShardReport {
     /// Undecided nodes in this shard.
     pub undecided: u64,
     /// Point-to-point wire entries this shard sent during the round
-    /// (target runs plus palette and run entries). Under an active fault
+    /// (one per non-empty pull batch plus palette and run entries). Under an active fault
     /// plan this includes entries transmitted-and-lost, counts
     /// duplicated transmissions twice, and carries forward the tally of
     /// any previous report that was itself dropped (see the

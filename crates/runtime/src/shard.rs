@@ -2,8 +2,8 @@
 //! the wire protocol of [`crate::message`].
 //!
 //! Traffic is aggregated, in two coordinator-arbitrated gears. In the
-//! *pull* gear each peer gets one [`PullBatch`] (a single
-//! [`TargetRun`] covering the peer's whole range), answered by one
+//! *pull* gear each peer gets one [`PullBatch`] (how many uniform draws
+//! to take from the peer's nodes), answered by one
 //! [`OpinionPalette`] sampled shard-side from the server's round-start
 //! opinions. Pull batches are served the moment they arrive
 //! (pipelined, no intra-round barrier); each (server, origin) pair
@@ -93,7 +93,7 @@ use crate::cluster::{shard_is_condensed, ReportMode, ShardRepr};
 use crate::fault::{CorruptionKind, FaultKind, FaultPlan, BYZANTINE_SALT};
 use crate::message::{
     Control, DataFormat, OpinionPalette, PullBatch, ReportBody, ReportFormat, ShardMessage,
-    ShardReport, TargetRun,
+    ShardReport,
 };
 use crate::transport::{Transport, TransportLost};
 
@@ -135,6 +135,16 @@ impl Partition {
         let lo = (shard as u64 * chunk).min(n);
         let hi = ((shard as u64 + 1) * chunk).min(n);
         lo as u32..hi as u32
+    }
+
+    /// Whether a received pull batch is one a live requester could
+    /// have sent: its origin is a shard, and it asks for at most `h`
+    /// draws per node of the origin (a requester splits its
+    /// `local_n · h` pulls over the destinations). O(1); a corrupt
+    /// count would otherwise size the palette allocation that serves it.
+    fn admits(&self, batch: &PullBatch, h: usize) -> bool {
+        let origin = batch.origin as usize;
+        origin < self.shards && batch.count <= self.range(origin).len() as u64 * h as u64
     }
 }
 
@@ -258,11 +268,11 @@ trait ShardState {
     /// The distinct decided opinions the shard holds at round start.
     fn distinct(&self) -> usize;
 
-    /// Appends to `out` the palette answering one pull batch, drawn on
-    /// the origin's serving stream from the round-start state: a
-    /// histogram walk when `walk` (see [`walk_palette`]), otherwise the
-    /// drawn opinions verbatim in draw order.
-    fn serve(&mut self, runs: &[TargetRun], walk: bool, rng: &mut Pcg64, out: &mut PaletteBuffers);
+    /// Appends to `out` the palette answering a pull batch of `m`
+    /// draws, drawn on the origin's serving stream from the round-start
+    /// state: a histogram walk when `walk` (see [`walk_palette`]),
+    /// otherwise the drawn opinions verbatim in draw order.
+    fn serve(&mut self, m: u64, walk: bool, rng: &mut Pcg64, out: &mut PaletteBuffers);
 
     /// Appends to `out` `m` draws from the round-start state, on the
     /// round stream: the stand-in for a palette that never arrived.
@@ -370,16 +380,16 @@ fn merge_two(
     }
 }
 
-/// Appends to `out` a histogram palette of uniform reads of a shard of
-/// `local_n` nodes whose decided counts are `theta` over `slots`, plus
-/// `undecided` undecided nodes: per entry of `draws` a binomial
-/// undecided split, then a sparse multinomial over the slots — `O(d)`
-/// binomial draws and wire entries, with no per-draw work. The palette
-/// lists the drawn slots in `slots` order, the undecided mass last;
-/// `counts` is dense scratch, zero at `slots` before and after.
+/// Appends to `out` a histogram palette of `m > 0` uniform reads of a
+/// shard of `local_n` nodes whose decided counts are `theta` over
+/// `slots`, plus `undecided` undecided nodes: a binomial undecided
+/// split, then a sparse multinomial over the slots — `O(d)` binomial
+/// draws and wire entries, with no per-draw work. The palette lists the
+/// drawn slots in `slots` order, the undecided mass last; `counts` is
+/// dense scratch, zero at `slots` before and after.
 #[allow(clippy::too_many_arguments)]
 fn walk_palette(
-    draws: impl IntoIterator<Item = u64>,
+    m: u64,
     undecided: u64,
     local_n: usize,
     slots: &[u32],
@@ -388,20 +398,13 @@ fn walk_palette(
     counts: &mut [u64],
     (palette, runs): &mut PaletteBuffers,
 ) {
-    let mut served_undecided = 0u64;
-    for m in draws {
-        if m == 0 {
-            continue;
-        }
-        let undec = if undecided > 0 {
-            Binomial::new(m, undecided as f64 / local_n as f64).sample(rng)
-        } else {
-            0
-        };
-        served_undecided += undec;
-        if m > undec {
-            sample_multinomial_sparse_into(m - undec, theta, slots, rng, counts);
-        }
+    let served_undecided = if undecided > 0 {
+        Binomial::new(m, undecided as f64 / local_n as f64).sample(rng)
+    } else {
+        0
+    };
+    if m > served_undecided {
+        sample_multinomial_sparse_into(m - served_undecided, theta, slots, rng, counts);
     }
     for &i in slots {
         let c = std::mem::take(&mut counts[i as usize]);
@@ -438,7 +441,6 @@ struct Worker<R, T, S> {
     /// the moment they arrive (pipelined) while keeping the realized
     /// trajectory independent of channel arrival order.
     serve_rngs: Vec<Pcg64>,
-    run_pool: Vec<Vec<TargetRun>>,
     palettes: Palettes,
     /// Union-histogram scratch for push rounds: parallel alias-table
     /// weights and the opinions they stand for.
@@ -491,7 +493,6 @@ impl<R: UpdateRule, T: Transport, S: ShardState> Worker<R, T, S> {
                     Pcg64::seed_from_u64(trial_seed(master_seed ^ 0x9E37_79B9_7F4A_7C15, pair + 1))
                 })
                 .collect(),
-            run_pool: Vec::new(),
             palettes: Palettes { recv: (0..shards).map(|_| None).collect(), pool: Vec::new() },
             alias_weights: Vec::new(),
             alias_values: Vec::new(),
@@ -626,7 +627,9 @@ impl<R: UpdateRule, T: Transport, S: ShardState> Worker<R, T, S> {
     /// palettes parked in `palettes`, consumption left to the caller.
     ///
     /// Pull batches are never faulted (they are the round's control
-    /// skeleton) and are served the moment they arrive — each origin has
+    /// skeleton) and are served the moment they arrive, once
+    /// [`Partition::admits`] accepts them (a batch no live requester
+    /// could have sent ends the round as a lost transport) — each origin has
     /// its own serving RNG stream, so the trajectory does not depend on
     /// the (nondeterministic) arrival order. Palette responses pass
     /// through the plan's per-edge decisions on both sides: the server
@@ -665,22 +668,11 @@ impl<R: UpdateRule, T: Transport, S: ShardState> Worker<R, T, S> {
                 continue;
             }
             expected_pulls += 1;
-            let mut runs = self.run_pool.pop().unwrap_or_default();
-            runs.clear();
-            let m = self.dest_counts[peer];
-            if m > 0 {
-                let len = self.partition.range(peer).len() as u32;
-                runs.push(TargetRun { start: 0, len, count: m });
-            }
-            *messages_sent += runs.len() as u64;
-            self.transport.send(
-                peer,
-                ShardMessage::Pull(PullBatch {
-                    origin: self.shard_id as u32,
-                    round,
-                    target_runs: runs,
-                }),
-            );
+            let count = self.dest_counts[peer];
+            // A non-empty batch is one wire entry.
+            *messages_sent += u64::from(count > 0);
+            let batch = PullBatch { origin: self.shard_id as u32, round, count };
+            self.transport.send(peer, ShardMessage::Pull(batch));
         }
 
         let mut pulls = 0usize;
@@ -689,10 +681,11 @@ impl<R: UpdateRule, T: Transport, S: ShardState> Worker<R, T, S> {
             match self.recv_current()? {
                 ShardMessage::Pull(batch) => {
                     pulls += 1;
-                    let origin = batch.origin as usize;
+                    if !self.partition.admits(&batch, self.rule.sample_count()) {
+                        return Err(TransportLost);
+                    }
                     let palette = self.build_palette(&batch);
-                    self.send_palette(origin, palette, messages_sent);
-                    self.run_pool.push(batch.target_runs);
+                    self.send_palette(batch.origin as usize, palette, messages_sent);
                 }
                 ShardMessage::Palette(p) => {
                     palettes += 1;
@@ -968,15 +961,11 @@ impl<R: UpdateRule, T: Transport, S: ShardState> Worker<R, T, S> {
         // conditional-binomial step (sampler construction + draw)
         // costs roughly twenty-odd materialized draws.
         const WALK_FACTOR: u64 = 24;
-        let local_n = self.state.local_n();
         let d = self.state.distinct() as u64 + 1;
-        let runs = &batch.target_runs;
-        let total: u64 = runs.iter().map(|r| r.count).sum();
-        let walk = total >= WALK_FACTOR * d
-            && runs.iter().all(|r| r.start == 0 && r.len as usize == local_n);
+        let walk = batch.count >= WALK_FACTOR * d;
         let mut buffers = self.palettes.fresh();
         let rng = &mut self.serve_rngs[batch.origin as usize];
-        self.state.serve(runs, walk, rng, &mut buffers);
+        self.state.serve(batch.count, walk, rng, &mut buffers);
         let (palette, runs) = buffers;
         OpinionPalette { origin: self.shard_id as u32, round: self.round_no, palette, runs }
     }
@@ -1130,6 +1119,22 @@ mod tests {
         merge_palettes(&palettes, &mut Vec::new(), &mut values, &mut weights);
         assert_eq!(values, [a, b, u]);
         assert_eq!(weights, [17.0, (1u64 << 31) as f64 + 1.0, 12.0]);
+    }
+
+    #[test]
+    fn partition_admits_only_pulls_a_live_requester_could_send() {
+        let p = Partition::new(10, 4); // ranges of 3, 3, 3 and 1 nodes
+        let batch = |origin, count| PullBatch { origin, round: 1, count };
+        // At most `h` draws per node of the origin, an empty batch too.
+        assert!(p.admits(&batch(0, 0), 2));
+        assert!(p.admits(&batch(0, 6), 2));
+        assert!(!p.admits(&batch(0, 7), 2));
+        assert!(p.admits(&batch(3, 3), 3));
+        assert!(!p.admits(&batch(3, 4), 3));
+        // A corrupt count or origin never reaches the serving paths.
+        assert!(!p.admits(&batch(1, u64::MAX), 3));
+        assert!(!p.admits(&batch(4, 0), 1));
+        assert!(!p.admits(&batch(u32::MAX, 1), 1));
     }
 
     #[test]

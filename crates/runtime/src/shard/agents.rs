@@ -8,7 +8,7 @@ use symbreak_sim::dist::Categorical;
 use symbreak_sim::rng::Pcg64;
 
 use super::{walk_palette, PaletteBuffers, Palettes, ShardState};
-use crate::message::{ReportBody, ReportFormat, TargetRun};
+use crate::message::{ReportBody, ReportFormat};
 
 /// Tallies `opinions` into the dense `counts` scratch (assumed zero
 /// outside `touched`), recording first-touched slots, and returns the
@@ -217,13 +217,13 @@ impl ShardState for Agents {
     /// A walk draws over the lazily built snapshot; a raw batch reads
     /// the opinions directly, so in the diverse regime an agent shard
     /// never tallies a snapshot in the pull gear.
-    fn serve(&mut self, runs: &[TargetRun], walk: bool, rng: &mut Pcg64, out: &mut PaletteBuffers) {
+    fn serve(&mut self, m: u64, walk: bool, rng: &mut Pcg64, out: &mut PaletteBuffers) {
         if walk {
             self.ensure_snapshot();
             self.theta.clear();
             self.theta.extend(self.touched.iter().map(|&i| self.counts[i as usize] as f64));
             walk_palette(
-                runs.iter().map(|r| r.count),
+                m,
                 self.snap_undecided,
                 self.opinions.len(),
                 &self.touched,
@@ -233,13 +233,11 @@ impl ShardState for Agents {
                 out,
             );
         } else {
-            let palette = &mut out.0;
-            palette.reserve(runs.iter().map(|r| r.count).sum::<u64>() as usize);
-            for run in runs {
-                for _ in 0..run.count {
-                    let t = run.start + rng.gen_range(0..run.len);
-                    palette.push(self.opinions[t as usize]);
-                }
+            // A `u32` range: a `usize` one would draw another stream.
+            let local_n = self.opinions.len() as u32;
+            out.0.reserve(m as usize);
+            for _ in 0..m {
+                out.0.push(self.opinions[rng.gen_range(0..local_n) as usize]);
             }
         }
     }

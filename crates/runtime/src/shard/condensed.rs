@@ -9,7 +9,7 @@ use symbreak_sim::dist::{sample_multinomial_into, GroupSplitter};
 use symbreak_sim::rng::Pcg64;
 
 use super::{walk_palette, PaletteBuffers, Palettes, ShardState};
-use crate::message::{ReportBody, ReportFormat, TargetRun};
+use crate::message::{ReportBody, ReportFormat};
 
 /// Crossover between the aggregate condensed-pull paths (mega-block /
 /// grouped) and per-ball dealing: the aggregate paths pay one
@@ -233,13 +233,9 @@ impl Condensed {
         condensed
     }
 
-    /// Appends to `out` the [`walk_palette`] of `draws` over the pairs.
-    fn walk(
-        &mut self,
-        draws: impl IntoIterator<Item = u64>,
-        rng: &mut Pcg64,
-        out: &mut PaletteBuffers,
-    ) {
+    /// Appends to `out` the [`walk_palette`] of `m > 0` draws over the
+    /// pairs.
+    fn walk(&mut self, m: u64, rng: &mut Pcg64, out: &mut PaletteBuffers) {
         self.walk_slots.clear();
         self.walk_theta.clear();
         for &(i, c) in &self.hist_pairs {
@@ -247,7 +243,7 @@ impl Condensed {
             self.walk_theta.push(c as f64);
         }
         let (slots, theta, counts) = (&self.walk_slots, &self.walk_theta, &mut self.serve_counts);
-        walk_palette(draws, self.hist_undecided, self.local_n, slots, theta, rng, counts, out);
+        walk_palette(m, self.hist_undecided, self.local_n, slots, theta, rng, counts, out);
     }
 
     /// Rebuilds the own-opinion groups from the histogram: `(opinion,
@@ -544,12 +540,11 @@ impl ShardState for Condensed {
     /// A walk draws over `hist_pairs`; a raw batch reads the flat
     /// mirror (the draws still come from the per-origin serving
     /// streams, so pipelined serving stays arrival-order independent).
-    fn serve(&mut self, runs: &[TargetRun], walk: bool, rng: &mut Pcg64, out: &mut PaletteBuffers) {
+    fn serve(&mut self, m: u64, walk: bool, rng: &mut Pcg64, out: &mut PaletteBuffers) {
         let local_n = self.local_n;
-        let total: u64 = runs.iter().map(|r| r.count).sum();
         if walk {
-            self.walk(runs.iter().map(|r| r.count), rng, out);
-        } else if total > 0 {
+            self.walk(m, rng, out);
+        } else if m > 0 {
             if !self.serve_flat_fresh {
                 self.serve_flat.clear();
                 self.serve_flat.reserve(local_n);
@@ -560,16 +555,9 @@ impl ShardState for Condensed {
                 self.serve_flat.resize(local_n, Opinion::UNDECIDED);
                 self.serve_flat_fresh = true;
             }
-            let palette = &mut out.0;
-            palette.reserve(total as usize);
-            for run in runs {
-                debug_assert!(
-                    run.start == 0 && run.len as usize == local_n,
-                    "batched pulls cover whole shard ranges"
-                );
-                for _ in 0..run.count {
-                    palette.push(self.serve_flat[rng.gen_range(0..local_n)]);
-                }
+            out.0.reserve(m as usize);
+            for _ in 0..m {
+                out.0.push(self.serve_flat[rng.gen_range(0..local_n)]);
             }
         }
     }
@@ -577,7 +565,7 @@ impl ShardState for Condensed {
     /// The walk law on the round stream, emitted runs-encoded.
     fn compensate(&mut self, m: u64, rng: &mut Pcg64, out: &mut PaletteBuffers) {
         if m > 0 {
-            self.walk([m], rng, out);
+            self.walk(m, rng, out);
         }
     }
 

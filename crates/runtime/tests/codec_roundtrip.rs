@@ -4,7 +4,9 @@
 //! magic, bad version, unknown kind, truncation) are rejected rather
 //! than misinterpreted. These are the invariants the transport layer's
 //! byte parity rests on: the channel backend *counts* with the `_len`
-//! functions while the socket backend *writes* with the encoders.
+//! functions while the socket backend *writes* with the encoders. One
+//! frame of each per-round kind is pinned byte for byte against the
+//! layout table in `docs/ARCHITECTURE.md`.
 //!
 //! The vendored proptest subset has no `prop_oneof`/`any`, so variant
 //! coverage is driven by selector integers mapped onto constructors:
@@ -20,7 +22,7 @@ use symbreak_runtime::codec::{
 };
 use symbreak_runtime::message::{Control, ShardReport};
 use symbreak_runtime::{
-    DataFormat, OpinionPalette, PullBatch, ReportBody, ReportFormat, ShardMessage, TargetRun,
+    DataFormat, OpinionPalette, PullBatch, ReportBody, ReportFormat, ShardMessage,
 };
 
 // ---------------------------------------------------------------------
@@ -38,19 +40,16 @@ fn opinion_from(code: u64) -> Opinion {
 }
 
 /// One data-plane message from a variant selector and raw entry draws:
-/// `sel % 2` picks the variant, each `(a, b, c)` triple becomes one
-/// entry. An empty `raw` exercises the empty batch / empty palette
-/// shapes (a crashed peer's empty answer).
+/// `sel % 2` picks the variant. A pull batch takes its draw count from
+/// the first triple; a palette makes each `(a, b, c)` triple one entry.
+/// An empty `raw` exercises the empty batch / empty palette shapes (a
+/// crashed peer's empty answer).
 fn shard_message_from(sel: u64, origin: u32, round: u64, raw: &[(u64, u64, u64)]) -> ShardMessage {
     match sel % 2 {
-        0 => ShardMessage::Pull(PullBatch {
-            origin,
-            round,
-            target_runs: raw
-                .iter()
-                .map(|&(a, b, c)| TargetRun { start: a as u32, len: b as u32, count: c })
-                .collect(),
-        }),
+        0 => {
+            let count = raw.first().map_or(0, |&(_, _, c)| c);
+            ShardMessage::Pull(PullBatch { origin, round, count })
+        }
         _ => {
             let palette: Vec<Opinion> = raw.iter().map(|&(a, _, _)| opinion_from(a)).collect();
             // Run indices must stay in palette range; an empty palette
@@ -330,6 +329,64 @@ fn header_layout_is_pinned() {
     let mut buf = Vec::new();
     encode_control(&Control::Stop, &mut buf);
     assert_eq!(buf, vec![WIRE_MAGIC[0], WIRE_MAGIC[1], WIRE_VERSION, FrameKind::Stop as u8, 0, 0]);
+}
+
+#[test]
+fn payload_layouts_are_pinned() {
+    // One frame per per-round kind, byte for byte: header (magic,
+    // version 4, kind, round, payload length), then the payload as the
+    // layout table documents it.
+    let mut buf = Vec::new();
+    encode_control(&Control::Stop, &mut buf);
+    assert_eq!(buf, [0x53, 0x42, 0x04, 0x08, 0x00, 0x00]);
+
+    // Pull: origin 1, count 1000 (a two-byte varint), round 300.
+    let pull = ShardMessage::Pull(PullBatch { origin: 1, round: 300, count: 1000 });
+    let pull_bytes = [0x53, 0x42, 0x04, 0x03, 0xAC, 0x02, 0x03, 0x01, 0xE8, 0x07];
+
+    // Palette: origin 2, opinions [color 0, undecided, color 130] as
+    // codes 1, 0, 131, then runs (0, 7) and (2, 300).
+    let palette = ShardMessage::Palette(OpinionPalette {
+        origin: 2,
+        round: 5,
+        palette: vec![Opinion::new(0), Opinion::UNDECIDED, Opinion::new(130)],
+        runs: vec![(0, 7), (2, 300)],
+    });
+    let palette_bytes = [
+        0x53, 0x42, 0x04, 0x04, 0x05, 0x0C, // header
+        0x02, 0x03, 0x01, 0x00, 0x83, 0x01, // origin, 3 opinions
+        0x02, 0x00, 0x07, 0x02, 0xAC, 0x02, // 2 runs
+    ];
+    for (msg, bytes) in [(&pull, &pull_bytes[..]), (&palette, &palette_bytes[..])] {
+        buf.clear();
+        encode_shard_message(msg, &mut buf);
+        assert_eq!(buf, bytes, "{msg:?}");
+        assert_eq!(shard_message_len(msg), bytes.len() as u64);
+    }
+
+    // Report: shard 1, delta tag 1, pairs (3, -2) and (9, 1) zigzagged
+    // to 3 and 2, undecided 4, messages_sent 200, recovered 0,
+    // changed_slots Some(2), bytes 99 sent and 128 received.
+    let report = ShardReport {
+        shard: 1,
+        round: 2,
+        body: ReportBody::Delta(vec![(3, -2), (9, 1)]),
+        undecided: 4,
+        messages_sent: 200,
+        recovered: 0,
+        changed_slots: Some(2),
+        bytes_sent: 99,
+        bytes_received: 128,
+    };
+    let report_bytes = [
+        0x53, 0x42, 0x04, 0x05, 0x02, 0x10, // header
+        0x01, 0x01, 0x02, 0x03, 0x03, 0x09, 0x02, // shard, tag, 2 pairs
+        0x04, 0xC8, 0x01, 0x00, 0x01, 0x02, 0x63, 0x80, 0x01, // scalars
+    ];
+    buf.clear();
+    encode_report(&report, &mut buf);
+    assert_eq!(buf, report_bytes);
+    assert_eq!(report_len(&report), report_bytes.len() as u64);
 }
 
 #[test]

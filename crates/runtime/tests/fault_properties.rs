@@ -145,12 +145,14 @@ fn golden_three_majority_condensed_push_seed_exact() {
     // once when the push step moved to the class-wise `Mult(n, α)`
     // draw; the old values were 40, 18184, 4163, 49775,
     // 0x3ce0cc55f059a164.
+    // Its wire bytes were re-pinned when a pull batch became one draw
+    // count (wire version 4); they were 51493 before.
     let start = Configuration::singletons(512);
     let config = ClusterConfig::new(2, 11).with_fault_plan(FaultPlan::none());
     let out = Cluster::new(ThreeMajority, &start, config).run_horizon(400);
     assert_eq!(out.stop, StopReason::Consensus);
     assert_eq!(out.consensus_round, Some(out.rounds_run));
-    assert_inert_golden(&out, 41, 19116, 4396, 51493, 0xaef2189ad4b42810);
+    assert_inert_golden(&out, 41, 19116, 4396, 51477, 0xaef2189ad4b42810);
 }
 
 #[test]
@@ -214,12 +216,14 @@ fn golden_two_choices_stalled_delta_seed_exact() {
     // The stalled Theorem-5 round under `Auto`: two agent shards from
     // singletons stay in the pull gear (raw palettes, `total < 24·d`),
     // and every report after the first is a delta of a few entries.
+    // Its wire bytes were re-pinned when a pull batch became one draw
+    // count (wire version 4); they were 805101 before.
     let start = Configuration::singletons(1024);
     let config = ClusterConfig::new(2, 1).with_report_mode(ReportMode::Delta);
     let out = Cluster::new(TwoChoices, &start, config).run_horizon(200);
     assert_eq!(out.stop, StopReason::HorizonExhausted);
     assert_eq!(out.report_entries[0], 1022, "round 1 reports sparse");
-    assert_inert_golden(&out, 200, 410400, 1532, 805101, 0x65a8bc6d20c658a8);
+    assert_inert_golden(&out, 200, 410400, 1532, 801901, 0x65a8bc6d20c658a8);
 }
 
 #[test]
@@ -230,11 +234,13 @@ fn golden_two_choices_uniform_delta_seed_exact() {
     // Re-pinned when agent push broadcasts became sorted by slot; the old
     // values were 22 rounds, 512 messages, 125 entries, 3302 wire bytes,
     // digest 0xee13f6a180964f9d.
+    // Its wire bytes were re-pinned when a pull batch became one draw
+    // count (wire version 4); they were 2994 before.
     let start = Configuration::uniform(4096, 3);
     let config = ClusterConfig::new(2, 2).with_report_mode(ReportMode::Delta);
     let out = Cluster::new(TwoChoices, &start, config).run_horizon(100_000);
     assert_eq!(out.stop, StopReason::Consensus);
-    assert_inert_golden(&out, 20, 464, 113, 2994, 0xec5f7c99634629cf);
+    assert_inert_golden(&out, 20, 464, 113, 2978, 0xec5f7c99634629cf);
 }
 
 #[test]
@@ -247,6 +253,8 @@ fn golden_two_choices_mixed_delta_seed_exact() {
     // Re-pinned when agent push broadcasts became sorted by slot; the old
     // values were final entries [25, 16, 9, 4], 1986 entries, 86017 wire
     // bytes, digest 0xc0573bdc5eb9bd0a (30 rounds, 46592 messages).
+    // Its wire bytes were re-pinned when a pull batch became one draw
+    // count (wire version 4); they were 85827 before.
     let mut counts = vec![64u64; 4];
     counts.extend(std::iter::repeat_n(1, 768));
     let start = Configuration::from_counts(counts);
@@ -255,7 +263,7 @@ fn golden_two_choices_mixed_delta_seed_exact() {
     assert_eq!(out.stop, StopReason::Consensus);
     assert_eq!(&out.report_entries[..3], &[765, 26, 35], "sparse, then delta");
     assert_eq!(&out.report_entries[26..], &[23, 17, 9, 4], "sparse again at the end");
-    assert_inert_golden(&out, 30, 46592, 1942, 85827, 0xeb541f7eecabd0d);
+    assert_inert_golden(&out, 30, 46592, 1942, 84415, 0xeb541f7eecabd0d);
 }
 
 // ---------------------------------------------------------------------

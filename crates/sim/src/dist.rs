@@ -884,7 +884,7 @@ impl Categorical {
 /// Sampled by inversion from the support's lower bound
 /// `max(0, draws − (total − marked))` using the pmf ratio recurrence —
 /// exact, with the starting pmf evaluated through `ln_factorial` — when
-/// the expected walk length `mean − lo` is at most [`WALK_MEAN_CAP`],
+/// the expected walk length `mean − lo` is at most `WALK_MEAN_CAP` (64),
 /// which fits the small per-window draw counts of the engine stack
 /// (`h ≤ 9`ish). For *bulk* parameters (a long expected walk, or an
 /// edge pmf that underflows `f64`) construction switches to
@@ -976,7 +976,7 @@ const HRUA_D2: f64 = 0.898_916_162_058_898_8;
 /// legacy walk and its exact randomness consumption; comfortably below
 /// where the walk's linear cost overtakes HRUA's ~2 log-pmf
 /// evaluations per draw.
-pub const WALK_MEAN_CAP: f64 = 64.0;
+const WALK_MEAN_CAP: f64 = 64.0;
 
 impl Hypergeometric {
     /// Creates a sampler for the urn `(total, marked)` and `draws` draws.
