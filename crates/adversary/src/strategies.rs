@@ -11,8 +11,8 @@
 //! Every corrupt path is **occupancy-aware**: donors/recipients are
 //! found by scanning the occupied-slot list (never the dense counts)
 //! and mass moves through [`Configuration::shift_support`], which keeps
-//! the caches exact in `O(#occupied)` — no `counts_mut` guard with its
-//! `O(k)` rebuild-on-drop. Adversarial sweeps from `k = n` singleton
+//! the caches exact in `O(#occupied)`, with no `O(k)` cache rebuild.
+//! Adversarial sweeps from `k = n` singleton
 //! starts therefore scale with the surviving support like the clean
 //! runs do (pinned by `corruption_cost_tracks_occupancy_not_slots`).
 //! The only remaining dense scans are parameter-sized: a recipient
@@ -374,8 +374,8 @@ mod tests {
         // once occupancy has collapsed: the same tiny occupancy must
         // cost about the same no matter how many dense slots k the
         // configuration drags along. The old corrupt paths scanned the
-        // dense counts per corrupted unit and rebuilt caches through the
-        // O(k) counts_mut guard — a ~16000x gap between these two k's —
+        // dense counts per corrupted unit and rebuilt every cache in
+        // O(k) — a ~16000x gap between these two k's —
         // so a 64x tolerance has orders of magnitude of noise margin
         // while still catching any dense scan.
         let budget = 64u64;

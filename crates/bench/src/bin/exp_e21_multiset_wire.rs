@@ -10,7 +10,7 @@
 //! **multiset** of each node's window (3-Majority here) or a single
 //! peer (Voter) is condensed: it holds a local histogram, not an agent
 //! vector, and moves received palettes between histograms as mass —
-//! grouped hypergeometric blocks or per-ball dealing in the pull gear, one
+//! a pooled block or per-ball dealing in the pull gear, one
 //! closed-form step in the push gear — and for a single-peer rule the
 //! pooled palettes *are* the next histogram. These are the cluster's
 //! default consume paths. Agent-backed shards (`ShardRepr::Agents`)
@@ -105,7 +105,7 @@ fn main() {
         run_against_oracle(Voter, n, voter_horizon, trials, 210_000, |c| c.num_colors() as u64);
 
     // 3-Majority from singletons: per-ball dealing for the first rounds,
-    // then grouped hypergeometric blocks (and the push gear's
+    // then the pooled block (and the push gear's
     // closed-form step) once occupancy collapses. Max support at the
     // horizon pins the law.
     let tm_horizon = ((300.0 * scale()).round() as u64).clamp(48, 600);

@@ -1,19 +1,19 @@
-//! E25 — grouped condensed pull gear: per-opinion hypergeometric
-//! blocks make condensed pull rounds `O(#occupied · h)`, the same
-//! complexity class as the push gear.
+//! E25 — condensed pull gear: 3-Majority's pooled block makes condensed
+//! pull rounds `O(#occupied · h)`, the same complexity class as the
+//! push gear, and own-sensitive rules deal per ball.
 //!
 //! Before the grouped consume, a condensed shard receiving pull
 //! palettes still walked its *nodes*: one multivariate-hypergeometric
 //! window split per node off the pooled histogram (`O(local_n · h log
 //! d)` with the Fenwick dealer), which is exactly the per-agent cost
 //! condensation exists to avoid — the E23 k = n singleton rows sat at
-//! 0.18–0.63x against the agent baseline because of it. The grouped
-//! consume deals the pool into per-(opinion-group) blocks with nested
-//! multivariate hypergeometrics ([`symbreak_sim::dist::GroupSplitter`])
-//! and applies each rule's aggregate window law once per occupied
-//! group (`MultisetRule::condensed_window_step`), collapsing to a
-//! single mega-block call for own-insensitive rules (3-Majority,
-//! h-Majority).
+//! 0.18–0.63x against the agent baseline because of it. The consume now
+//! has two arms: an own-insensitive rule (3-Majority, h-Majority) whose
+//! pool is concentrated enough applies its aggregate window law once,
+//! on the whole pool (`MultisetRule::condensed_window_step`); every
+//! other round deals per ball off the palettes. (A per-opinion-group
+//! arm for own-sensitive rules ran first; no `Auto`-gear run reached
+//! it, so it is gone. The binary keeps its name.)
 //!
 //! **Part A** pins the complexity claim: 3-Majority from the uniform
 //! `k = 256` start with the data gear *forced* to pull and to push
@@ -35,7 +35,7 @@
 //! horizon measures only the crossover region). Every leg is timed
 //! twice interleaved and scored by its best per-round time, which
 //! cancels both consensus-length luck and machine drift. Every row must
-//! now sit at ≥ 1.0x (full scale): the mega-block path carries
+//! now sit at ≥ 1.0x (full scale): the pooled block carries
 //! 3-Majority, the flat Fisher–Yates dealing (O(1) per ball, no Fenwick
 //! `log d`) carries the own-sensitive diverse regime, and Voter's
 //! palette tally was already node-free. The agent baseline is the

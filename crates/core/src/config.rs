@@ -196,15 +196,6 @@ impl Configuration {
         self.occupied.iter().map(move |&i| self.counts[i as usize])
     }
 
-    /// Mutable access for processes that rewrite supports directly (e.g.
-    /// the adversary). The caller must restore `Σ cᵢ = n`; this is checked
-    /// in debug builds on the next [`Configuration::validate`] call. The
-    /// occupancy list and cached observables are refreshed (`O(k)`) when
-    /// the returned guard drops.
-    pub fn counts_mut(&mut self) -> CountsMut<'_> {
-        CountsMut { cfg: self }
-    }
-
     /// Rewrites the supports of the occupied slots in one pass, then
     /// refreshes the occupancy list and cached observables in
     /// `O(#occupied)`.
@@ -512,8 +503,7 @@ impl Configuration {
 
     /// Moves `amount` units of support `from → to` (`None` meaning
     /// outside the configuration), keeping **every** derived cache exact
-    /// in `O(#occupied)` — unlike [`Configuration::counts_mut`], whose
-    /// guard rebuilds the caches with a dense `O(k)` scan on drop.
+    /// in `O(#occupied)`.
     /// `to` may name a currently dead slot (adversaries revive colors);
     /// `from` must hold at least `amount`.
     ///
@@ -574,7 +564,7 @@ impl Configuration {
         self.second_support = second;
     }
 
-    /// Recomputes and checks the population invariant after raw mutation.
+    /// Checks the population invariant: the counts sum to `n`.
     ///
     /// # Panics
     /// Panics if the counts no longer sum to `n`.
@@ -701,33 +691,6 @@ impl Configuration {
             }
         }
         Self::from_counts(counts)
-    }
-}
-
-/// Guard for raw count mutation: dereferences to the count vector and
-/// refreshes the configuration's occupancy list and cached observables
-/// when dropped. Obtained from [`Configuration::counts_mut`].
-pub struct CountsMut<'a> {
-    cfg: &'a mut Configuration,
-}
-
-impl std::ops::Deref for CountsMut<'_> {
-    type Target = Vec<u64>;
-
-    fn deref(&self) -> &Vec<u64> {
-        &self.cfg.counts
-    }
-}
-
-impl std::ops::DerefMut for CountsMut<'_> {
-    fn deref_mut(&mut self) -> &mut Vec<u64> {
-        &mut self.cfg.counts
-    }
-}
-
-impl Drop for CountsMut<'_> {
-    fn drop(&mut self) {
-        self.cfg.rebuild_caches();
     }
 }
 
@@ -881,8 +844,7 @@ mod tests {
     #[test]
     fn mutation_and_validate() {
         let mut c = Configuration::uniform(6, 3);
-        c.counts_mut()[0] += 1;
-        c.counts_mut()[1] -= 1;
+        c.shift_support(Some(1), Some(0), 1);
         c.validate(); // mass preserved
         assert_eq!(c.counts(), &[3, 1, 2]);
         assert_eq!(c.n(), 6);
@@ -892,7 +854,7 @@ mod tests {
     #[should_panic(expected = "mass changed")]
     fn validate_catches_mass_change() {
         let mut c = Configuration::uniform(6, 3);
-        c.counts_mut()[0] += 1;
+        c.counts[0] += 1;
         c.validate();
     }
 
@@ -923,20 +885,6 @@ mod tests {
         assert_eq!(c.occupied(), &[1, 3]);
         assert_eq!(c.occupied_counts().collect::<Vec<_>>(), vec![4, 2]);
         assert_eq!(c.num_colors(), 2);
-        assert_caches_match_recount(&c);
-    }
-
-    #[test]
-    fn counts_mut_guard_refreshes_caches() {
-        let mut c = Configuration::from_counts(vec![3, 3, 0]);
-        {
-            let mut counts = c.counts_mut();
-            counts[0] -= 3;
-            counts[2] += 3;
-        }
-        assert_eq!(c.occupied(), &[1, 2]);
-        assert_eq!(c.max_support(), 3);
-        assert_eq!(c.bias(), 0);
         assert_caches_match_recount(&c);
     }
 

@@ -176,22 +176,25 @@ pub trait MultisetRule: UpdateRule {
     /// Whether [`MultisetRule::update_from_counts`] ignores `own` — the
     /// rule is an AC-process at window level (3-Majority, h-Majority).
     ///
-    /// Condensed pull consumers use this to collapse *all* opinion
-    /// groups into one pooled block per round: when the outcome law
-    /// doesn't depend on which group a window was dealt to, dealing
-    /// per-group blocks first is wasted work, and one
-    /// [`MultisetRule::condensed_window_step`] call over the whole pool
-    /// realizes the identical law. Defaults to `false` (always safe).
+    /// A condensed shard reads this once, when it is built: the pull
+    /// rounds of an own-insensitive rule may consume the whole pool as
+    /// one block, one [`MultisetRule::condensed_window_step`] call for
+    /// every node, because the outcome law does not depend on which
+    /// node a window was dealt to. Every other rule's pull rounds deal
+    /// per ball. Defaults to `false` (always safe).
     fn own_insensitive(&self) -> bool {
         false
     }
 
-    /// One opinion group's share of a synchronous *pull*-gear round over
-    /// a condensed shard — the without-replacement sibling of
+    /// A pooled block of a synchronous *pull*-gear round over a
+    /// condensed shard — the without-replacement sibling of
     /// [`MultisetRule::condensed_push_step`]: `count` nodes of opinion
     /// `own` jointly consume `block`, the exact histogram of their
     /// `count·h` pooled sample draws, and only the resulting opinion
-    /// **multiset** is produced.
+    /// **multiset** is produced. The runtime calls it once per pull
+    /// round, on the whole pool, and only for
+    /// [own-insensitive](MultisetRule::own_insensitive) rules, whose
+    /// `own` it ignores.
     ///
     /// `values` are the distinct sample opinions, strictly ascending (so
     /// [`Opinion::UNDECIDED`], when present, is last), with `block`
@@ -204,10 +207,11 @@ pub trait MultisetRule: UpdateRule {
     /// without-replacement `h`-windows (one [`GroupSplitter`] block of
     /// `h` per window, the multivariate-hypergeometric law) and applying
     /// [`MultisetRule::update_from_counts`] per window — the default
-    /// realizes exactly that, one window at a time. Rules with an exact
-    /// aggregate law override it to run in `O(#values)`-ish instead of
-    /// `O(count · h)`, which is what makes condensed pull rounds as
-    /// cheap as push rounds.
+    /// realizes exactly that, one window at a time. 3-Majority and
+    /// h-Majority (`h ≤ 3`) override it with an exact aggregate law
+    /// that runs in `O(#values)`-ish instead of `O(count · h)`, which
+    /// is what makes their condensed pull rounds as cheap as push
+    /// rounds.
     ///
     /// [`GroupSplitter`]: symbreak_sim::dist::GroupSplitter
     fn condensed_window_step(

@@ -23,7 +23,7 @@ use crate::process::{
     with_step_scratch, ExpectedUpdate, MultisetRule, SampleAccess, StepScratch, UpdateRule,
     VectorStep,
 };
-use symbreak_sim::dist::{Binomial, FenwickPool, GroupSplitter};
+use symbreak_sim::dist::Binomial;
 
 /// The 2-Median update rule. Opinion indices are interpreted as points on
 /// the integer line.
@@ -123,70 +123,6 @@ impl MultisetRule for TwoMedian {
                     Landing::Stay(g) => out.push((groups[g].0, c)),
                 },
             );
-        });
-    }
-
-    /// Exact aggregate consumption of one group's pooled
-    /// without-replacement block.
-    ///
-    /// A dealt window of two is an unordered pair; exchangeability of
-    /// slot positions makes the slot-1 balls `F` a uniform
-    /// `count`-subset of the block, the slot-2 balls `S` the remainder,
-    /// and the pairing `F↔S` a uniform bijection. Revealing the
-    /// bijection category-by-category keeps the rest uniform, so the
-    /// partners of category `j`'s `f_j` balls are a uniform
-    /// `f_j`-subset of the remaining `S` pool — and unlike 3-Majority
-    /// the partner split *is* the outcome: a window `(values[j],
-    /// values[k])` emits `median3(own, values[j], values[k])`, i.e. the
-    /// lower endpoint when `own` sits at or below both, the upper when
-    /// at or above both, and `own` itself when strictly between.
-    fn condensed_window_step(
-        &self,
-        own: Opinion,
-        count: u64,
-        values: &[Opinion],
-        block: &mut [u64],
-        rng: &mut dyn RngCore,
-        out: &mut Vec<(Opinion, u64)>,
-    ) {
-        debug_assert_eq!(block.iter().sum::<u64>(), count * 2, "block mass must be count·2");
-        if count == 0 {
-            return;
-        }
-        with_step_scratch(|s| {
-            let first = &mut s.aux_counts;
-            first.clear();
-            first.resize(values.len(), 0);
-            GroupSplitter::new(block).draw_block(count, rng, |j, x| first[j] += x);
-            // `block` now holds S, the partner pool.
-            let mut partners = FenwickPool::new(block);
-            let tally = &mut s.aux_counts2;
-            tally.clear();
-            tally.resize(values.len(), 0);
-            let mut stay = 0u64;
-            for (j, &fj) in first.iter().enumerate() {
-                if fj == 0 {
-                    continue;
-                }
-                partners.deal(fj, rng, |k, c| {
-                    let (lo, hi) = if j <= k { (j, k) } else { (k, j) };
-                    if own <= values[lo] {
-                        tally[lo] += c;
-                    } else if own >= values[hi] {
-                        tally[hi] += c;
-                    } else {
-                        stay += c;
-                    }
-                });
-            }
-            for (j, &c) in tally.iter().enumerate() {
-                if c > 0 {
-                    out.push((values[j], c));
-                }
-            }
-            if stay > 0 {
-                out.push((own, stay));
-            }
         });
     }
 }
@@ -423,7 +359,9 @@ mod tests {
     use super::*;
     use crate::process::assert_probability_vector;
     use rand::SeedableRng;
+    use std::collections::BTreeMap;
     use symbreak_sim::rng::Pcg64;
+    use symbreak_stats::chi_square_gof;
 
     fn op(i: u32) -> Opinion {
         Opinion::new(i)
@@ -485,6 +423,123 @@ mod tests {
         let c = Configuration::from_counts(vec![45, 10, 45]);
         let e = TwoMedian.expected_fractions(&c);
         assert!(e[1] > 0.1, "middle should grow, got {e:?}");
+    }
+
+    /// The exact law of the next multiset when `groups` step against iid
+    /// samples from `values` / `weights`, node by node: a node at `own`
+    /// lands on `median(own, X, Y)`. A state counts the landed nodes per
+    /// opinion of the returned axis (every value and every own value,
+    /// ascending).
+    fn exact_next_law(
+        groups: &[(Opinion, u64)],
+        values: &[Opinion],
+        weights: &[f64],
+    ) -> (Vec<Opinion>, BTreeMap<Vec<u64>, f64>) {
+        let total: f64 = weights.iter().sum();
+        let mut axis: Vec<Opinion> =
+            values.iter().chain(groups.iter().map(|g| &g.0)).copied().collect();
+        axis.sort_unstable();
+        axis.dedup();
+        let mut law = BTreeMap::from([(vec![0; axis.len()], 1.0)]);
+        for &(own, count) in groups {
+            let mut land = vec![0.0; axis.len()];
+            for (&a, &wa) in values.iter().zip(weights) {
+                for (&b, &wb) in values.iter().zip(weights) {
+                    let t = axis.binary_search(&median3(own, a, b)).expect("a median on the axis");
+                    land[t] += wa * wb / (total * total);
+                }
+            }
+            for _ in 0..count {
+                let mut next = BTreeMap::new();
+                for (state, p) in &law {
+                    for (t, &q) in land.iter().enumerate().filter(|&(_, &q)| q > 0.0) {
+                        let mut to = state.clone();
+                        to[t] += 1;
+                        *next.entry(to).or_insert(0.0) += p * q;
+                    }
+                }
+                law = next;
+            }
+        }
+        (axis, law)
+    }
+
+    /// Chi-square of `trials` draws of `step` (the next multiset as
+    /// `(opinion, count)` entries, which may repeat) against the exact
+    /// law of `groups` stepping on `values` / `weights`.
+    fn step_matches_exact_law(
+        groups: &[(Opinion, u64)],
+        values: &[Opinion],
+        weights: &[f64],
+        trials: u64,
+        seed: u64,
+        step: &mut dyn FnMut(&mut Pcg64) -> Vec<(Opinion, u64)>,
+    ) -> bool {
+        let (axis, law) = exact_next_law(groups, values, weights);
+        let mut observed: BTreeMap<Vec<u64>, u64> = law.keys().map(|k| (k.clone(), 0)).collect();
+        let mut rng = Pcg64::seed_from_u64(seed);
+        for _ in 0..trials {
+            let mut state = vec![0; axis.len()];
+            for (o, c) in step(&mut rng) {
+                state[axis.binary_search(&o).expect("an outcome on the axis")] += c;
+            }
+            *observed.get_mut(&state).expect("a configuration of the exact law") += 1;
+        }
+        let observed: Vec<u64> = observed.into_values().collect();
+        let expected: Vec<f64> = law.values().map(|p| p * trials as f64).collect();
+        chi_square_gof(&observed, &expected, 5.0).within_sigma(5.0)
+    }
+
+    #[test]
+    fn vector_step_matches_exact_law() {
+        // The last start leaves slot 1 empty between occupied values.
+        let starts: [&[u64]; 4] = [&[2, 1, 1], &[3, 2, 1], &[1, 1, 1, 1, 1], &[4, 0, 1]];
+        for (s, start) in starts.iter().enumerate() {
+            let c = Configuration::from_counts(start.to_vec());
+            let groups: Vec<(Opinion, u64)> =
+                c.occupied().iter().map(|&i| op(i)).zip(c.occupied_counts()).collect();
+            let values: Vec<Opinion> = groups.iter().map(|g| g.0).collect();
+            let weights: Vec<f64> = groups.iter().map(|g| g.1 as f64).collect();
+            let ok = step_matches_exact_law(
+                &groups,
+                &values,
+                &weights,
+                20_000,
+                60 + s as u64,
+                &mut |rng| {
+                    let mut next = c.clone();
+                    TwoMedian.vector_step_into(&mut next, rng);
+                    next.occupied().iter().map(|&i| op(i)).zip(next.occupied_counts()).collect()
+                },
+            );
+            assert!(ok, "{start:?}");
+        }
+    }
+
+    #[test]
+    fn condensed_push_step_matches_exact_law() {
+        // The second case puts every group's own value off `values`:
+        // below the axis, between two values and above it.
+        let cases: [(&[(Opinion, u64)], &[Opinion], &[f64]); 3] = [
+            (&[(op(1), 2), (op(3), 1), (op(4), 1)], &[op(1), op(3), op(4)], &[2.0, 1.0, 1.0]),
+            (&[(op(0), 1), (op(2), 2), (op(5), 1)], &[op(1), op(3), op(4)], &[0.5, 0.3, 0.2]),
+            (&[(op(2), 1), (op(4), 3)], &[op(1), op(4), op(6)], &[1.0, 3.0, 1.0]),
+        ];
+        for (s, &(groups, values, weights)) in cases.iter().enumerate() {
+            let ok = step_matches_exact_law(
+                groups,
+                values,
+                weights,
+                20_000,
+                70 + s as u64,
+                &mut |rng| {
+                    let mut out = Vec::new();
+                    TwoMedian.condensed_push_step(groups, values, weights, rng, &mut out);
+                    out
+                },
+            );
+            assert!(ok, "{groups:?} on {values:?}");
+        }
     }
 
     #[test]

@@ -141,49 +141,6 @@ impl MultisetRule for UndecidedDynamics {
             out.push((Opinion::UNDECIDED, next_undecided));
         }
     }
-
-    /// With a one-sample window the dealt block *is* the outcome law —
-    /// no randomness at all:
-    ///
-    /// * the undecided group adopts its block verbatim (an undecided
-    ///   ball means staying undecided, which the block entry covers);
-    /// * a group decided on `own` keeps one node per `own` or undecided
-    ///   ball in its block and sends the rest undecided — *which* node
-    ///   got which ball never matters, only how many.
-    fn condensed_window_step(
-        &self,
-        own: Opinion,
-        count: u64,
-        values: &[Opinion],
-        block: &mut [u64],
-        _rng: &mut dyn RngCore,
-        out: &mut Vec<(Opinion, u64)>,
-    ) {
-        debug_assert_eq!(block.iter().sum::<u64>(), count, "block mass must be count·1");
-        if count == 0 {
-            return;
-        }
-        if own.is_undecided() {
-            for (j, &c) in block.iter().enumerate() {
-                if c > 0 {
-                    out.push((values[j], c));
-                }
-            }
-            return;
-        }
-        let mut keep = 0u64;
-        for (j, &v) in values.iter().enumerate() {
-            if v == own || v.is_undecided() {
-                keep += block[j];
-            }
-        }
-        if keep > 0 {
-            out.push((own, keep));
-        }
-        if count - keep > 0 {
-            out.push((Opinion::UNDECIDED, count - keep));
-        }
-    }
 }
 
 /// Population state of the undecided dynamics: decided color counts plus

@@ -1,7 +1,7 @@
 //! Cross-validation of the occupancy-aware engine stack.
 //!
 //! **Cache integrity** — after every rule's in-place `vector_step_into`,
-//! raw `counts_mut` mutation, and agent-engine rounds (which maintain the
+//! `shift_support` point mutation, and agent-engine rounds (which maintain the
 //! caches incrementally through `record`), every cached observable
 //! matches a from-scratch recount of the raw counts. The law of each
 //! vector step is pinned against the literal agent engine in
@@ -98,14 +98,10 @@ proptest! {
             ThreeMajority.vector_step_into(&mut c, &mut rng);
             check_caches(&c)?;
         }
-        // Raw mutation through the guard must refresh the caches too.
+        // A point mutation that empties a slot (and may revive slot 0)
+        // must keep the caches exact too.
         let donor = c.plurality().index();
-        {
-            let mut counts = c.counts_mut();
-            let v = counts[donor];
-            counts[donor] = 0;
-            counts[0] += v;
-        }
+        c.shift_support(Some(donor), Some(0), c.counts()[donor]);
         c.validate();
         check_caches(&c)?;
     }

@@ -46,12 +46,12 @@
 use std::sync::mpsc;
 
 use symbreak_adversary::quorum_threshold;
-use symbreak_core::{Configuration, Opinion, SampleAccess, UpdateRule};
+use symbreak_core::{Configuration, SampleAccess, UpdateRule};
 use symbreak_sim::trace::{RoundStats, Trace};
 
 use crate::fault::{FaultCounters, FaultKind, FaultPlan, StopReason};
 use crate::message::{Control, DataFormat, ReportBody, ReportFormat, ShardReport};
-use crate::shard::{run_shard, Partition, ShardInit, ShardSpec};
+use crate::shard::{run_shard, Partition, ShardSpec};
 use crate::transport::{
     ChannelLink, ChannelTransport, CoordinatorLink, FleetSpec, SocketConfig, SocketFleet, WireRule,
 };
@@ -109,9 +109,9 @@ pub enum ShardRepr {
 }
 
 /// Whether a shard runs condensed: the representation asks for a
-/// histogram and the rule's sample access can consume one. The one
-/// predicate the channel coordinator, the socket coordinator and the
-/// worker all apply.
+/// histogram and the rule's sample access can consume one. Both
+/// backends apply it once, in `Cluster::boot`, and ship the verdict
+/// to every shard.
 pub(crate) fn shard_is_condensed(repr: ShardRepr, access: SampleAccess) -> bool {
     repr == ShardRepr::Histogram && access != SampleAccess::OrderedWindow
 }
@@ -349,35 +349,20 @@ impl<R: UpdateRule + Clone + Send> Cluster<R> {
 
         crossbeam::thread::scope(|scope| {
             for (shard_id, (inbox, control)) in inboxes.into_iter().zip(control_rxs).enumerate() {
-                let body = &boot.bodies[shard_id];
-                let init = if boot.condensed {
-                    ShardInit::Histogram(body.clone())
-                } else {
-                    // Expand the shard's body into its agent vector:
-                    // colors lie ascending and contiguous (exactly how
-                    // `to_opinions` lays agents out), so this equals
-                    // slicing the global expansion.
-                    let range = boot.partition.range(shard_id);
-                    let mut opinions = Vec::with_capacity(range.len());
-                    for &(slot, count) in body {
-                        opinions.extend(std::iter::repeat_n(Opinion::new(slot), count as usize));
-                    }
-                    debug_assert_eq!(opinions.len(), range.len());
-                    ShardInit::Agents(opinions)
-                };
+                let body = boot.bodies[shard_id].clone();
                 let transport =
                     ChannelTransport::new(inbox, peer_senders.clone(), control, report_tx.clone());
                 let rule = rule.clone();
                 let spec = ShardSpec {
                     partition: boot.partition,
                     k_slots,
-                    report_mode: config.report_mode,
-                    repr: config.shard_repr,
+                    condensed: boot.condensed,
+                    tracking: config.report_mode == ReportMode::Delta,
                     master_seed: config.seed,
                     plan: config.fault_plan.clone(),
                 };
                 scope.spawn(move |_| {
-                    run_shard(shard_id, spec, rule, init, transport);
+                    run_shard(shard_id, spec, rule, body, transport);
                 });
             }
             // The coordinator's copies are no longer needed; dropping them
@@ -421,8 +406,7 @@ impl<R: WireRule> Cluster<R> {
             n: self.n,
             shards: self.config.shards,
             k_slots: self.start.num_slots(),
-            report_mode: self.config.report_mode,
-            repr: self.config.shard_repr,
+            tracking: self.config.report_mode == ReportMode::Delta,
             master_seed: self.config.seed,
             plan: self.config.fault_plan.clone(),
             rule: self.rule.spec(),
@@ -497,8 +481,8 @@ impl<R: UpdateRule> Cluster<R> {
 struct Boot {
     partition: Partition,
     bodies: Vec<Vec<(u32, u64)>>,
-    /// Whether the shards run condensed; the workers re-derive the
-    /// predicate and assert it against their init.
+    /// Whether the shards run condensed, shipped to every worker in
+    /// its spec.
     condensed: bool,
     /// The rule's per-node sample count.
     h: u64,

@@ -50,7 +50,6 @@ use std::io::{self, Read, Write};
 
 use symbreak_core::Opinion;
 
-use crate::cluster::{ReportMode, ShardRepr};
 use crate::fault::{ByzantineSpec, CorruptionKind, CrashSpec, FaultPlan};
 use crate::message::{
     Control, DataFormat, OpinionPalette, PullBatch, ReportBody, ReportFormat, ShardMessage,
@@ -59,9 +58,9 @@ use crate::message::{
 
 /// The two magic bytes opening every frame (`"SB"`).
 pub const WIRE_MAGIC: [u8; 2] = [0x53, 0x42];
-/// The encoding version this build speaks (versions 2 and 3 changed the
-/// `Init` payload, version 4 the `Pull` payload).
-pub const WIRE_VERSION: u8 = 4;
+/// The encoding version this build speaks (versions 2, 3 and 5 changed
+/// the `Init` payload, version 4 the `Pull` payload).
+pub const WIRE_VERSION: u8 = 5;
 
 /// Frame type discriminant (the `kind` header byte).
 ///
@@ -262,6 +261,14 @@ impl<'a> Reader<'a> {
         let b = *self.buf.get(self.pos).ok_or(WireError::Truncated)?;
         self.pos += 1;
         Ok(b)
+    }
+
+    fn bool(&mut self) -> Result<bool, WireError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(WireError::Malformed("bad bool")),
+        }
     }
 
     fn varint(&mut self) -> Result<u64, WireError> {
@@ -816,8 +823,7 @@ pub(crate) struct WorkerInit {
     pub n: u32,
     pub shards: usize,
     pub k_slots: usize,
-    pub report_mode: ReportMode,
-    pub repr: ShardRepr,
+    pub tracking: bool,
     pub master_seed: u64,
     pub plan: FaultPlan,
     pub rule: crate::transport::RuleSpec,
@@ -827,26 +833,13 @@ pub(crate) struct WorkerInit {
     pub die_at_round: Option<u64>,
 }
 
-fn mode_codes(init: &WorkerInit) -> [u8; 2] {
-    [
-        match init.report_mode {
-            ReportMode::Sparse => 0,
-            ReportMode::Delta => 1,
-        },
-        match init.repr {
-            ShardRepr::Histogram => 0,
-            ShardRepr::Agents => 1,
-        },
-    ]
-}
-
 pub(crate) fn encode_worker_init(init: &WorkerInit, out: &mut Vec<u8>) {
     use crate::transport::RuleSpec;
     put_frame(out, FrameKind::Init, 0, |b| {
         b.varint(u64::from(init.n));
         b.varint(init.shards as u64);
         b.varint(init.k_slots as u64);
-        b.extend_from_slice(&mode_codes(init));
+        b.push(u8::from(init.tracking));
         b.varint(init.master_seed);
         // Fault plan: seed, six rates (fixed f64 bits), crashes,
         // byzantine specs, max_faulty.
@@ -931,16 +924,7 @@ pub(crate) fn decode_worker_init(frame: &Frame) -> Result<WorkerInit, WireError>
     let n = r.varint()?;
     let shards = r.varint()? as usize;
     let k_slots = r.varint()? as usize;
-    let report_mode = match r.u8()? {
-        0 => ReportMode::Sparse,
-        1 => ReportMode::Delta,
-        _ => return Err(WireError::Malformed("unknown report mode")),
-    };
-    let repr = match r.u8()? {
-        0 => ShardRepr::Histogram,
-        1 => ShardRepr::Agents,
-        _ => return Err(WireError::Malformed("unknown shard repr")),
-    };
+    let tracking = r.bool()?;
     let master_seed = r.varint()?;
     let plan_seed = r.varint()?;
     let mut rates = [0.0f64; 6];
@@ -1001,11 +985,7 @@ pub(crate) fn decode_worker_init(frame: &Frame) -> Result<WorkerInit, WireError>
         }
         _ => return Err(WireError::Malformed("unknown rule spec")),
     };
-    let condensed = match r.u8()? {
-        0 => false,
-        1 => true,
-        _ => return Err(WireError::Malformed("bad bool")),
-    };
+    let condensed = r.bool()?;
     let body_count = r.bounded_count()?;
     let mut body = Vec::with_capacity(body_count);
     for _ in 0..body_count {
@@ -1038,8 +1018,7 @@ pub(crate) fn decode_worker_init(frame: &Frame) -> Result<WorkerInit, WireError>
         n: n as u32,
         shards,
         k_slots,
-        report_mode,
-        repr,
+        tracking,
         master_seed,
         plan,
         rule,
@@ -1098,8 +1077,7 @@ mod tests {
             n: 1000,
             shards: 4,
             k_slots: 64,
-            report_mode: ReportMode::Delta,
-            repr: ShardRepr::Histogram,
+            tracking: true,
             master_seed: u64::MAX,
             plan: FaultPlan::none()
                 .with_seed(9)

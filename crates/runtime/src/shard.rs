@@ -23,7 +23,7 @@
 //!
 //! A shard's nodes live behind one crate-private trait,
 //! `ShardState`, with two implementations picked once by
-//! `run_shard` from the `ShardInit` variant (the worker is
+//! `run_shard` from the spec's `condensed` flag (the worker is
 //! monomorphized over it, `Worker<R, T, S>`). `Worker` keeps what
 //! both share: the exchange of both gears, the fault plan's
 //! interceptions, the push union and the report framing.
@@ -38,7 +38,7 @@
 //!   snapshot is tallied only for a histogram-walk batch (lazily, once
 //!   per round) or a push broadcast: a raw batch reads the opinions
 //!   directly. Under
-//!   [`ReportMode::Delta`] every opinion write is logged, and the report
+//!   [`ReportMode::Delta`](crate::ReportMode::Delta) every opinion write is logged, and the report
 //!   nets the round's `(old, new)` moves into signed `(slot, Δcount)`
 //!   entries in `O(#moves)`; a sparse report recounts in `O(local_n)`.
 //! * **Condensed** (`condensed.rs`, under
@@ -48,14 +48,14 @@
 //!   undecided count; no per-agent state exists. Pull palettes —
 //!   walked, raw or compensating — are served straight from the pairs,
 //!   which do not change during the exchange. Received palettes and
-//!   push unions are consumed as mass moved between histograms:
-//!   grouped hypergeometric blocks in the pull gear (one
-//!   [`symbreak_core::MultisetRule`] `condensed_window_step` call per
-//!   occupied opinion group, or a single mega-block call for
-//!   own-insensitive rules, with per-ball dealing where the blocks
-//!   would outnumber the balls), and one `condensed_push_step` call per
-//!   round in the push gear, so in both gears the per-round compute
-//!   drops from `O(local_n · h)` to `O(#occupied · h)`. Every consume
+//!   push unions are consumed as mass moved between histograms. A
+//!   pull round of an own-insensitive rule (3-Majority, h-Majority)
+//!   whose pool is concentrated enough is one pooled block, a single
+//!   [`symbreak_core::MultisetRule`] `condensed_window_step` call;
+//!   every other pull round deals per ball off the received palettes.
+//!   A push round is one `condensed_push_step` call, so the pooled
+//!   block and the push gear drop the per-round compute from
+//!   `O(local_n · h)` to `O(#occupied · h)`. Every consume
 //!   installs its output straight into the sorted pairs; a sparse
 //!   report copies them, and a tracked report merges them against the
 //!   previous report's pairs. Rejoin copies the snapshot counts and
@@ -89,7 +89,6 @@ use symbreak_core::{Configuration, Opinion, SampleAccess, UpdateRule};
 use symbreak_sim::dist::{sample_multinomial_into, sample_multinomial_sparse_into, Binomial};
 use symbreak_sim::rng::{trial_seed, Pcg64};
 
-use crate::cluster::{shard_is_condensed, ReportMode, ShardRepr};
 use crate::fault::{CorruptionKind, FaultKind, FaultPlan, BYZANTINE_SALT};
 use crate::message::{
     Control, DataFormat, OpinionPalette, PullBatch, ReportBody, ReportFormat, ShardMessage,
@@ -151,31 +150,25 @@ impl Partition {
 /// Static per-run parameters shared by every shard.
 ///
 /// `k_slots` is the number of color slots reported back to the
-/// coordinator (opinion indices must stay below it).
+/// coordinator (opinion indices must stay below it). `condensed` is the
+/// coordinator's representation verdict (`cluster::shard_is_condensed`)
+/// and `tracking` whether the run reports deltas
+/// ([`ReportMode::Delta`](crate::ReportMode::Delta)).
 #[derive(Debug, Clone)]
 pub(crate) struct ShardSpec {
     pub partition: Partition,
     pub k_slots: usize,
-    pub report_mode: ReportMode,
-    pub repr: ShardRepr,
+    pub condensed: bool,
+    pub tracking: bool,
     pub master_seed: u64,
     pub plan: FaultPlan,
 }
 
-/// A shard's seed state, matching its representation: the coordinator
-/// sends a sparse histogram body to condensed shards and a materialized
-/// opinion vector otherwise (the worker asserts the variant against the
-/// spec's representation and the rule's sample access).
-pub(crate) enum ShardInit {
-    Agents(Vec<Opinion>),
-    Histogram(Vec<(u32, u64)>),
-}
-
-/// Runs one shard to completion over any [`Transport`], on the
-/// representation its seed state names: an agent vector for
-/// [`ShardInit::Agents`], a condensed histogram for
-/// [`ShardInit::Histogram`]. The choice is made once, here, and the
-/// worker is monomorphized over it. A lost endpoint — a dead peer
+/// Runs one shard to completion over any [`Transport`], from its
+/// sparse seed body: a condensed histogram of it under
+/// `spec.condensed`, otherwise the body expanded into an agent vector.
+/// The choice is made once, here, and the worker is monomorphized over
+/// it. A lost endpoint — a dead peer
 /// process, a vanished coordinator — aborts the current round and exits
 /// the worker cleanly (the loss cascades to the rest of the fleet
 /// through their own transports; see [`crate::transport`]). A panic
@@ -186,7 +179,7 @@ pub(crate) fn run_shard<R: UpdateRule, T: Transport>(
     shard_id: usize,
     spec: ShardSpec,
     rule: R,
-    init: ShardInit,
+    body: Vec<(u32, u64)>,
     transport: T,
 ) {
     let access = rule.sample_access();
@@ -196,22 +189,19 @@ pub(crate) fn run_shard<R: UpdateRule, T: Transport>(
     );
     let h = rule.sample_count();
     debug_assert!(access != SampleAccess::SinglePeer || h == 1);
-    // The init variant must agree with the coordinator's predicate.
-    assert_eq!(
-        shard_is_condensed(spec.repr, access),
-        matches!(init, ShardInit::Histogram(_)),
-        "shard init variant must match the condensed predicate"
-    );
-    let tracking = spec.report_mode == ReportMode::Delta;
-    match init {
-        ShardInit::Agents(opinions) => {
-            let state = Agents::new(opinions, h, spec.k_slots, tracking);
-            Worker::new(shard_id, spec, rule, state, transport).run();
+    if spec.condensed {
+        let state = Condensed::new(body, &rule, spec.k_slots, spec.tracking);
+        Worker::new(shard_id, spec, rule, state, transport).run();
+    } else {
+        // Colors lie ascending and contiguous (exactly how
+        // `to_opinions` lays agents out), so this equals slicing the
+        // global expansion.
+        let mut opinions = Vec::with_capacity(spec.partition.range(shard_id).len());
+        for &(slot, count) in &body {
+            opinions.extend(std::iter::repeat_n(Opinion::new(slot), count as usize));
         }
-        ShardInit::Histogram(body) => {
-            let state = Condensed::new(body, access, h, spec.k_slots, tracking);
-            Worker::new(shard_id, spec, rule, state, transport).run();
-        }
+        let state = Agents::new(opinions, h, spec.k_slots, spec.tracking);
+        Worker::new(shard_id, spec, rule, state, transport).run();
     }
 }
 
@@ -300,7 +290,7 @@ trait ShardState {
 
     /// Builds the commanded report body (sparse bodies reuse a buffer
     /// from `pool`) and returns it with the undecided count and, under
-    /// [`ReportMode::Delta`] tracking, the changed-slot count.
+    /// [`ReportMode::Delta`](crate::ReportMode::Delta) tracking, the changed-slot count.
     fn report(
         &mut self,
         format: ReportFormat,

@@ -5,19 +5,17 @@
 use rand::Rng;
 
 use symbreak_core::{Opinion, SampleAccess, UpdateRule};
-use symbreak_sim::dist::{sample_multinomial_into, GroupSplitter};
+use symbreak_sim::dist::{sample_multinomial_into, FenwickPool};
 use symbreak_sim::rng::Pcg64;
 
 use super::{walk_palette, PaletteBuffers, Palettes, ShardState};
 use crate::message::{ReportBody, ReportFormat};
 
-/// Crossover between the aggregate condensed-pull paths (mega-block /
-/// grouped) and per-ball dealing: the aggregate paths pay one
-/// hypergeometric draw plus `O(log d)` Fenwick traffic per pool
-/// category, which costs roughly this many per-ball dealing steps.
-/// Aggregates engage only while `d · FACTOR ≤ local_n · h`; in the
-/// diverse regime (singleton starts, `d ≈ local_n · h`) they would be
-/// an order of magnitude slower than touching every ball once.
+/// Crossover between the pooled condensed-pull block and per-ball
+/// dealing: the block pays one hypergeometric draw plus `O(log d)`
+/// Fenwick traffic per pool category, which costs roughly this many
+/// per-ball dealing steps. The block engages only while
+/// `d · FACTOR ≤ local_n · h`.
 const MEGA_DISPATCH_FACTOR: u64 = 16;
 
 /// Two-pass 16-bit LSD radix sort for the flat condensed tally: ~4
@@ -131,6 +129,9 @@ pub(super) struct Condensed {
     /// Whether the rule is a [`MultisetRule`](symbreak_core::MultisetRule) consumed by aggregate
     /// steps; otherwise it reads a single peer (Voter).
     multiset: bool,
+    /// Whether the rule is an own-insensitive multiset rule, whose
+    /// pull rounds may take the pooled block.
+    pooled: bool,
     h: usize,
     k_slots: usize,
     /// The shard's node count: the seed body's mass.
@@ -184,25 +185,25 @@ pub(super) struct Condensed {
     pool_ops: Vec<Opinion>,
     /// Slots touched while tallying the pool into `serve_counts`.
     pool_touched: Vec<u32>,
-    /// One opinion-group's dealt share of the pooled histogram (grouped
-    /// pull; aligned with `pool_ops`).
-    group_block: Vec<u64>,
 }
 
 impl Condensed {
-    pub(super) fn new(
+    /// The shard seeded from `body`, with its pull consume fixed by
+    /// `rule`'s sample access (which must not be an ordered window).
+    pub(super) fn new<R: UpdateRule>(
         body: Vec<(u32, u64)>,
-        access: SampleAccess,
-        h: usize,
+        rule: &R,
         k_slots: usize,
         tracking: bool,
     ) -> Self {
-        debug_assert!(access != SampleAccess::OrderedWindow, "ordered windows are never condensed");
+        let access = rule.sample_access();
+        assert!(access != SampleAccess::OrderedWindow, "ordered windows are never condensed");
         assert!(body.iter().all(|&(s, _)| (s as usize) < k_slots), "seed body: slot out of range");
         let local_n = body.iter().map(|&(_, c)| c).sum::<u64>() as usize;
         let mut condensed = Self {
             multiset: access == SampleAccess::Multiset,
-            h,
+            pooled: rule.as_multiset().is_some_and(|m| m.own_insensitive()),
+            h: rule.sample_count(),
             k_slots,
             local_n,
             hist_pairs: Vec::new(),
@@ -223,7 +224,6 @@ impl Condensed {
             pool_counts: Vec::new(),
             pool_ops: Vec::new(),
             pool_touched: Vec::new(),
-            group_block: Vec::new(),
         };
         condensed.install();
         // The round-0 baseline the first delta is relative to.
@@ -328,14 +328,17 @@ impl Condensed {
     }
 
     /// Per-ball dealing straight off the received palettes, without
-    /// materializing the pool: dealing the pooled multiset into per-node
-    /// `h`-windows uniformly is, ball by ball, a uniform interleaving of
-    /// the origins (pick an origin with probability proportional to its
-    /// remaining mass), and conditioned on the origin the palette
-    /// entries are exchangeable — so reading each palette in arrival
-    /// order is the same law as a uniform dealing. Each ball costs one
-    /// bounded draw over `shards` counters and one sequential palette
-    /// read.
+    /// materializing the pool: each ball is a uniform draw from the
+    /// remaining pool. One bounded draw picks the origin with
+    /// probability proportional to its remaining mass, and its residual
+    /// is a uniform rank among that origin's remaining balls. A raw
+    /// palette lists iid draws in draw order, so its entries are
+    /// exchangeable and it is read in order. A run-encoded (walked)
+    /// palette lists its runs by slot, which is not exchangeable, so its
+    /// ball is the one at the residual's rank, taken from a
+    /// [`FenwickPool`] over its run counts. Each ball costs one bounded
+    /// draw over `shards` counters plus a sequential read or an
+    /// `O(log #runs)` descent.
     fn consume_pull_interleaved<R: UpdateRule>(
         &mut self,
         rule: &R,
@@ -345,20 +348,24 @@ impl Condensed {
         let shards = palettes.recv.len();
         let h = self.h;
         self.fill_groups();
-        // Per-origin remaining mass and read cursor; run-encoded
-        // palettes are expanded on the fly as (run index, used).
+        // Per-origin remaining mass, the read cursor of a raw palette
+        // and the remaining run counts of a run-encoded one.
         let taken: Vec<PaletteBuffers> = (0..shards).map(|o| palettes.take(o)).collect();
-        let mut rem: Vec<u64> = taken
+        let mut left: Vec<Option<FenwickPool>> = taken
             .iter()
-            .map(|(palette, runs)| {
-                if runs.is_empty() {
-                    palette.len() as u64
-                } else {
-                    runs.iter().map(|&(_, c)| c).sum()
-                }
+            .map(|(_, runs)| {
+                let counts: Vec<u64> = runs.iter().map(|&(_, c)| c).collect();
+                (!runs.is_empty()).then(|| FenwickPool::new(&counts))
             })
             .collect();
-        let mut pos: Vec<(usize, u64)> = vec![(0, 0); shards];
+        let mut rem: Vec<u64> = taken
+            .iter()
+            .zip(&left)
+            .map(|((palette, _), runs)| {
+                runs.as_ref().map_or(palette.len() as u64, |p| p.remaining())
+            })
+            .collect();
+        let mut cursor = vec![0usize; shards];
         let mut total: u64 = rem.iter().sum();
         debug_assert_eq!(total, (self.local_n * h) as u64, "palette mass must cover the windows");
         // Each ball is drawn uniformly among the remaining pool, so the
@@ -386,15 +393,12 @@ impl Condensed {
                     rem[o] -= 1;
                     total -= 1;
                     let (palette, runs) = &taken[o];
-                    wbuf.push(if runs.is_empty() {
-                        let i = pos[o].0;
-                        pos[o].0 = i + 1;
-                        palette[i]
-                    } else {
-                        let (ri, used) = pos[o];
-                        let (pi, c) = runs[ri];
-                        pos[o] = if used + 1 == c { (ri + 1, 0) } else { (ri, used + 1) };
-                        palette[pi as usize]
+                    wbuf.push(match &mut left[o] {
+                        None => {
+                            cursor[o] += 1;
+                            palette[cursor[o] - 1]
+                        }
+                        Some(pool) => palette[runs[pool.take_at(r)].0 as usize],
                     });
                 }
                 self.consumed_flat.push(flat_key(rule.update(own, &wbuf, rng)));
@@ -405,45 +409,37 @@ impl Condensed {
         self.install_flat();
     }
 
-    /// Multiset pull: pool the received palettes (raw ones are tallied
-    /// too) and consume the pooled histogram **by opinion group, not by
-    /// node**:
-    ///
-    /// * **mega-block** (the rule is [`MultisetRule::own_insensitive`](symbreak_core::MultisetRule::own_insensitive) —
-    ///   3-Majority, h-Majority) — every group sees the same window law,
-    ///   so the whole pool is one block and one `condensed_window_step`
-    ///   call applies the rule's aggregate law to all `local_n` nodes
-    ///   at once: `O(d log d)` per round, independent of `local_n`.
-    /// * **grouped** (own-sensitive rules while
-    ///   `#groups · d ≤ local_n · h`) — a [`GroupSplitter`] deals the
-    ///   pool into per-group blocks of `count · h` balls (nested
-    ///   multivariate hypergeometrics over the shrinking pool — exactly
-    ///   the law of handing each group its share of a uniform dealing),
-    ///   then one `condensed_window_step` per occupied group:
-    ///   `O(#occupied · (d + h))` per round.
-    /// * **interleaved** ([`Condensed::consume_pull_interleaved`]) —
-    ///   everything else: per-ball dealing off the received palettes.
-    ///
-    /// All three are the same without-replacement law. The diverse
-    /// regime is detected *before* the pool is tallied: the palette
-    /// envelopes bound the pool's distinct-category count `d` from above
-    /// at `O(shards)` cost, and when even the aggregate paths' `O(d)`
-    /// per-category draws would exceed the per-ball budget
-    /// ([`MEGA_DISPATCH_FACTOR`]) the tally — itself an
-    /// `O(local_n · h)` random-scatter pass — is skipped. An
-    /// own-sensitive rule whose per-group blocks (`#groups · d`) would
-    /// outnumber the balls goes the same way once the tally has fixed
-    /// the exact `d`.
+    /// Multiset pull, in one of two arms: an own-insensitive rule
+    /// whose pool passes the envelope bound ([`Condensed::pool_fits`])
+    /// consumes it as one pooled block
+    /// ([`Condensed::consume_pull_pooled`]); every other round deals per
+    /// ball off the received palettes
+    /// ([`Condensed::consume_pull_interleaved`]). Both are the same
+    /// without-replacement law. In the diverse regime (singleton
+    /// starts, `d ≈ local_n · h`) the block would be an order of
+    /// magnitude slower than touching every ball once.
     fn consume_pull_multiset<R: UpdateRule>(
         &mut self,
         rule: &R,
         rng: &mut Pcg64,
         palettes: &mut Palettes,
     ) {
-        let msr = rule.as_multiset().expect("Multiset access requires a MultisetRule impl");
-        let balls = (self.local_n * self.h) as u64;
-        // Bound d off the envelopes: raw palettes contribute at most
-        // their entry count, run-encoded ones at most their run count.
+        if self.pooled && self.pool_fits(palettes) {
+            self.consume_pull_pooled(rule, rng, palettes);
+        } else {
+            self.consume_pull_interleaved(rule, rng, palettes);
+        }
+    }
+
+    /// Whether the pooled block may take this round: the palette
+    /// envelopes bound the pool's distinct-category count `d` from
+    /// above at `O(shards)` cost (a raw palette by its entry count, a
+    /// run-encoded one by its run count), and the block's `O(d)`
+    /// per-category draws must stay within the per-ball budget
+    /// ([`MEGA_DISPATCH_FACTOR`]). Checked before the pool is tallied,
+    /// since the tally is itself an `O(local_n · h)` random-scatter
+    /// pass.
+    fn pool_fits(&self, palettes: &Palettes) -> bool {
         let upper_d: u64 = palettes
             .recv
             .iter()
@@ -452,22 +448,29 @@ impl Condensed {
                 (if runs.is_empty() { palette.len() } else { runs.len() }) as u64
             })
             .sum();
-        if upper_d * MEGA_DISPATCH_FACTOR > balls {
-            return self.consume_pull_interleaved(rule, rng, palettes);
-        }
+        upper_d * MEGA_DISPATCH_FACTOR <= (self.local_n * self.h) as u64
+    }
+
+    /// Pooled pull for an own-insensitive rule
+    /// ([`MultisetRule::own_insensitive`](symbreak_core::MultisetRule::own_insensitive) —
+    /// 3-Majority, h-Majority): every node sees the same window law,
+    /// so the received palettes (raw ones tallied too) pool into one
+    /// block and one `condensed_window_step` call applies the rule's
+    /// aggregate law to all `local_n` nodes at once: `O(d log d)` per
+    /// round, independent of `local_n`. The same without-replacement
+    /// law as [`Condensed::consume_pull_interleaved`].
+    fn consume_pull_pooled<R: UpdateRule>(
+        &mut self,
+        rule: &R,
+        rng: &mut Pcg64,
+        palettes: &mut Palettes,
+    ) {
+        let msr = rule.as_multiset().expect("Multiset access requires a MultisetRule impl");
         // Tally the pooled histogram into `serve_counts` (zero outside
         // serves).
         self.pool_touched.clear();
         let pool_undecided =
             tally_palettes(&palettes.recv, &mut self.serve_counts, &mut self.pool_touched);
-        let d = self.pool_touched.len() + usize::from(pool_undecided > 0);
-        let groups = self.hist_pairs.len() + usize::from(self.hist_undecided > 0);
-        if !msr.own_insensitive() && (groups as u64).saturating_mul(d as u64) > balls {
-            for &i in &self.pool_touched {
-                self.serve_counts[i as usize] = 0;
-            }
-            return self.consume_pull_interleaved(rule, rng, palettes);
-        }
         palettes.recycle();
 
         // Gather the pool ascending by opinion, undecided last — the
@@ -485,45 +488,21 @@ impl Condensed {
         }
         debug_assert_eq!(
             self.pool_counts.iter().sum::<u64>(),
-            balls,
+            (self.local_n * self.h) as u64,
             "palette mass must equal the requested pulls"
         );
 
-        self.fill_groups();
+        // One aggregate call covers every group (the `own` argument is
+        // ignored by the rule's law).
         self.step_out.clear();
-        if msr.own_insensitive() {
-            // Mega-block: one aggregate call covers every group (the
-            // `own` argument is ignored by the rule's law).
-            msr.condensed_window_step(
-                Opinion::UNDECIDED,
-                self.local_n as u64,
-                &self.pool_ops,
-                &mut self.pool_counts,
-                rng,
-                &mut self.step_out,
-            );
-        } else {
-            // Grouped: deal each group its `count · h`-ball share of
-            // the shrinking pool, then apply the rule's aggregate law
-            // once per group.
-            let h = self.h as u64;
-            let mut splitter = GroupSplitter::new(&mut self.pool_counts);
-            for &(own, count) in &self.groups {
-                let block = &mut self.group_block;
-                block.clear();
-                block.resize(d, 0);
-                splitter.draw_block(count * h, rng, |j, x| block[j] += x);
-                msr.condensed_window_step(
-                    own,
-                    count,
-                    &self.pool_ops,
-                    block,
-                    rng,
-                    &mut self.step_out,
-                );
-            }
-            debug_assert_eq!(splitter.remaining(), 0, "the pool must be dealt exactly");
-        }
+        msr.condensed_window_step(
+            Opinion::UNDECIDED,
+            self.local_n as u64,
+            &self.pool_ops,
+            &mut self.pool_counts,
+            rng,
+            &mut self.step_out,
+        );
         self.install();
     }
 }
@@ -735,7 +714,8 @@ mod tests {
             // and `changed_slots` are the dense ones, and the pairs roll
             // forward.
             for format in [ReportFormat::Delta, ReportFormat::Sparse] {
-                let mut shard = Condensed::new(prev.clone(), SampleAccess::Multiset, 3, 24, true);
+                let mut shard =
+                    Condensed::new(prev.clone(), &symbreak_core::rules::ThreeMajority, 24, true);
                 shard.hist_pairs.clone_from(&cur);
                 let (body, _, changed) = shard.report(format, &mut Vec::new());
                 assert_eq!(changed, Some(dense.len() as u64));

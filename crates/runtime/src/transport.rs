@@ -71,9 +71,8 @@ use symbreak_core::rules::{
     HMajority, LazyVoter, ThreeMajority, ThreeMajorityAlt, TwoChoices, TwoMedian,
     UndecidedDynamics, Voter,
 };
-use symbreak_core::{Opinion, UpdateRule};
+use symbreak_core::UpdateRule;
 
-use crate::cluster::{ReportMode, ShardRepr};
 use crate::codec::{
     control_len, decode_control, decode_hello, decode_peer_hello, decode_report,
     decode_shard_message, decode_worker_init, encode_control, encode_hello, encode_peer_hello,
@@ -82,7 +81,7 @@ use crate::codec::{
 };
 use crate::fault::FaultPlan;
 use crate::message::{Control, ReportBody, ShardMessage, ShardReport};
-use crate::shard::{run_shard, Partition, ShardInit, ShardSpec};
+use crate::shard::{run_shard, Partition, ShardSpec};
 
 /// The peer or coordinator on the other end of a transport is gone
 /// (its process died, its socket closed). Never returned by injected
@@ -770,36 +769,22 @@ pub fn shard_process_main() {
     let spec = ShardSpec {
         partition: Partition::new(init.n, shards),
         k_slots: init.k_slots,
-        report_mode: init.report_mode,
-        repr: init.repr,
+        condensed: init.condensed,
+        tracking: init.tracking,
         master_seed: init.master_seed,
         plan: init.plan,
     };
-    let shard_init = if init.condensed {
-        ShardInit::Histogram(init.body)
-    } else {
-        // Expand the sparse seed body into the agent vector exactly as
-        // the channel coordinator does: colors ascending and contiguous.
-        let mut opinions = Vec::new();
-        for &(slot, count) in &init.body {
-            opinions.extend(std::iter::repeat_n(Opinion::new(slot), count as usize));
-        }
-        ShardInit::Agents(opinions)
-    };
+    let body = init.body;
     match init.rule {
-        RuleSpec::Voter => run_shard(shard, spec, Voter, shard_init, transport),
-        RuleSpec::ThreeMajority => run_shard(shard, spec, ThreeMajority, shard_init, transport),
-        RuleSpec::ThreeMajorityAlt => {
-            run_shard(shard, spec, ThreeMajorityAlt, shard_init, transport)
-        }
-        RuleSpec::TwoChoices => run_shard(shard, spec, TwoChoices, shard_init, transport),
-        RuleSpec::TwoMedian => run_shard(shard, spec, TwoMedian, shard_init, transport),
-        RuleSpec::UndecidedDynamics => {
-            run_shard(shard, spec, UndecidedDynamics, shard_init, transport)
-        }
-        RuleSpec::LazyVoter(p) => run_shard(shard, spec, LazyVoter::new(p), shard_init, transport),
+        RuleSpec::Voter => run_shard(shard, spec, Voter, body, transport),
+        RuleSpec::ThreeMajority => run_shard(shard, spec, ThreeMajority, body, transport),
+        RuleSpec::ThreeMajorityAlt => run_shard(shard, spec, ThreeMajorityAlt, body, transport),
+        RuleSpec::TwoChoices => run_shard(shard, spec, TwoChoices, body, transport),
+        RuleSpec::TwoMedian => run_shard(shard, spec, TwoMedian, body, transport),
+        RuleSpec::UndecidedDynamics => run_shard(shard, spec, UndecidedDynamics, body, transport),
+        RuleSpec::LazyVoter(p) => run_shard(shard, spec, LazyVoter::new(p), body, transport),
         RuleSpec::HMajority(h) => {
-            run_shard(shard, spec, HMajority::new(h as usize), shard_init, transport)
+            run_shard(shard, spec, HMajority::new(h as usize), body, transport)
         }
     }
     if let TransportAddr::Unix(p) = my_addr {
@@ -865,8 +850,7 @@ pub(crate) struct FleetSpec {
     pub n: u32,
     pub shards: usize,
     pub k_slots: usize,
-    pub report_mode: ReportMode,
-    pub repr: ShardRepr,
+    pub tracking: bool,
     pub master_seed: u64,
     pub plan: FaultPlan,
     pub rule: RuleSpec,
@@ -971,8 +955,7 @@ impl SocketFleet {
                 n: spec.n,
                 shards,
                 k_slots: spec.k_slots,
-                report_mode: spec.report_mode,
-                repr: spec.repr,
+                tracking: spec.tracking,
                 master_seed: spec.master_seed,
                 plan: spec.plan.clone(),
                 rule: spec.rule,

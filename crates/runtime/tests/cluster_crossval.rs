@@ -85,7 +85,7 @@ fn cluster_matches_vector_engine_from_singleton_start() {
 #[test]
 fn native_multiset_consumption_matches_vector_engine() {
     // `ClusterConfig::new` runs 3-Majority on condensed shards: the
-    // pooled palettes go through one mega-block window step in the pull
+    // pooled palettes go through one pooled-block window step in the pull
     // gear (per-ball dealing while diverse) and one closed-form
     // `Mult(local_n, α)` in the push gear — an exact aggregation of
     // Uniform Pull, so the consensus-time law must match the exact

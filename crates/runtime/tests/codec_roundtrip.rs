@@ -334,15 +334,15 @@ fn header_layout_is_pinned() {
 #[test]
 fn payload_layouts_are_pinned() {
     // One frame per per-round kind, byte for byte: header (magic,
-    // version 4, kind, round, payload length), then the payload as the
+    // version 5, kind, round, payload length), then the payload as the
     // layout table documents it.
     let mut buf = Vec::new();
     encode_control(&Control::Stop, &mut buf);
-    assert_eq!(buf, [0x53, 0x42, 0x04, 0x08, 0x00, 0x00]);
+    assert_eq!(buf, [0x53, 0x42, 0x05, 0x08, 0x00, 0x00]);
 
     // Pull: origin 1, count 1000 (a two-byte varint), round 300.
     let pull = ShardMessage::Pull(PullBatch { origin: 1, round: 300, count: 1000 });
-    let pull_bytes = [0x53, 0x42, 0x04, 0x03, 0xAC, 0x02, 0x03, 0x01, 0xE8, 0x07];
+    let pull_bytes = [0x53, 0x42, 0x05, 0x03, 0xAC, 0x02, 0x03, 0x01, 0xE8, 0x07];
 
     // Palette: origin 2, opinions [color 0, undecided, color 130] as
     // codes 1, 0, 131, then runs (0, 7) and (2, 300).
@@ -353,7 +353,7 @@ fn payload_layouts_are_pinned() {
         runs: vec![(0, 7), (2, 300)],
     });
     let palette_bytes = [
-        0x53, 0x42, 0x04, 0x04, 0x05, 0x0C, // header
+        0x53, 0x42, 0x05, 0x04, 0x05, 0x0C, // header
         0x02, 0x03, 0x01, 0x00, 0x83, 0x01, // origin, 3 opinions
         0x02, 0x00, 0x07, 0x02, 0xAC, 0x02, // 2 runs
     ];
@@ -379,7 +379,7 @@ fn payload_layouts_are_pinned() {
         bytes_received: 128,
     };
     let report_bytes = [
-        0x53, 0x42, 0x04, 0x05, 0x02, 0x10, // header
+        0x53, 0x42, 0x05, 0x05, 0x02, 0x10, // header
         0x01, 0x01, 0x02, 0x03, 0x03, 0x09, 0x02, // shard, tag, 2 pairs
         0x04, 0xC8, 0x01, 0x00, 0x01, 0x02, 0x63, 0x80, 0x01, // scalars
     ];

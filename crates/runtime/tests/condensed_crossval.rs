@@ -147,18 +147,18 @@ fn condensed_matches_agents_undecided_dynamics() {
 }
 
 // ---------------------------------------------------------------------
-// The grouped condensed pull gear, pinned in law: with the data gear
-// forced to pull on *both* representations, every round of the
-// condensed run flows through the grouped consume (per-opinion
-// hypergeometric blocks / per-ball dealing / pooled tally) while the agent
-// run walks its nodes — the two must agree in distribution. One test
-// per consume dispatch arm.
+// The condensed pull gear, pinned in law: with the data gear forced to
+// pull on *both* representations, every round of the condensed run
+// flows through the pull consume (the pooled block of an
+// own-insensitive rule, or per-ball dealing) while the agent run walks
+// its nodes — the two must agree in distribution. One test per rule
+// the condensed shards consume as a multiset.
 // ---------------------------------------------------------------------
 
 #[test]
 fn forced_pull_grouped_matches_agents_three_majority() {
     // Own-insensitive multiset rule from the k = n start: the condensed
-    // pull round runs the single mega-block `condensed_window_step`
+    // pull round runs the single pooled-block `condensed_window_step`
     // while the pool is concentrated, and the origin-interleaved flat
     // path while it is diverse — both arms stay pull-only under
     // `GearMode::ForcePull`.
@@ -185,13 +185,9 @@ fn forced_pull_grouped_matches_agents_three_majority() {
 
 #[test]
 fn forced_pull_grouped_matches_agents_two_median() {
-    // Own-sensitive multiset rule: the grouped consume cannot collapse
-    // to one mega block. The singleton start's envelope bound already
-    // exceeds the per-ball budget, so it deals per ball off the
-    // palettes. The uniform start passes the envelope check, but its
-    // exact pool (`d` ≈ 100 categories) times its 100 groups outnumbers
-    // the `local_n · h` balls, so it takes the same per-ball dealing
-    // once the tally has fixed `d`.
+    // Own-sensitive multiset rule: every condensed pull round deals per
+    // ball off the palettes, from the diverse singleton start and from
+    // the uniform start alike, while it concentrates.
     for (start, trials, seed) in
         [(Configuration::singletons(96), 48, 12300), (Configuration::uniform(4000, 100), 24, 12350)]
     {
@@ -217,8 +213,9 @@ fn forced_pull_grouped_matches_agents_two_median() {
 
 #[test]
 fn forced_pull_grouped_matches_agents_undecided_dynamics() {
-    // The undecided dynamics exercises the grouped per-(opinion-group)
-    // split with the UNDECIDED pseudo-group carried outside the slots.
+    // Own-sensitive multiset rule with the UNDECIDED pseudo-opinion
+    // carried outside the slots: every condensed pull round deals per
+    // ball, and undecided balls must flow through it.
     let start = Configuration::from_counts(vec![70, 30]);
     let trials = 48;
     let condensed = times_with_repr_gear(
@@ -242,9 +239,10 @@ fn forced_pull_grouped_matches_agents_undecided_dynamics() {
 
 #[test]
 fn forced_pull_grouped_matches_agents_h_majority() {
-    // h = 5 has no closed-form aggregate: the grouped consume falls
-    // back to `condensed_window_step_by_dealing` (window splits per
-    // group), which must still match the per-node agent walk in law.
+    // h = 5 has no closed-form aggregate: once the pool concentrates,
+    // the pooled block falls back to `condensed_window_step_by_dealing`
+    // (one window split per node off the pool), which must still match
+    // the per-node agent walk in law.
     let start = Configuration::uniform(96, 6);
     let trials = 48;
     let condensed = times_with_repr_gear(
@@ -387,10 +385,9 @@ fn ordered_window_downgrade_forced_pull_is_agent_exact() {
 
 #[test]
 fn condensed_forced_pull_is_deterministic_per_seed() {
-    // The grouped pull consume (mega block, interleaved dealing, flat
-    // tally) draws through the shard's owned stream only: two runs of
-    // the same seed must coincide exactly even with the gear pinned to
-    // the grouped path's worst case.
+    // The pull consume (pooled block, interleaved dealing) draws
+    // through the shard's owned stream only: two runs of the same seed
+    // must coincide exactly even with the gear pinned to pull.
     let start = Configuration::singletons(96);
     let run = || {
         let cfg = ClusterConfig::new(4, 99).with_data_gear(GearMode::ForcePull);

@@ -348,27 +348,32 @@ fn golden_mixed_plan_histogram_seed_exact() {
     // the old values were round 28, 16982 messages, 2394 entries,
     // digest 0xba2c36cd5b2b691b, and 39/31/36 palettes dropped,
     // duplicated and delayed, 12 reports delayed, 28 Byzantine reports,
-    // 12 resyncs and 12 quorum rounds.
+    // 12 resyncs and 12 quorum rounds. Re-pinned again when per-ball
+    // dealing stopped reading compensating (walked) palettes in slot
+    // order (before: round 24, 15372 messages, 2196 entries, digest
+    // 0xba3438488cd7cc55, 28/29/32 palettes, 10 reports delayed, 24
+    // Byzantine reports, 10 resyncs, 1329 recovered samples and 10
+    // quorum rounds).
     let faults = FaultCounters {
-        palettes_dropped: 28,
-        palettes_duplicated: 29,
-        palettes_delayed: 32,
-        reports_delayed: 10,
+        palettes_dropped: 37,
+        palettes_duplicated: 31,
+        palettes_delayed: 34,
+        reports_delayed: 12,
         crash_rounds: 3,
         rejoins: 1,
-        byzantine_reports: 24,
-        straggler_resyncs: 10,
-        recovered_samples: 1329,
-        quorum_rounds: 10,
+        byzantine_reports: 26,
+        straggler_resyncs: 11,
+        recovered_samples: 914,
+        quorum_rounds: 12,
         ..FaultCounters::default()
     };
     assert_mixed_plan_golden(
         ShardRepr::Histogram,
         GearMode::Auto,
-        24,
-        15372,
-        2196,
-        0xba3438488cd7cc55,
+        27,
+        15541,
+        2149,
+        0xaf31af42be15dc66,
         faults,
     );
 }

@@ -31,8 +31,9 @@
 //!   (bulk draws).
 //! * [`GroupSplitter`] — the without-replacement dealing of a pooled
 //!   sample histogram into blocks, by multivariate-hypergeometric
-//!   conditionals: blocks of `h` are per-node windows, blocks of `g·h`
-//!   whole opinion groups, which is what makes condensed pull rounds
+//!   conditionals: blocks of `h` are per-node windows, and one block of
+//!   `count` splits 3-Majority's pooled pull block into its first-slot
+//!   balls, which is what makes its condensed pull rounds
 //!   `O(#occupied·h)` instead of per-node.
 //! * [`WindowMultinomial`] — i.i.d. `Mult(h, θ)` per-node windows with
 //!   the conditional binomials cached across nodes, for rules that
@@ -40,8 +41,10 @@
 //! * [`FenwickPool`] — a Fenwick tree over category counts: `O(log d)`
 //!   single-category edits, bit-descended draws with or without
 //!   replacement, and bulk without-replacement removal by one
-//!   [`GroupSplitter`] block. The condensed 3-Majority and 2-Median pull
-//!   steps deal their partner pools from one.
+//!   [`GroupSplitter`] block. The condensed 3-Majority pull block deals
+//!   its partner pool from one ([`FenwickPool::deal`] has no other
+//!   caller), and a condensed shard's per-ball dealing takes each ball
+//!   of a walked palette by rank ([`FenwickPool::take_at`]).
 //!
 //! All samplers take any [`rand::RngCore`] (including `&mut dyn RngCore`)
 //! and are deterministic given the generator state, which keeps whole
@@ -1430,8 +1433,26 @@ impl FenwickPool {
     /// Panics (in debug builds) when the pool is empty.
     pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> usize {
         debug_assert!(self.remaining > 0, "drew from an empty pool");
+        self.locate(rng.gen_range(0..self.remaining))
+    }
+
+    /// Removes the ball of 0-based `rank` among the remaining balls
+    /// (categories in index order) and returns its category. A uniform
+    /// `rank` in `[0, remaining)` makes this a [`draw`](Self::draw).
+    /// `O(log d)`.
+    ///
+    /// # Panics
+    /// Panics (in debug builds) if `rank ≥ remaining`.
+    pub fn take_at(&mut self, rank: u64) -> usize {
+        debug_assert!(rank < self.remaining, "rank {rank} past the pool");
+        let pos = self.locate(rank);
+        self.remove(pos, 1);
+        pos
+    }
+
+    /// The category holding the ball of 0-based rank `target`.
+    fn locate(&self, mut target: u64) -> usize {
         let len = self.counts.len();
-        let mut target = rng.gen_range(0..self.remaining);
         // Descend to the largest index whose prefix sum is ≤ target.
         let mut pos = 0usize;
         let mut step = len.next_power_of_two();

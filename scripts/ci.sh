@@ -11,7 +11,7 @@ cd "$(dirname "$0")/.."
 echo "==> info: non-test line counts per file and crate (no gate)"
 python3 scripts/loc.py
 
-echo "==> info: public items no other file names (no gate)"
+echo "==> info: public items no other file names, and those only test code names (no gate)"
 python3 scripts/unused_pub.py
 
 echo "==> lint: cargo fmt --check"

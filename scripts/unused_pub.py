@@ -12,6 +12,10 @@ whose name another item shares (`new`, `len`) is never listed, while
 one used only through type inference (a returned struct) is. The list
 is a place to look for dead code, not proof of it, and not a gate.
 
+A second section lists the items that only test code names: the same
+search over the non-test part of every file, with `tests/` directories
+and each file's `#[cfg(test)]` tail left out.
+
 Usage: scripts/unused_pub.py [crate ...]   (default: runtime core sim)
 """
 import re
@@ -37,6 +41,15 @@ def rust_files():
             yield path
 
 
+def non_test(path, text):
+    """The part of a file that is not test code: nothing under a
+    `tests/` directory, and a file's text before its first top-level
+    `#[cfg(test)]`."""
+    if "tests" in path.relative_to(ROOT).parts:
+        return ""
+    return text.split("\n#[cfg(test)]", 1)[0]
+
+
 def identifiers(text):
     text = LINE_COMMENT.sub("", text)
     text = REEXPORT.sub("", text)
@@ -54,23 +67,28 @@ def definitions(path):
 
 def main():
     crates = sys.argv[1:] or DEFAULT_CRATES
-    files = list(rust_files())
-    names = {p: identifiers(p.read_text(encoding="utf-8")) for p in files}
-    listed = 0
+    texts = {p: p.read_text(encoding="utf-8") for p in rust_files()}
+    names = {p: identifiers(t) for p, t in texts.items()}
+    code_names = {p: identifiers(non_test(p, t)) for p, t in texts.items()}
+    unreferenced, test_only = {}, {}
     for crate in crates:
         src = ROOT / "crates" / crate / "src"
         if not src.is_dir():
             sys.exit(f"unused_pub.py: no crate source at {src}")
-        rows = []
+        unreferenced[crate], test_only[crate] = [], []
         for path in sorted(src.rglob("*.rs")):
             for lineno, kind, name in definitions(path):
+                row = f"  {path.relative_to(ROOT)}:{lineno}  {kind} {name}"
                 if not any(name in ids for p, ids in names.items() if p != path):
-                    rows.append(f"  {path.relative_to(ROOT)}:{lineno}  {kind} {name}")
-        print(f"{crate}: {len(rows)} unreferenced")
-        for row in rows:
-            print(row)
-        listed += len(rows)
-    print(f"{listed} unreferenced public items in all listed crates")
+                    unreferenced[crate].append(row)
+                elif not any(name in ids for p, ids in code_names.items() if p != path):
+                    test_only[crate].append(row)
+    for rows, label in [(unreferenced, "unreferenced"), (test_only, "named only by tests")]:
+        for crate in crates:
+            print(f"{crate}: {len(rows[crate])} {label}")
+            for row in rows[crate]:
+                print(row)
+        print(f"{sum(map(len, rows.values()))} public items {label} in all listed crates")
 
 
 if __name__ == "__main__":
