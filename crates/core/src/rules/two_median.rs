@@ -520,7 +520,8 @@ mod tests {
     fn condensed_push_step_matches_exact_law() {
         // The second case puts every group's own value off `values`:
         // below the axis, between two values and above it.
-        let cases: [(&[(Opinion, u64)], &[Opinion], &[f64]); 3] = [
+        type Case<'a> = (&'a [(Opinion, u64)], &'a [Opinion], &'a [f64]);
+        let cases: [Case; 3] = [
             (&[(op(1), 2), (op(3), 1), (op(4), 1)], &[op(1), op(3), op(4)], &[2.0, 1.0, 1.0]),
             (&[(op(0), 1), (op(2), 2), (op(5), 1)], &[op(1), op(3), op(4)], &[0.5, 0.3, 0.2]),
             (&[(op(2), 1), (op(4), 3)], &[op(1), op(4), op(6)], &[1.0, 3.0, 1.0]),
