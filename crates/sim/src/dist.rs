@@ -1833,6 +1833,21 @@ mod tests {
     }
 
     #[test]
+    fn fenwick_pool_take_at_removes_the_ranked_ball() {
+        // Ranks count the remaining balls in category order: the last
+        // rank is the last nonempty category, rank 0 the first.
+        let mut pool = FenwickPool::new(&[2, 0, 3, 1]);
+        assert_eq!(pool.take_at(5), 3);
+        assert_eq!(pool.take_at(2), 2);
+        assert_eq!(pool.take_at(0), 0);
+        assert_eq!(pool.take_at(1), 2);
+        assert_eq!((pool.count(0), pool.count(2), pool.remaining()), (1, 1, 2));
+        assert_eq!(pool.take_at(1), 2);
+        assert_eq!(pool.take_at(0), 0);
+        assert_eq!(pool.tree, FenwickPool::new(&[0, 0, 0, 0]).tree);
+    }
+
+    #[test]
     fn ball_drop_tally_matches_multinomial_law() {
         let mut rng = Pcg64::seed_from_u64(41);
         let weights = [0.5, 0.3, 0.2];
