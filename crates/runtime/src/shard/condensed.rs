@@ -16,7 +16,7 @@ use crate::message::{ReportBody, ReportFormat};
 /// Fenwick traffic per pool category, which costs roughly this many
 /// per-ball dealing steps. The block engages only while
 /// `d · FACTOR ≤ local_n · h`.
-const MEGA_DISPATCH_FACTOR: u64 = 16;
+const POOL_DISPATCH_FACTOR: u64 = 16;
 
 /// Two-pass 16-bit LSD radix sort for the flat condensed tally: ~4
 /// sequential passes over the data plus two bucket scatters, where a
@@ -188,8 +188,9 @@ pub(super) struct Condensed {
 }
 
 impl Condensed {
-    /// The shard seeded from `body`, with its pull consume fixed by
-    /// `rule`'s sample access (which must not be an ordered window).
+    /// The shard seeded from `body`, with its consume fixed by `rule`:
+    /// its sample access (which must not be an ordered window) and
+    /// whether its pull rounds may take the pooled block.
     pub(super) fn new<R: UpdateRule>(
         body: Vec<(u32, u64)>,
         rule: &R,
@@ -436,7 +437,7 @@ impl Condensed {
     /// above at `O(shards)` cost (a raw palette by its entry count, a
     /// run-encoded one by its run count), and the block's `O(d)`
     /// per-category draws must stay within the per-ball budget
-    /// ([`MEGA_DISPATCH_FACTOR`]). Checked before the pool is tallied,
+    /// ([`POOL_DISPATCH_FACTOR`]). Checked before the pool is tallied,
     /// since the tally is itself an `O(local_n · h)` random-scatter
     /// pass.
     fn pool_fits(&self, palettes: &Palettes) -> bool {
@@ -448,7 +449,7 @@ impl Condensed {
                 (if runs.is_empty() { palette.len() } else { runs.len() }) as u64
             })
             .sum();
-        upper_d * MEGA_DISPATCH_FACTOR <= (self.local_n * self.h) as u64
+        upper_d * POOL_DISPATCH_FACTOR <= (self.local_n * self.h) as u64
     }
 
     /// Pooled pull for an own-insensitive rule
