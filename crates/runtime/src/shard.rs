@@ -195,9 +195,10 @@ pub(crate) fn run_shard<R: UpdateRule, T: Transport>(
     } else {
         // Colors lie ascending and contiguous (exactly how
         // `to_opinions` lays agents out), so this equals slicing the
-        // global expansion.
+        // global expansion. The body is consumed, so it is freed before
+        // the run starts.
         let mut opinions = Vec::with_capacity(spec.partition.range(shard_id).len());
-        for &(slot, count) in &body {
+        for (slot, count) in body {
             opinions.extend(std::iter::repeat_n(Opinion::new(slot), count as usize));
         }
         let state = Agents::new(opinions, h, spec.k_slots, spec.tracking);
